@@ -49,7 +49,6 @@ from .regseq import (
     TransversalWitness,
     build_matching_instance,
     certify_transversal_ranks,
-    check_height_inequality,
     decompose_degree_two,
     find_matching,
     find_regular_sequence,
@@ -108,7 +107,6 @@ __all__ = [
     "canonical_json",
     "certify_transversal_ranks",
     "check_balanced",
-    "check_height_inequality",
     "complex_of_ideal",
     "construct_lex_plus_powers",
     "decompose_degree_two",

@@ -22,6 +22,7 @@ from .errors import (
 from .fields import parse_field_spec
 from .jsonio import canonical_json, load_input_obj, parse_json_text
 from .reports import (
+    SEED_RANGE,
     analyze_report,
     balance_report,
     egh_report,
@@ -29,6 +30,22 @@ from .reports import (
     verify_report,
 )
 from .simplicial import complex_of_ideal, stanley_reisner
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type for an integer in low..high, or >= low without a high."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be an integer {span}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument(
                 "--budget",
-                type=int,
+                type=_int_in(0),
                 default=16,
                 metavar="N",
                 help="largest generator-support size enumerated for projective "
@@ -67,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if max_degree:
             p.add_argument(
                 "--max-degree",
-                type=int,
+                type=_int_in(0),
                 default=None,
                 metavar="D",
                 help="cap on lex-pick degrees (default: none; the construction "
@@ -78,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regseq", help="regular sequence of variable-times-form products")
     common(p)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p.add_argument(
+        "--seed", type=_int_in(*SEED_RANGE), default=0, help="sampling seed (default 0)"
+    )
     p.add_argument(
         "--prime",
         default=None,

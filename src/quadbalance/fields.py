@@ -1,14 +1,12 @@
 """Coefficient fields for exact computation: the rationals and prime fields.
 
 Every rank and homology computation in this package is parameterized by one
-of these field objects.  Elements are ordinary Python numbers (int/Fraction
-for the rationals, canonical residues for GF(p)); the field object only
-carries the arithmetic.
+of these field objects.  Elements are ordinary Python integers; the field
+object only decides how they are reduced (not at all over the rationals,
+mod p over GF(p)).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import InputError
 
@@ -44,11 +42,8 @@ class RationalField:
 
     name = "Q"
 
-    def reduce(self, x):
-        return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
     def is_zero(self, x) -> bool:
-        return self.reduce(x) == 0
+        return x == 0
 
     def __repr__(self):
         return "QQ"
@@ -69,14 +64,8 @@ class PrimeField:
         self.p = p
         self.name = f"GF({p})"
 
-    def reduce(self, x):
-        if isinstance(x, Fraction):
-            den = pow(x.denominator % self.p, -1, self.p)
-            return x.numerator % self.p * den % self.p
-        return x % self.p
-
     def is_zero(self, x) -> bool:
-        return self.reduce(x) == 0
+        return x % self.p == 0
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InputError
-from .monomials import Monomial, MonomialIdeal, _minimalize
+from .monomials import MonomialIdeal, _minimalize
 
 # ---------------------------------------------------------------------------
 # integer polynomials as tuples of coefficients, no trailing zeros, () = 0
@@ -60,22 +60,6 @@ def poly_shift(a, k: int) -> tuple:
 def one_minus_t_power(k: int) -> tuple:
     """(1 - t)^k."""
     return tuple((-1) ** i * comb(k, i) for i in range(k + 1))
-
-
-def one_minus_t_multiplicity(numerator) -> int:
-    """Multiplicity of the root t = 1, i.e. the codimension the series encodes."""
-    p = poly_trim(numerator)
-    mult = 0
-    while p and sum(p) == 0:
-        # synthetic division by (1 - t): if p = (1-t) q then q_i = sum of p_0..p_i
-        q = []
-        acc = 0
-        for c in p[:-1]:
-            acc += c
-            q.append(acc)
-        p = poly_trim(q)
-        mult += 1
-    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +105,10 @@ def _numerator(gens: frozenset) -> tuple:
         v = counts.index(max(counts))
         unit = tuple(1 if j == v else 0 for j in range(width))
         plus = frozenset(g for g in gens if g[v] == 0) | {unit}
-        colon_raw = [tuple(e - 1 if j == v and e else e for j, e in enumerate(g)) for g in gens]
         colon = frozenset(
-            m.exponents for m in _minimalize(Monomial(g) for g in colon_raw)
+            _minimalize(
+                tuple(e - 1 if j == v and e else e for j, e in enumerate(g)) for g in gens
+            )
         )
         result = poly_add(_numerator(plus), poly_shift(_numerator(colon), 1))
     _MEMO[key] = result

@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError
-from .fields import QQ, GF, PrimeField
-from .linalg import bareiss_rank, modular_rank
+from .fields import DEFAULT_PRIME, GF, QQ
+from .linalg import rank_of_rows
 from .monomials import MonomialIdeal, polarize
 from .simplicial import SimplicialComplex
-
-_SHORTCUT_PRIME = 32003
 
 
 def _boundary_rows(faces_k, index_km1):
@@ -35,14 +33,6 @@ def _boundary_rows(faces_k, index_km1):
             row[index_km1[f[:j] + f[j + 1 :]]] = -1 if j % 2 else 1
         rows.append(row)
     return rows
-
-
-def _rank(rows, field) -> int:
-    if not rows or not rows[0]:
-        return 0
-    if isinstance(field, PrimeField):
-        return modular_rank(rows, field.p)
-    return bareiss_rank(rows)
 
 
 def _betti_from_faces(faces_by_dim: dict, field) -> dict:
@@ -58,7 +48,7 @@ def _betti_from_faces(faces_by_dim: dict, field) -> dict:
     ranks = {k: 0 for k in range(-1, top + 2)}
     for k in range(0, top + 1):
         if k in faces_by_dim and (k - 1) in faces_by_dim:
-            ranks[k] = _rank(_boundary_rows(faces_by_dim[k], index[k - 1]), field)
+            ranks[k] = rank_of_rows(_boundary_rows(faces_by_dim[k], index[k - 1]), field)
     betti = {}
     for k in range(-1, top + 1):
         ck = len(faces_by_dim.get(k, ()))
@@ -105,7 +95,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     homology below its own dimension.  Returns the first failing witness."""
     if cx.is_void():
         raise InputError("the void complex is not a ring-theoretic object here")
-    shortcut = GF(_SHORTCUT_PRIME) if field == QQ else None
+    shortcut = GF(DEFAULT_PRIME) if field == QQ else None
     checked = 0
     for face in sorted(cx.faces(), key=lambda f: (len(f), sorted(f))):
         link = cx.link(face)
@@ -188,7 +178,7 @@ def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tup
             if sub == 0:
                 break
             sub = (sub - 1) & free
-    shortcut = GF(_SHORTCUT_PRIME) if field == QQ else None
+    shortcut = GF(DEFAULT_PRIME) if field == QQ else None
     totals: dict = {}
     for sigma in range(size):
         covered = 0

@@ -23,6 +23,10 @@ def parse_json_text(text: str):
         raise InputError(
             f"bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep for the decoder, or an integer literal longer
+        # than the interpreter converts
+        raise InputError(f"bad JSON: {exc}") from exc
 
 
 def _require(obj: dict, key: str, kind: str):

@@ -1,16 +1,15 @@
 """Linear forms, products of linear forms, and exact rank computation.
 
-Ranks over the rationals are computed by fraction-free (Bareiss) elimination
-on integer rows; rational entries are cleared to integers row by row first,
-which does not change the rank.  Ranks over GF(p) use ordinary modular
-elimination.  No floating point is involved anywhere.
+Every matrix here has integer entries.  Ranks over the rationals are
+computed by fraction-free (Bareiss) elimination; ranks over GF(p) use
+ordinary modular elimination.  A form with rational coefficients is a
+scalar multiple of an integer one, so nothing is lost by accepting only
+integers.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import InputError
 from .fields import QQ, PrimeField
@@ -23,7 +22,10 @@ class LinearForm:
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        coefficients = tuple(self.coefficients)
+        if any(not isinstance(c, int) for c in coefficients):
+            raise InputError("linear form coefficients must be integers")
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def n(self) -> int:
@@ -57,19 +59,6 @@ class ProductOfLinearForms:
     @property
     def degree(self) -> int:
         return len(self.factors)
-
-
-def _integer_rows(rows) -> list:
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
-    out = []
-    for row in rows:
-        row = list(row)
-        dens = [c.denominator for c in row if isinstance(c, Fraction)]
-        if dens:
-            m = lcm(*dens)
-            row = [int(c * m) if isinstance(c, Fraction) else c * m for c in row]
-        out.append([int(c) for c in row])
-    return out
 
 
 def bareiss_rank(rows) -> int:
@@ -107,7 +96,8 @@ def bareiss_rank(rows) -> int:
 
 
 def modular_rank(rows, p: int) -> int:
-    mat = [[int(c) % p for c in r] for r in rows]
+    """Rank of an integer matrix over GF(p)."""
+    mat = [[c % p for c in r] for r in rows]
     m = len(mat)
     if m == 0:
         return 0
@@ -137,14 +127,10 @@ def modular_rank(rows, p: int) -> int:
 
 
 def rank_of_rows(rows, field=QQ) -> int:
-    """Exact rank of a list of coefficient rows over the given field."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
+    """Exact rank of a list of integer rows over the given field."""
     if isinstance(field, PrimeField):
-        fr = [[field.reduce(c) for c in r] for r in rows]
-        return modular_rank(fr, field.p)
-    return bareiss_rank(_integer_rows(rows))
+        return modular_rank(rows, field.p)
+    return bareiss_rank(rows)
 
 
 def rank_of_forms(forms, field=QQ) -> int:

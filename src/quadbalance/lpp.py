@@ -29,9 +29,7 @@ from math import comb
 
 from .covers import height
 from .errors import InputError, UnattainableTargetError
-from .fields import QQ
 from .hilbert import HilbertData, hilbert_function, series_numerator
-from .homology import depth_and_pd
 from .monomials import Monomial, MonomialIdeal, _ideal_from_minimal
 
 
@@ -273,6 +271,15 @@ def construct_lex_plus_powers(target: LppTarget, max_degree: int | None = None) 
             return LppResult(_assemble(n, power_gens, picks), picked_by_degree, True, top)
 
 
+def missing_square(generators, n: int, g: int):
+    """The first i < g whose square x_i^2 no generator divides, or None."""
+    for i in range(g):
+        square = Monomial(tuple(2 if j == i else 0 for j in range(n)))
+        if not any(m.divides(square) for m in generators):
+            return i
+    return None
+
+
 @dataclass(frozen=True)
 class EghReport:
     """Outcome of the quadratic powers-plus-lex realization."""
@@ -280,27 +287,17 @@ class EghReport:
     source: MonomialIdeal
     result: LppResult
     g: int
-    field_name: str
-    pd_source: int | None = None
-    pd_result: int | None = None
 
     @property
     def ideal(self) -> MonomialIdeal:
         return self.result.ideal
 
 
-def egh_for_quadratic(
-    ideal: MonomialIdeal,
-    field=QQ,
-    max_degree: int | None = None,
-    with_pd: bool = True,
-    budget: int = 16,
-) -> EghReport:
+def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> EghReport:
     """Realize the Hilbert function of a quadratic monomial ideal by an ideal
     containing the squares of the first g = height(I) variables.
 
-    The result is certified by exact Hilbert-series equality; projective
-    dimensions of both quotients are reported when ``with_pd`` is set.
+    The result is certified by exact Hilbert-series equality.
     """
     if ideal.is_zero():
         raise InputError("the zero ideal needs no realization")
@@ -317,13 +314,6 @@ def egh_for_quadratic(
         raise UnattainableTargetError(
             f"no powers-plus-lex ideal matched the series within degree {result.top_degree}"
         )
-    for i in range(g):
-        exps = [0] * ideal.n
-        exps[i] = 2
-        if not result.ideal.contains(Monomial(tuple(exps))):
-            raise RuntimeError("internal error: a required square escaped the ideal")
-    pd_source = pd_result = None
-    if with_pd:
-        _, pd_source = depth_and_pd(ideal, field, budget)
-        _, pd_result = depth_and_pd(result.ideal, field, budget)
-    return EghReport(ideal, result, g, field.name, pd_source, pd_result)
+    if missing_square(result.ideal.generators, ideal.n, g) is not None:
+        raise RuntimeError("internal error: a required square escaped the ideal")
+    return EghReport(ideal, result, g)

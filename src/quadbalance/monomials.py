@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import le
 
 from .errors import InputError
 
@@ -90,14 +91,14 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _minimalize(monomials) -> tuple:
-    """Reduce to the unique minimal generating set, descending lex order."""
-    mons = sorted(set(monomials), key=lambda m: m.degree)
-    kept: list[Monomial] = []
-    for m in mons:
-        if not any(k.divides(m) for k in kept):
+def _minimalize(exponents) -> tuple:
+    """Reduce exponent tuples to the unique minimal generating set, in
+    descending lex order."""
+    kept: list = []
+    for m in sorted(set(exponents), key=sum):
+        if not any(all(map(le, k, m)) for k in kept):
             kept.append(m)
-    return tuple(sorted(kept, key=lambda m: m.exponents, reverse=True))
+    return tuple(sorted(kept, reverse=True))
 
 
 def _ideal_from_minimal(n: int, monomials) -> "MonomialIdeal":
@@ -132,7 +133,10 @@ class MonomialIdeal:
                 raise InputError("generators must be Monomial instances")
             if g.n != self.n:
                 raise InputError(f"generator {g} has {g.n} variables, ambient has {self.n}")
-        object.__setattr__(self, "generators", _minimalize(gens))
+        by_exponents = {g.exponents: g for g in gens}
+        object.__setattr__(
+            self, "generators", tuple(by_exponents[e] for e in _minimalize(by_exponents))
+        )
 
     @classmethod
     def from_strings(cls, n: int, gens) -> "MonomialIdeal":

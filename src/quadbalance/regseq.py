@@ -133,18 +133,6 @@ def decompose_degree_two(ideal: MonomialIdeal, prime) -> DegreeTwoDecomposition:
     return DegreeTwoDecomposition(ideal, prime, tuple(tuple(sorted(s)) for s in spaces))
 
 
-def check_height_inequality(dec: DegreeTwoDecomposition, active) -> bool:
-    """dim(sum of the active spaces + the inactive prime variables) >= g."""
-    active = frozenset(active)
-    union: set = set()
-    for j in range(dec.g):
-        if j in active:
-            union.update(dec.spaces[j])
-        else:
-            union.add(dec.prime[j])
-    return len(union) >= dec.g
-
-
 def build_matching_instance(dec: DegreeTwoDecomposition, active) -> MatchingInstance:
     active = tuple(sorted(set(active)))
     for j in active:
@@ -313,19 +301,26 @@ def _structured_forms(dec: DegreeTwoDecomposition, t: int):
     return tuple(forms)
 
 
-def _assert_products_in_ideal(cert: RegularSequenceCertificate, ideal: MonomialIdeal, field):
-    for p, form in zip(cert.prime, cert.forms):
+def product_outside_ideal(ideal: MonomialIdeal, prime, forms, field):
+    """The first (p, v) with x_p * x_v outside the ideal, where x_v occurs in
+    the form multiplying x_p; None when every product lies in the ideal."""
+    for p, form in zip(prime, forms):
         for v, c in enumerate(form.coefficients):
-            if c == 0 or field.is_zero(c):
+            if field.is_zero(c):
                 continue
             exps = [0] * ideal.n
             exps[p] += 1
             exps[v] += 1
-            mono = Monomial(tuple(exps))
-            if not ideal.contains(mono):
-                raise RuntimeError(
-                    f"internal error: product monomial {mono} escaped the ideal"
-                )
+            if not ideal.contains(Monomial(tuple(exps))):
+                return p, v
+    return None
+
+
+def _assert_products_in_ideal(cert: RegularSequenceCertificate, ideal: MonomialIdeal, field):
+    escaped = product_outside_ideal(ideal, cert.prime, cert.forms, field)
+    if escaped is not None:
+        p, v = escaped
+        raise RuntimeError(f"internal error: product x{p + 1}*x{v + 1} escaped the ideal")
 
 
 def find_regular_sequence(

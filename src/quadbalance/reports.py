@@ -28,9 +28,9 @@ from .hilbert import poly_trim, series_numerator
 from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
 from .linalg import LinearForm
-from .lpp import egh_for_quadratic
-from .monomials import Monomial, MonomialIdeal, parse_monomial, polarize
-from .regseq import certify_transversal_ranks, find_regular_sequence
+from .lpp import egh_for_quadratic, missing_square
+from .monomials import MonomialIdeal, parse_monomial, polarize
+from .regseq import certify_transversal_ranks, find_regular_sequence, product_outside_ideal
 from .simplicial import (
     SimplicialComplex,
     check_balanced,
@@ -40,6 +40,10 @@ from .simplicial import (
     is_flag,
     stanley_reisner,
 )
+
+
+# regseq seeds a report may carry; the CLI accepts the same range
+SEED_RANGE = (0, 2**64)
 
 
 def field_spec_name(field) -> str:
@@ -120,7 +124,7 @@ def _result_pd(companion: MonomialIdeal, field, budget):
 
 
 def egh_report(ideal: MonomialIdeal, field, max_degree=None, budget: int = 16) -> dict:
-    rep = egh_for_quadratic(ideal, field, max_degree, with_pd=False, budget=budget)
+    rep = egh_for_quadratic(ideal, max_degree)
     return {
         "kind": "egh",
         "field": field_spec_name(field),
@@ -226,7 +230,7 @@ def _verify_regseq(obj: dict, checker: _Checker, budget, max_degree):
         or len(set(raw_prime)) != len(raw_prime)
     ):
         raise InputError('"prime" must list distinct 1-based variable indices')
-    seed = _int_field(obj, "seed", 0, 2**64)
+    seed = _int_field(obj, "seed", *SEED_RANGE)
     prime0 = tuple(p - 1 for p in raw_prime)
     forms = _parse_forms(obj, ideal.n, prime0)
     g = len(prime0)
@@ -244,16 +248,11 @@ def _verify_regseq(obj: dict, checker: _Checker, budget, max_degree):
     )
 
     def membership():
-        for p, form in zip(prime0, forms):
-            for v, c in enumerate(form.coefficients):
-                if c == 0 or field.is_zero(c):
-                    continue
-                exps = [0] * ideal.n
-                exps[p] += 1
-                exps[v] += 1
-                if not ideal.contains(Monomial(tuple(exps))):
-                    return False, f"x{p + 1}*x{v + 1} is outside the ideal"
-        return True, ""
+        escaped = product_outside_ideal(ideal, prime0, forms, field)
+        if escaped is None:
+            return True, ""
+        p, v = escaped
+        return False, f"x{p + 1}*x{v + 1} is outside the ideal"
 
     checker.run("membership", membership)
 
@@ -296,13 +295,10 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     )
 
     def squares():
-        for i in range(g):
-            exps = [0] * ideal.n
-            exps[i] = 2
-            square = Monomial(tuple(exps))
-            if not any(m.divides(square) for m in gens):
-                return False, f"x{i + 1}^2 is not in the result"
-        return True, ""
+        i = missing_square(gens, ideal.n, g)
+        if i is None:
+            return True, ""
+        return False, f"x{i + 1}^2 is not in the result"
 
     checker.run("squares", squares)
 
@@ -373,11 +369,9 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
             return False, "polarized ideal does not match the Artinian ideal"
         if [[v + 1 for v in cls] for cls in classes] != _get(obj, "classes"):
             return False, "polarization classes do not match"
-        for i in range(g):
-            exps = [0] * artinian.n
-            exps[i] = 2
-            if not artinian.contains(Monomial(tuple(exps))):
-                return False, f"x{i + 1}^2 is missing from the Artinian ideal"
+        i = missing_square(artinian.generators, artinian.n, g)
+        if i is not None:
+            return False, f"x{i + 1}^2 is missing from the Artinian ideal"
         rebuilt = complex_of_ideal(polarized)
         if rebuilt.facets != result.facets or rebuilt.n_vertices != result.n_vertices:
             return False, "result complex is not the complex of the polarized ideal"

@@ -43,10 +43,6 @@ class SimplicialComplex:
     def full_simplex(cls, n: int) -> "SimplicialComplex":
         return cls(n, frozenset([frozenset(range(n))]))
 
-    @classmethod
-    def empty_complex(cls, n: int) -> "SimplicialComplex":
-        return cls(n, frozenset([frozenset()]))
-
     def is_void(self) -> bool:
         return not self.facets
 
@@ -55,9 +51,6 @@ class SimplicialComplex:
         if self.is_void():
             raise InputError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
-
-    def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
 
     def faces(self) -> set:
         """All faces, including the empty face when the complex is nonvoid."""
@@ -86,19 +79,6 @@ class SimplicialComplex:
             raise InputError("link of a non-face")
         return SimplicialComplex(
             self.n_vertices, frozenset(fac - face for fac in self.facets if face <= fac)
-        )
-
-    def restriction(self, vertices) -> "SimplicialComplex":
-        sigma = frozenset(vertices)
-        return SimplicialComplex(self.n_vertices, frozenset(fac & sigma for fac in self.facets))
-
-    def cone(self) -> "SimplicialComplex":
-        """Cone with a fresh apex vertex appended after the ambient ones."""
-        if self.is_void():
-            raise InputError("cone over the void complex")
-        apex = self.n_vertices
-        return SimplicialComplex(
-            apex + 1, frozenset(fac | {apex} for fac in self.facets)
         )
 
     def used_vertices(self) -> frozenset:

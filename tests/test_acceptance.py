@@ -100,7 +100,7 @@ def test_criterion_2_regular_sequence_and_realization_suite():
                     exps[v] += 1
                     if not ideal.contains(Monomial(tuple(exps))):
                         failures.append(("membership", ideal))
-        rep = egh_for_quadratic(ideal, with_pd=False)
+        rep = egh_for_quadratic(ideal)
         if not rep.result.series_equal:
             failures.append(("series", ideal))
         elif len(rep.ideal.generators) <= 3000:

@@ -371,6 +371,17 @@ def test_bad_json_reports_position(run, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+def test_unparseable_json_exits_two(run, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 2, "generators": ["x1*x2"], "pad": ' + "9" * 5000 + "}")
+    for path in (deep, huge):
+        for command in ("analyze", "verify"):
+            code, _, err = run(command, str(path))
+            assert code == 2 and err.startswith("error: bad JSON"), (path, err)
+
+
 def test_unrecognized_input_shape(run):
     code, _, err = run("analyze", data={"foo": 1})
     assert code == 2
@@ -381,6 +392,34 @@ def test_unrecognized_input_shape(run):
 def test_bad_monomial_syntax(run):
     code, _, err = run("egh", data={"n": 2, "generators": ["x1*.x2"]})
     assert code == 2 and "error:" in err
+
+
+def test_out_of_range_arguments_exit_two(run):
+    cases = [
+        ("egh", "--budget", "-1"),
+        ("egh", "--max-degree", "-1"),
+        ("balance", "--max-degree", "-1"),
+        ("verify", "--budget", "-1"),
+        ("regseq", "--seed", "-5"),
+        ("regseq", "--seed", str(2**64 + 1)),
+    ]
+    for argv in cases:
+        code, out, err = run(*argv, data=TRIANGLE_OBJ)
+        assert code == 2 and out == "" and "must be an integer" in err, argv
+
+
+def test_emitted_regseq_reports_verify(run, tmp_path):
+    # a seed is either refused up front or yields a report that verifies;
+    # both ends of the accepted range yield reports
+    for seed in (-1, 0, 2**64, 2**64 + 1):
+        report = tmp_path / f"seed-{seed}.json"
+        code, _, _ = run("regseq", "--seed", str(seed), "--out", str(report), data=TRIANGLE_OBJ)
+        if code == 2:
+            assert seed not in (0, 2**64)
+            continue
+        assert code == 0
+        code, out, err = run("verify", str(report))
+        assert code == 0 and parse(out)["ok"] is True, (seed, err)
 
 
 def test_argparse_errors_exit_two(run, capsys):

@@ -11,8 +11,6 @@ from quadbalance import (
     series_numerator,
 )
 from quadbalance.hilbert import (
-    one_minus_t_multiplicity,
-    one_minus_t_power,
     poly_mul,
     window_from_numerator,
 )
@@ -70,12 +68,6 @@ def test_against_brute_force_enumeration():
         window = hilbert_function(ideal, bound).window
         for d in range(bound + 1):
             assert window[d] == count_standard_monomials(n, gens, d), (n, gens, d)
-
-
-def test_one_minus_t_multiplicity():
-    assert one_minus_t_multiplicity(one_minus_t_power(4)) == 4
-    assert one_minus_t_multiplicity((1,)) == 0
-    assert one_minus_t_multiplicity(poly_mul((1, 1), one_minus_t_power(2))) == 2
 
 
 def test_window_from_numerator_matches_series():

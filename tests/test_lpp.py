@@ -10,6 +10,7 @@ from quadbalance import (
     MonomialIdeal,
     UnattainableTargetError,
     construct_lex_plus_powers,
+    depth_and_pd,
     egh_for_quadratic,
     height,
     hilbert_function,
@@ -20,6 +21,10 @@ from quadbalance import (
 from oracles import count_standard_monomials, random_quadratic_exponents
 
 TRIANGLE = MonomialIdeal.from_strings(3, ["x1*x2", "x1*x3", "x2*x3"])
+
+
+def pds(rep):
+    return depth_and_pd(rep.source)[1], depth_and_pd(rep.ideal)[1]
 
 
 def exps(ms):
@@ -123,7 +128,7 @@ def test_egh_examples():
     one_edge = egh_for_quadratic(MonomialIdeal.from_strings(2, ["x1*x2"]))
     assert one_edge.g == 1
     assert one_edge.ideal.generator_strings() == ["x1^2"]
-    assert one_edge.pd_source == 1 and one_edge.pd_result == 1
+    assert pds(one_edge) == (1, 1)
 
     three_edges = egh_for_quadratic(
         MonomialIdeal.from_strings(6, ["x1*x2", "x3*x4", "x5*x6"])
@@ -131,14 +136,14 @@ def test_egh_examples():
     assert three_edges.g == 3
     assert set(three_edges.ideal.generator_strings()) == {"x1^2", "x2^2", "x3^2"}
     assert three_edges.result.picked_by_degree == {}
-    assert three_edges.pd_source == 3 and three_edges.pd_result == 3
+    assert pds(three_edges) == (3, 3)
 
 
 def test_egh_triangle_and_fixed_point():
     rep = egh_for_quadratic(TRIANGLE)
     assert rep.g == 2 and rep.result.series_equal
     assert set(rep.ideal.generator_strings()) == {"x1^2", "x1*x2", "x2^2"}
-    assert rep.pd_source == 2 and rep.pd_result == 2
+    assert pds(rep) == (2, 2)
     assert hilbert_series_equal(TRIANGLE, rep.ideal)
     again = egh_for_quadratic(rep.ideal)
     assert again.ideal == rep.ideal
@@ -158,19 +163,13 @@ def test_egh_degree_cap_failure_is_reported():
         egh_for_quadratic(TRIANGLE, max_degree=1)
 
 
-def test_egh_without_pd():
-    rep = egh_for_quadratic(TRIANGLE, with_pd=False)
-    assert rep.pd_source is None and rep.pd_result is None
-    assert rep.result.series_equal
-
-
 def test_egh_on_random_quadratic_ideals():
     rng = random.Random(67)
     for _ in range(80):
         n = rng.randint(2, 6)
         gens = random_quadratic_exponents(rng, n, 9)
         ideal = MonomialIdeal(n, tuple(Monomial(e) for e in gens))
-        rep = egh_for_quadratic(ideal, with_pd=False)
+        rep = egh_for_quadratic(ideal)
         assert rep.g == height(ideal)
         assert rep.result.series_equal
         assert hilbert_series_equal(ideal, rep.ideal)
@@ -190,7 +189,7 @@ def test_egh_deep_lex_tail():
         "x1*x2", "x1*x3", "x2*x3", "x2*x6", "x2*x7", "x2*x8",
         "x3*x8", "x4*x6", "x4*x7", "x5*x6", "x5*x7", "x6*x8",
     ])
-    rep = egh_for_quadratic(ideal, with_pd=False)
+    rep = egh_for_quadratic(ideal)
     assert rep.g == 4
     assert rep.result.series_equal
     assert rep.result.top_degree == 100

@@ -12,7 +12,6 @@ from quadbalance import (
     MonomialIdeal,
     build_matching_instance,
     certify_transversal_ranks,
-    check_height_inequality,
     decompose_degree_two,
     find_matching,
     find_regular_sequence,
@@ -54,19 +53,6 @@ def test_decomposition_rejects_bad_input():
         decompose_degree_two(MonomialIdeal.from_strings(2, []), (0,))
 
 
-def test_height_inequality():
-    dec = decompose_degree_two(TRIANGLE, (0, 1))
-    assert check_height_inequality(dec, ())
-    assert check_height_inequality(dec, (0,))
-    assert check_height_inequality(dec, (0, 1))
-    # (x1x2, x2x3) really has height 1; position spaces collapse onto x2
-    thin = decompose_degree_two(
-        MonomialIdeal.from_strings(3, ["x1*x2", "x2*x3"]), (0, 2)
-    )
-    assert thin.spaces == ((1,), (1,))
-    assert not check_height_inequality(thin, (0, 1))
-
-
 def test_matching_instances():
     dec = decompose_degree_two(TRIANGLE, (0, 1))
     assert build_matching_instance(dec, (1,)).neighbors == ((0,), (2,))
@@ -102,7 +88,6 @@ def test_hall_condition_on_random_ideals():
             active = tuple(j for j in range(dec.g) if mask >> j & 1)
             inst = find_matching(build_matching_instance(dec, active))
             assert inst.ok
-            assert check_height_inequality(dec, active)
 
 
 def test_sample_forms():
@@ -288,3 +273,12 @@ def test_random_ideals_yield_certified_sequences():
                     exps[p] += 1
                     exps[v] += 1
                     assert ideal.contains(Monomial(tuple(exps)))
+
+
+def test_structured_fallback():
+    # with every sampled coefficient 1 both forms are x3 + x4, so all eight
+    # samples fail and the structured family t^((j+1)(v+1)) takes over at t=2
+    ideal = MonomialIdeal.from_strings(4, ["x1*x3", "x1*x4", "x2*x3", "x2*x4"])
+    cert = find_regular_sequence(ideal, coefficient_range=1)
+    assert cert.ok and cert.attempts == 9 and cert.seed is None
+    assert [f.coefficients for f in cert.forms] == [(0, 0, 8, 16), (0, 0, 64, 256)]
