@@ -33,7 +33,6 @@ from .lpp import (
     LppTarget,
     construct_lex_plus_powers,
     egh_for_quadratic,
-    quotient_monomials,
 )
 from .monomials import (
     Monomial,
@@ -131,7 +130,6 @@ __all__ = [
     "parse_field_spec",
     "parse_monomial",
     "polarize",
-    "quotient_monomials",
     "reduced_homology_ranks",
     "regseq_report",
     "sample_forms",

@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=_int_in(0),
                 default=16,
                 metavar="N",
-                help="largest generator-support size enumerated for projective "
-                "dimension (default 16)",
+                help="largest polarized support (the sum of the per-variable "
+                "maximal exponents) allowed for projective dimension (default 16)",
             )
         if max_degree:
             p.add_argument(

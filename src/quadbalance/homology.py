@@ -7,22 +7,38 @@ vanishes mod p vanishes over Q as well.  Whenever the shortcut reports a
 nonzero value the computation is redone exactly over Q, so reported values
 are always exact over the requested field.
 
-Projective dimension and depth come from the squarefree correspondence: for
-a squarefree ideal, the graded Betti numbers of S/I are dimensions of
-reduced homology of vertex-restrictions of the associated complex, summed
-over all vertex subsets.  Non-squarefree input is polarized first, which
-preserves all Betti numbers; depth is then n - pd by Auslander-Buchsbaum.
+Betti numbers of S/I come from upper Koszul complexes (Miller-Sturmfels,
+Combinatorial Commutative Algebra, Thm 1.34): for a multidegree b,
+
+    beta_{i,b}(S/I) = dim H~_{i-2}(K^b),  K^b = {F in supp b : x^(b-F) in I},
+
+in the ideal's own variables, with no polarization.  Only b in the lcm
+lattice of the generators contribute (Gasharov-Peeva-Welker): elsewhere
+some variable of supp b lies in every facet of K^b, a cone.  The facets of
+K^b are the sets {v : g_v < b_v} for the generators g dividing x^b, so a
+face is a set of variables whose generator masks still meet.  K^b has at
+most |supp b| vertices, and when it is the full simplex it is acyclic and
+skipped, so beta_{i,b} = 0 for i > |supp b|.  The projective dimension
+walks b by |supp b|, largest first, and stops once |supp b| cannot beat the
+best degree found; depth is then n - pd by Auslander-Buchsbaum.  Over Q
+each degree is probed mod p first; a zero there certifies a zero over Q,
+and a nonzero probe is redone exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import and_, or_
 
 from .errors import BudgetExceededError, InputError
 from .fields import DEFAULT_PRIME, GF, QQ
 from .linalg import rank_of_rows
-from .monomials import MonomialIdeal, polarize
+from .monomials import MonomialIdeal
 from .simplicial import SimplicialComplex
+
+_PROBE = GF(DEFAULT_PRIME)
 
 
 def _boundary_rows(faces_k, index_km1):
@@ -95,7 +111,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     homology below its own dimension.  Returns the first failing witness."""
     if cx.is_void():
         raise InputError("the void complex is not a ring-theoretic object here")
-    shortcut = GF(DEFAULT_PRIME) if field == QQ else None
+    shortcut = _PROBE if field == QQ else None
     checked = 0
     for face in sorted(cx.faces(), key=lambda f: (len(f), sorted(f))):
         link = cx.link(face)
@@ -113,93 +129,128 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
 
 
 # ---------------------------------------------------------------------------
-# graded Betti numbers of squarefree quotients by restriction homology
+# Betti numbers of S/I from upper Koszul complexes on the lcm lattice
 
 
-def _restriction_betti(face_ok, sigma: int, field, shortcut) -> dict:
-    """Reduced Betti numbers of the subcomplex of faces contained in sigma."""
-    faces_by_dim: dict = {}
-    t = sigma
-    while True:
-        if face_ok[t]:
-            bits = []
-            m = t
-            while m:
-                low = m & -m
-                bits.append(low.bit_length() - 1)
-                m ^= low
-            faces_by_dim.setdefault(len(bits) - 1, []).append(tuple(bits))
-        if t == 0:
-            break
-        t = (t - 1) & sigma
-    for k in faces_by_dim:
-        faces_by_dim[k].sort()
-    if shortcut is not None:
-        probe = _betti_from_faces(faces_by_dim, shortcut)
-        if not any(probe.values()):
-            return probe
-        return _betti_from_faces(faces_by_dim, field)
-    return _betti_from_faces(faces_by_dim, field)
+def _lattice_points(ideal: MonomialIdeal, budget: int) -> list:
+    """One entry (lt, divisors) per nonzero element b of the lcm lattice.
+
+    ``divisors`` masks the generators dividing x^b (bit i for generator i);
+    ``lt[i]`` masks those with a smaller exponent than b in the i-th
+    variable of supp b.  A face F of K^b is a set of such positions whose
+    ``lt`` masks meet inside ``divisors``.
+    """
+    if not ideal.is_proper():
+        raise InputError("Betti numbers of the zero module are not defined here")
+    exps = [g.exponents for g in ideal.generators]
+    tops = [max(column) for column in zip(*exps)]
+    # the budget bounds the polarized support, the sum of the per-variable
+    # maximal exponents, so the exit code and the null pd of a report do
+    # not depend on how pd is computed
+    s = sum(tops)
+    if s > budget:
+        raise BudgetExceededError(
+            f"support of size {s} exceeds the subset-enumeration budget {budget}"
+        )
+    # exact[v][t]: generators with exponent t in x_v; below[v][t]: <= t
+    below, exact = [], []
+    for v, top in enumerate(tops):
+        if top:
+            at = [0] * (top + 1)
+            for i, g in enumerate(exps):
+                at[g[v]] |= 1 << i
+            exact.append(at)
+            below.append(list(accumulate(at, or_)))
+    # b is the lcm of its divisors iff each b_v is attained by a divisor;
+    # a divisor set only shrinks as variables are fixed, so a value no
+    # remaining generator attains is pruned at once
+    level = [((), (1 << len(exps)) - 1)]
+    for upto, at in zip(below, exact):
+        level = [
+            (b + (t,), mask & upto[t])
+            for b, mask in level
+            for t in range(len(at))
+            if mask & at[t]
+        ]
+    points = []
+    for b, mask in level:
+        if mask and all(mask & at[t] for at, t in zip(exact, b)):
+            lt = [mask & upto[t - 1] for upto, t in zip(below, b) if t]
+            # a generator below b in every variable of supp b makes K^b the
+            # full simplex, which is acyclic; so K^b has dimension at most
+            # |supp b| - 2 wherever it counts
+            if not reduce(and_, lt, mask):
+                points.append((lt, mask))
+    return points
+
+
+def _upper_koszul(lt: list, divisors: int) -> dict:
+    """Faces of the upper Koszul complex K^b by dimension, as tuples of
+    positions in supp b, the empty face included."""
+    faces: dict = {-1: [()]}
+    stack = [((), divisors, 0)]
+    while stack:
+        face, mask, start = stack.pop()
+        for v in range(start, len(lt)):
+            meet = mask & lt[v]
+            if meet:
+                grown = face + (v,)
+                faces.setdefault(len(face), []).append(grown)
+                stack.append((grown, meet, v + 1))
+    return faces
+
+
+def _betti(faces: dict, j: int, field, ranks: dict) -> int:
+    """Reduced Betti number in degree j over the field, probed mod p first
+    over Q; ``ranks`` keeps the boundary ranks of this complex per (field,
+    dimension) between calls."""
+
+    def rank(f, d):
+        if (f, d) not in ranks:
+            rows, lower = faces.get(d), faces.get(d - 1)
+            ranks[f, d] = 0
+            if rows and lower:
+                index = {face: i for i, face in enumerate(lower)}
+                ranks[f, d] = rank_of_rows(_boundary_rows(rows, index), f)
+        return ranks[f, d]
+
+    def betti(f):
+        return len(faces.get(j, ())) - rank(f, j) - rank(f, j + 1)
+
+    if field == QQ and not betti(_PROBE):
+        return 0
+    return betti(field)
 
 
 def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
     """(beta_0, beta_1, ..., beta_pd) of S/I over the field.
 
-    Polarizes non-squarefree input first; the exhaustive subset enumeration
-    refuses supports larger than the budget.  Subsets with a cone vertex
-    (one not covered by any generator inside the subset) are skipped, since
-    their restriction is contractible.
+    Refuses ideals whose polarized support exceeds the budget.
     """
-    if not ideal.is_proper():
-        raise InputError("Betti numbers of the zero module are not defined here")
-    # the polarized support size is the sum of per-variable maximal
-    # exponents; refuse before polarizing, which can be enormous itself
-    spread = [0] * ideal.n
-    for g in ideal.generators:
-        for v, e in enumerate(g.exponents):
-            if e > spread[v]:
-                spread[v] = e
-    s = sum(spread)
-    if s > budget:
-        raise BudgetExceededError(
-            f"support of size {s} exceeds the subset-enumeration budget {budget}"
-        )
-    square, _classes = polarize(ideal)
-    support_list = sorted({j for g in square.generators for j in g.support()})
-    pos = {v: i for i, v in enumerate(support_list)}
-    gmasks = [sum(1 << pos[j] for j in g.support()) for g in square.generators]
-    size = 1 << s
-    face_ok = bytearray([1]) * size
-    for gm in gmasks:
-        free = (size - 1) & ~gm
-        sub = free
-        while True:
-            face_ok[gm | sub] = 0
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    shortcut = GF(DEFAULT_PRIME) if field == QQ else None
-    totals: dict = {}
-    for sigma in range(size):
-        covered = 0
-        for gm in gmasks:
-            if gm & sigma == gm:
-                covered |= gm
-        if covered != sigma:
-            continue
-        betti = _restriction_betti(face_ok, sigma, field, shortcut)
-        card = bin(sigma).count("1")
-        for j, b in betti.items():
-            if b:
-                totals[card - 1 - j] = totals.get(card - 1 - j, 0) + b
-    pd = max(totals)
-    return tuple(totals.get(i, 0) for i in range(pd + 1))
+    totals = [1] + [0] * ideal.n
+    for lt, divisors in _lattice_points(ideal, budget):
+        faces = _upper_koszul(lt, divisors)
+        ranks: dict = {}
+        for j in range(-1, max(faces) + 1):
+            totals[j + 2] += _betti(faces, j, field, ranks)
+    while not totals[-1]:
+        totals.pop()
+    return tuple(totals)
 
 
 def depth_and_pd(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
     """(depth, pd) of S/I over the field; depth = n - pd."""
     if ideal.is_zero():
         return ideal.n, 0
-    betti = total_betti_numbers(ideal, field, budget)
-    pd = len(betti) - 1
+    points = sorted(_lattice_points(ideal, budget), key=lambda p: -len(p[0]))
+    pd = 1
+    for lt, divisors in points:
+        if len(lt) <= pd:
+            break
+        faces = _upper_koszul(lt, divisors)
+        ranks: dict = {}
+        for j in range(max(faces), pd - 2, -1):
+            if _betti(faces, j, field, ranks):
+                pd = j + 2
+                break
     return ideal.n - pd, pd

@@ -35,10 +35,20 @@ def _require(obj: dict, key: str, kind: str):
     return obj[key]
 
 
+# the most variables ("n") or vertices an input may declare; every exact
+# computation here is exponential long before this, and the cap keeps a
+# tiny file from asking for an n-sized allocation per generator or facet
+MAX_VARIABLES = 1000
+
+
 def _count(obj: dict, key: str, kind: str, minimum: int) -> int:
     value = _require(obj, key, kind)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InputError(f'"{key}" must be an integer >= {minimum}')
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or not minimum <= value <= MAX_VARIABLES
+    ):
+        raise InputError(f'"{key}" must be an integer in {minimum}..{MAX_VARIABLES}')
     return value
 
 

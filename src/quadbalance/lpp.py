@@ -33,40 +33,6 @@ from .hilbert import HilbertData, hilbert_function, series_numerator
 from .monomials import Monomial, MonomialIdeal, _ideal_from_minimal
 
 
-def quotient_monomials(n: int, powers, d: int) -> list:
-    """Degree-d monomials with exponent of x_i below powers[i], descending lex.
-
-    ``powers`` caps the first len(powers) variables; the rest are unbounded.
-    """
-    if n < 1:
-        raise InputError("need at least one variable")
-    powers = tuple(powers)
-    if len(powers) > n:
-        raise InputError("more powers than variables")
-    if any(p < 1 for p in powers):
-        raise InputError("powers must be positive")
-    caps = [p - 1 for p in powers] + [None] * (n - len(powers))
-    out: list = []
-    exps = [0] * n
-
-    def rec(i: int, remaining: int):
-        if i == n - 1:
-            cap = caps[i] if caps[i] is not None else remaining
-            if remaining <= cap:
-                exps[i] = remaining
-                out.append(Monomial(tuple(exps)))
-                exps[i] = 0
-            return
-        top = remaining if caps[i] is None else min(remaining, caps[i])
-        for e in range(top, -1, -1):
-            exps[i] = e
-            rec(i + 1, remaining - e)
-        exps[i] = 0
-
-    rec(0, d)
-    return out
-
-
 class _SegmentCounter:
     """Lex-segment bookkeeping in the quotient by the powers.
 

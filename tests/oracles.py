@@ -5,7 +5,10 @@ derived here by brute force (subset enumeration, sympy linear algebra) and
 frozen into assertions.
 """
 
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
+from math import gcd
+from operator import or_
 
 import sympy
 
@@ -89,6 +92,27 @@ def all_faces(facets):
     return faces
 
 
+def integer_rank(rows) -> int:
+    """Rank over the rationals by elimination over the integers: a row is
+    cleared by cross-multiplying with each pivot row, then divided by the
+    gcd of its entries."""
+    reduced = []
+    for row in rows:
+        row = list(row)
+        for prow, pcol in reduced:
+            factor = row[pcol]
+            if factor:
+                pivot = prow[pcol]
+                row = [a * pivot - factor * b for a, b in zip(row, prow)]
+                content = gcd(*row)
+                if content > 1:
+                    row = [a // content for a in row]
+        pcol = next((j for j, a in enumerate(row) if a), None)
+        if pcol is not None:
+            reduced.append((row, pcol))
+    return len(reduced)
+
+
 def oracle_reduced_betti(facets, p=None):
     """Reduced Betti numbers of the complex generated by ``facets``.
 
@@ -96,7 +120,10 @@ def oracle_reduced_betti(facets, p=None):
     boundary-matrix ranks with the augmentation map included.  ``p`` selects
     GF(p) coefficients; None means the rationals via sympy.
     """
-    faces = all_faces(facets)
+    return _betti_of_faces(all_faces(facets), p, sympy_rank)
+
+
+def _betti_of_faces(faces, p, rank):
     if not faces:
         return {}
     by_dim = {}
@@ -114,11 +141,63 @@ def oracle_reduced_betti(facets, p=None):
             for j in range(len(face)):
                 row[lower[face[:j] + face[j + 1:]]] = (-1) ** j
             rows.append(row)
-        ranks[k] = sympy_rank(rows) if p is None else gf_rank(rows, p)
+        ranks[k] = rank(rows) if p is None else gf_rank(rows, p)
     return {
         k: len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(-1, top + 1)
     }
+
+
+def hochster_betti(n, generators, p=None):
+    """(beta_0, ..., beta_pd) of S/I by Hochster's formula on the polarization.
+
+    ``generators`` are exponent tuples of length n; ``p`` selects GF(p),
+    None the rationals.  Each x_v^e becomes e distinct vertices, and
+    beta_i(S/I) sums dim H~_{|sigma|-i-1} of the Stanley-Reisner complex
+    restricted to sigma over every vertex subset sigma of the polarized
+    support: 3^s work on support s.  A sigma not covered by the generators
+    inside it restricts to a cone and is skipped.
+    """
+    tops = [max((g[v] for g in generators), default=0) for v in range(n)]
+    offsets = [sum(tops[:v]) for v in range(n)]
+    gmasks = {
+        sum(1 << (offsets[v] + k) for v in range(n) for k in range(g[v]))
+        for g in generators
+    }
+    totals = {0: 1}
+    for sigma in range(1, 1 << sum(tops)):
+        inside = [gm for gm in gmasks if gm & sigma == gm]
+        if not inside or sigma != reduce(or_, inside):
+            continue
+        vertices = [v for v in range(sum(tops)) if sigma >> v & 1]
+        faces = {
+            frozenset(face)
+            for k in range(len(vertices) + 1)
+            for face in combinations(vertices, k)
+            if not any(gm & sum(1 << v for v in face) == gm for gm in inside)
+        }
+        for k, b in _betti_of_faces(faces, p, integer_rank).items():
+            if b:
+                i = len(vertices) - 1 - k
+                totals[i] = totals.get(i, 0) + b
+    return tuple(totals.get(i, 0) for i in range(max(totals) + 1))
+
+
+def quotient_exponents(n, powers, d):
+    """Degree-d exponent tuples with exponent of x_i below powers[i], in
+    descending lex order; ``powers`` caps the first len(powers) variables."""
+    caps = [p - 1 for p in powers] + [d] * (n - len(powers))
+
+    def rec(i, remaining):
+        if i == n - 1:
+            if remaining <= caps[i]:
+                yield (remaining,)
+            return
+        for e in range(min(remaining, caps[i]), -1, -1):
+            for rest in rec(i + 1, remaining - e):
+                yield (e,) + rest
+
+    return list(rec(0, d))
 
 
 def brute_minimal_covers(supports):

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from quadbalance import canonical_json
+from quadbalance import InputError, canonical_json
 from quadbalance.cli import main
+from quadbalance.jsonio import MAX_VARIABLES, ideal_from_obj, load_input_obj
 
 OCTA_OBJ = {
     "vertices": 6,
@@ -406,6 +407,32 @@ def test_out_of_range_arguments_exit_two(run):
     for argv in cases:
         code, out, err = run(*argv, data=TRIANGLE_OBJ)
         assert code == 2 and out == "" and "must be an integer" in err, argv
+
+
+def test_oversized_counts_exit_two(run):
+    # the cheap boundary first, so that a missing cap fails here before the
+    # huge counts below could reach an n-sized allocation
+    assert ideal_from_obj({"n": MAX_VARIABLES, "generators": ["x1*x2"]}).n == MAX_VARIABLES
+    for obj in (
+        {"n": MAX_VARIABLES + 1, "generators": ["x1"]},
+        {"vertices": MAX_VARIABLES + 1, "edges": []},
+        {"vertices": MAX_VARIABLES + 1, "facets": []},
+    ):
+        with pytest.raises(InputError, match="must be an integer in"):
+            load_input_obj(obj)
+    huge_ideal = {"n": 10**12, "generators": ["x1"]}
+    huge_graph = {"vertices": 10**12, "edges": []}
+    cases = [
+        ("egh", huge_ideal),
+        ("regseq", huge_ideal),
+        ("analyze", huge_graph),
+        ("balance", huge_graph),
+        ("verify", {"kind": "egh", "ideal": huge_ideal}),
+    ]
+    for command, data in cases:
+        code, out, err = run(command, data=data)
+        assert code == 2 and out == "", (command, err)
+        assert "must be an integer in" in err and f"..{MAX_VARIABLES}" in err, err
 
 
 def test_emitted_regseq_reports_verify(run, tmp_path):

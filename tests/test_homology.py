@@ -11,6 +11,7 @@ from quadbalance import (
     MonomialIdeal,
     SimplicialComplex,
     depth_and_pd,
+    egh_for_quadratic,
     f_vector,
     height,
     is_cohen_macaulay,
@@ -20,7 +21,7 @@ from quadbalance import (
     total_betti_numbers,
 )
 
-from oracles import oracle_reduced_betti, random_facets
+from oracles import hochster_betti, oracle_reduced_betti, random_facets
 
 # minimal 6-vertex triangulation of the real projective plane
 RP2_FACETS = [
@@ -167,3 +168,53 @@ def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         total_betti_numbers(ideal, budget=5)
     assert total_betti_numbers(ideal, budget=6) == (1, 3, 3, 1)
+
+
+def random_small_support_ideal(rng):
+    """Random monomial ideal with n <= 5, exponents <= 3, polarized support <= 10."""
+    while True:
+        n = rng.randint(1, 5)
+        gens = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+        gens = sorted(g for g in gens if any(g))
+        if gens and sum(max(column) for column in zip(*gens)) <= 10:
+            return MonomialIdeal(n, tuple(Monomial(g) for g in gens))
+
+
+def test_betti_numbers_and_pd_against_hochster_oracle():
+    rng = random.Random(53)
+    for _ in range(210):
+        ideal = random_small_support_ideal(rng)
+        gens = [g.exponents for g in ideal.generators]
+        for field, p in ((QQ, None), (GF(2), 2), (GF(32003), 32003)):
+            want = hochster_betti(ideal.n, gens, p)
+            assert total_betti_numbers(ideal, field) == want
+            assert depth_and_pd(ideal, field) == (ideal.n - len(want) + 1, len(want) - 1)
+
+
+def test_betti_numbers_see_torsion():
+    # Stanley-Reisner ideal of a 6-vertex triangulation of RP^2: its 2-torsion
+    # adds a syzygy over GF(2) and raises pd from 3 to 4
+    rp2 = SimplicialComplex.from_faces(6, [
+        frozenset(int(c) - 1 for c in f)
+        for f in "124 126 135 136 145 234 235 256 346 456".split()
+    ])
+    ideal = stanley_reisner(rp2)
+    assert total_betti_numbers(ideal, QQ) == (1, 10, 15, 6)
+    assert depth_and_pd(ideal, QQ) == (3, 3)
+    assert total_betti_numbers(ideal, GF(2)) == (1, 10, 15, 7, 1)
+    assert depth_and_pd(ideal, GF(2)) == (2, 4)
+    assert total_betti_numbers(ideal, GF(3)) == (1, 10, 15, 6)
+
+
+def test_criterion_7_companion():
+    # the powers-plus-lex companion whose pd dominated the determinism
+    # criterion of the acceptance suite: 14 generators on polarized support
+    # 15, inside the default budget of 16
+    source = MonomialIdeal.from_strings(6, ["x2^2", "x2*x3", "x2*x4", "x4^2", "x4*x5"])
+    companion = egh_for_quadratic(source).ideal
+    assert len(companion.generators) == 14
+    assert sum(max(column) for column in zip(*(g.exponents for g in companion.generators))) == 15
+    assert total_betti_numbers(companion) == (1, 14, 42, 59, 45, 18, 3)
+    assert depth_and_pd(companion) == (0, 6)
+    with pytest.raises(BudgetExceededError):
+        depth_and_pd(companion, budget=14)

@@ -15,10 +15,9 @@ from quadbalance import (
     height,
     hilbert_function,
     hilbert_series_equal,
-    quotient_monomials,
 )
 
-from oracles import count_standard_monomials, random_quadratic_exponents
+from oracles import count_standard_monomials, quotient_exponents, random_quadratic_exponents
 
 TRIANGLE = MonomialIdeal.from_strings(3, ["x1*x2", "x1*x3", "x2*x3"])
 
@@ -27,16 +26,12 @@ def pds(rep):
     return depth_and_pd(rep.source)[1], depth_and_pd(rep.ideal)[1]
 
 
-def exps(ms):
-    return [m.exponents for m in ms]
-
-
 def test_quotient_monomials_examples():
-    assert exps(quotient_monomials(3, (2, 2, 2), 2)) == [
+    assert quotient_exponents(3, (2, 2, 2), 2) == [
         (1, 1, 0), (1, 0, 1), (0, 1, 1),
     ]
-    assert exps(quotient_monomials(3, (2, 2, 2), 0)) == [(0, 0, 0)]
-    assert exps(quotient_monomials(3, (2,), 2)) == [
+    assert quotient_exponents(3, (2, 2, 2), 0) == [(0, 0, 0)]
+    assert quotient_exponents(3, (2,), 2) == [
         (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
     ]
 
@@ -47,21 +42,28 @@ def test_quotient_monomials_order_and_count():
         n = rng.randint(1, 5)
         g = rng.randint(0, n)
         d = rng.randint(0, 6)
-        ms = quotient_monomials(n, (2,) * g, d)
+        ms = quotient_exponents(n, (2,) * g, d)
         squares = [tuple(2 if j == i else 0 for j in range(n)) for i in range(g)]
         assert len(ms) == count_standard_monomials(n, squares, d)
         assert len(set(ms)) == len(ms)
         for a, b in zip(ms, ms[1:]):
-            assert a.exponents > b.exponents
+            assert a > b
 
 
-def test_quotient_monomials_rejects_bad_input():
-    with pytest.raises(InputError):
-        quotient_monomials(0, (), 1)
-    with pytest.raises(InputError):
-        quotient_monomials(2, (2, 2, 2), 1)
-    with pytest.raises(InputError):
-        quotient_monomials(2, (0,), 1)
+def test_companion_degrees_are_lex_segments():
+    # in every degree, the companion's monomials outside the squares form an
+    # initial segment of the quotient monomials in descending lex order
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        gens = random_quadratic_exponents(rng, n, 6)
+        rep = egh_for_quadratic(MonomialIdeal(n, tuple(Monomial(e) for e in gens)))
+        for d in range(rep.result.top_degree + 2):
+            inside = [
+                rep.ideal.contains(Monomial(e))
+                for e in quotient_exponents(n, (2,) * rep.g, d)
+            ]
+            assert inside == sorted(inside, reverse=True)
 
 
 def test_target_validation():
