@@ -77,7 +77,10 @@ def _canonical(gens: frozenset) -> tuple:
 
 
 def _numerator(gens: frozenset) -> tuple:
-    """gens: frozenset of exponent tuples forming a minimal generating set."""
+    """Numerator of S/I for a frozenset of exponent tuples generating I.
+    The set need not be minimal: the pivot identity holds for any generating
+    set, pairwise coprime nonunits are minimal, and the colon step
+    minimalizes its own output."""
     if not gens:
         return (1,)
     key = _canonical(gens)

@@ -1,11 +1,14 @@
 """Reduced simplicial homology, the Cohen-Macaulay test, and depth/pd.
 
-All Betti numbers come from exact ranks of boundary matrices.  Over the
-rationals a prime-field shortcut is used to *certify vanishing* quickly:
-rank mod p never exceeds the rational rank, so a reduced Betti number that
-vanishes mod p vanishes over Q as well.  Whenever the shortcut reports a
-nonzero value the computation is redone exactly over Q, so reported values
-are always exact over the requested field.
+One engine serves all three.  A complex is given by facet bitmasks: a set
+F of positions is a face when ``within``, the facets in play, meets the
+mask of every member of F.  ``_faces`` lists the faces and ``_betti`` takes
+one reduced Betti number from the boundary ranks.  A simplicial complex has
+one bit per facet, and the link of a face F keeps the same masks, with
+``within`` cut down to the facets containing F and the vertices of F
+dropped.  Over Q every degree is probed mod p first: rank mod p never
+exceeds the rational rank, so a zero there is a zero over Q, and a nonzero
+probe is redone exactly.
 
 Betti numbers of S/I come from upper Koszul complexes (Miller-Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34): for a multidegree b,
@@ -15,14 +18,12 @@ Combinatorial Commutative Algebra, Thm 1.34): for a multidegree b,
 in the ideal's own variables, with no polarization.  Only b in the lcm
 lattice of the generators contribute (Gasharov-Peeva-Welker): elsewhere
 some variable of supp b lies in every facet of K^b, a cone.  The facets of
-K^b are the sets {v : g_v < b_v} for the generators g dividing x^b, so a
-face is a set of variables whose generator masks still meet.  K^b has at
+K^b are the sets {v : g_v < b_v} for the generators g dividing x^b, so
+K^b has the same bitmask form, one bit per such generator.  K^b has at
 most |supp b| vertices, and when it is the full simplex it is acyclic and
 skipped, so beta_{i,b} = 0 for i > |supp b|.  The projective dimension
 walks b by |supp b|, largest first, and stops once |supp b| cannot beat the
-best degree found; depth is then n - pd by Auslander-Buchsbaum.  Over Q
-each degree is probed mod p first; a zero there certifies a zero over Q,
-and a nonzero probe is redone exactly.
+best degree found; depth is then n - pd by Auslander-Buchsbaum.
 """
 
 from __future__ import annotations
@@ -51,39 +52,69 @@ def _boundary_rows(faces_k, index_km1):
     return rows
 
 
-def _betti_from_faces(faces_by_dim: dict, field) -> dict:
-    """Reduced Betti numbers from a dict dim -> sorted face tuples.
+def _faces(lt: list, within: int) -> dict:
+    """Faces by dimension, the empty face included, of the complex whose
+    faces are the sets F of positions in ``lt`` for which ``within`` and
+    every ``lt[v]``, v in F, have a common bit.
 
-    The empty face at dimension -1 must be included; its presence makes the
-    chain complex reduced, so the result covers degrees -1..dim.
+    Each dimension's faces come out sorted: the walk is a preorder that
+    grows a face by increasing positions, and the row order of a boundary
+    matrix sets its elimination fill-in.
     """
-    if not faces_by_dim:
-        return {}
-    top = max(faces_by_dim)
-    index = {k: {f: i for i, f in enumerate(fs)} for k, fs in faces_by_dim.items()}
-    ranks = {k: 0 for k in range(-1, top + 2)}
-    for k in range(0, top + 1):
-        if k in faces_by_dim and (k - 1) in faces_by_dim:
-            ranks[k] = rank_of_rows(_boundary_rows(faces_by_dim[k], index[k - 1]), field)
-    betti = {}
-    for k in range(-1, top + 1):
-        ck = len(faces_by_dim.get(k, ()))
-        betti[k] = ck - ranks.get(k, 0) - ranks.get(k + 1, 0)
-    return betti
+    faces: dict = {}
+    stack = [((), within, 0)]
+    while stack:
+        face, mask, start = stack.pop()
+        faces.setdefault(len(face) - 1, []).append(face)
+        for v in range(len(lt) - 1, start - 1, -1):
+            meet = mask & lt[v]
+            if meet:
+                stack.append((face + (v,), meet, v + 1))
+    return faces
 
 
-def _complex_faces_by_dim(cx: SimplicialComplex) -> dict:
-    return cx.faces_by_dim() | ({-1: [()]} if not cx.is_void() else {})
+def _betti(faces: dict, j: int, field, ranks: dict) -> int:
+    """Reduced Betti number in degree j over the field, probed mod p first
+    over Q; ``ranks`` keeps the boundary ranks of this complex per (field,
+    dimension) between calls."""
+
+    def rank(f, d):
+        if (f, d) not in ranks:
+            rows, lower = faces.get(d), faces.get(d - 1)
+            ranks[f, d] = 0
+            if rows and lower:
+                index = {face: i for i, face in enumerate(lower)}
+                ranks[f, d] = rank_of_rows(_boundary_rows(rows, index), f)
+        return ranks[f, d]
+
+    def betti(f):
+        return len(faces.get(j, ())) - rank(f, j) - rank(f, j + 1)
+
+    if field == QQ and not betti(_PROBE):
+        return 0
+    return betti(field)
+
+
+# ---------------------------------------------------------------------------
+# simplicial complexes and their links
+
+
+def _facet_masks(cx: SimplicialComplex) -> list:
+    """masks[v]: the facets containing vertex v, bit i for the i-th facet."""
+    masks = [0] * cx.n_vertices
+    for i, facet in enumerate(cx.facets):
+        for v in facet:
+            masks[v] |= 1 << i
+    return masks
 
 
 def reduced_homology_ranks(cx: SimplicialComplex, field=QQ) -> tuple:
     """(betti_0, ..., betti_dim) over the given field; () for the complex {∅}."""
     if cx.is_void():
         raise InputError("the void complex has no reduced homology")
-    if cx.dim < 0:
-        return ()
-    betti = _betti_from_faces(_complex_faces_by_dim(cx), field)
-    return tuple(betti[k] for k in range(0, cx.dim + 1))
+    faces = _faces(_facet_masks(cx), (1 << len(cx.facets)) - 1)
+    ranks: dict = {}
+    return tuple(_betti(faces, j, field, ranks) for j in range(0, cx.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -99,32 +130,28 @@ class CMCertificate:
         return self.is_cm
 
 
-def _betti_below_top(cx: SimplicialComplex, field) -> dict:
-    """Reduced Betti numbers in degrees 0..dim-1 (the degrees the link test
-    inspects; the top boundary rank is still needed for degree dim-1)."""
-    betti = _betti_from_faces(_complex_faces_by_dim(cx), field)
-    return {k: v for k, v in betti.items() if 0 <= k < cx.dim}
-
-
 def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     """Exhaustive link test: every face's link must have vanishing reduced
-    homology below its own dimension.  Returns the first failing witness."""
+    homology below its own dimension.  Faces are visited by size, then
+    lexicographically; returns the first failing witness."""
     if cx.is_void():
         raise InputError("the void complex is not a ring-theoretic object here")
-    shortcut = _PROBE if field == QQ else None
+    masks = _facet_masks(cx)
+    every = (1 << len(cx.facets)) - 1
     checked = 0
-    for face in sorted(cx.faces(), key=lambda f: (len(f), sorted(f))):
-        link = cx.link(face)
-        checked += 1
-        if link.is_void() or link.dim <= 0:
-            continue
-        probe = _betti_below_top(link, shortcut or field)
-        if any(probe.values()):
-            exact = _betti_below_top(link, field) if shortcut else probe
-            for k in sorted(exact):
-                if exact[k]:
-                    witness = (tuple(sorted(face)), k, exact[k])
-                    return CMCertificate(False, field.name, checked, witness)
+    for _, faces in sorted(_faces(masks, every).items()):
+        for face in faces:
+            checked += 1
+            # the link of F: the facets containing F, restricted to the
+            # vertices outside F
+            within = reduce(and_, (masks[v] for v in face), every)
+            lt = [m for v, m in enumerate(masks) if m & within and v not in face]
+            link = _faces(lt, within)
+            ranks: dict = {}
+            for j in range(max(link)):
+                betti = _betti(link, j, field, ranks)
+                if betti:
+                    return CMCertificate(False, field.name, checked, (face, j, betti))
     return CMCertificate(True, field.name, checked)
 
 
@@ -184,44 +211,6 @@ def _lattice_points(ideal: MonomialIdeal, budget: int) -> list:
     return points
 
 
-def _upper_koszul(lt: list, divisors: int) -> dict:
-    """Faces of the upper Koszul complex K^b by dimension, as tuples of
-    positions in supp b, the empty face included."""
-    faces: dict = {-1: [()]}
-    stack = [((), divisors, 0)]
-    while stack:
-        face, mask, start = stack.pop()
-        for v in range(start, len(lt)):
-            meet = mask & lt[v]
-            if meet:
-                grown = face + (v,)
-                faces.setdefault(len(face), []).append(grown)
-                stack.append((grown, meet, v + 1))
-    return faces
-
-
-def _betti(faces: dict, j: int, field, ranks: dict) -> int:
-    """Reduced Betti number in degree j over the field, probed mod p first
-    over Q; ``ranks`` keeps the boundary ranks of this complex per (field,
-    dimension) between calls."""
-
-    def rank(f, d):
-        if (f, d) not in ranks:
-            rows, lower = faces.get(d), faces.get(d - 1)
-            ranks[f, d] = 0
-            if rows and lower:
-                index = {face: i for i, face in enumerate(lower)}
-                ranks[f, d] = rank_of_rows(_boundary_rows(rows, index), f)
-        return ranks[f, d]
-
-    def betti(f):
-        return len(faces.get(j, ())) - rank(f, j) - rank(f, j + 1)
-
-    if field == QQ and not betti(_PROBE):
-        return 0
-    return betti(field)
-
-
 def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
     """(beta_0, beta_1, ..., beta_pd) of S/I over the field.
 
@@ -229,7 +218,7 @@ def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tup
     """
     totals = [1] + [0] * ideal.n
     for lt, divisors in _lattice_points(ideal, budget):
-        faces = _upper_koszul(lt, divisors)
+        faces = _faces(lt, divisors)
         ranks: dict = {}
         for j in range(-1, max(faces) + 1):
             totals[j + 2] += _betti(faces, j, field, ranks)
@@ -247,7 +236,7 @@ def depth_and_pd(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
     for lt, divisors in points:
         if len(lt) <= pd:
             break
-        faces = _upper_koszul(lt, divisors)
+        faces = _faces(lt, divisors)
         ranks: dict = {}
         for j in range(max(faces), pd - 2, -1):
             if _betti(faces, j, field, ranks):

@@ -30,6 +30,8 @@ def parse_json_text(text: str):
 
 
 def _require(obj: dict, key: str, kind: str):
+    if not isinstance(obj, dict):
+        raise InputError(f"{kind} JSON must be an object")
     if key not in obj:
         raise InputError(f'{kind} JSON needs the key "{key}"')
     return obj[key]
@@ -55,7 +57,7 @@ def _count(obj: dict, key: str, kind: str, minimum: int) -> int:
 def ideal_from_obj(obj: dict) -> MonomialIdeal:
     n = _count(obj, "n", "ideal", 1)
     gens = _require(obj, "generators", "ideal")
-    if not isinstance(gens, list) or any(not isinstance(s, str) for s in gens):
+    if not isinstance(gens, list):
         raise InputError('"generators" must be a list of monomial strings')
     return MonomialIdeal.from_strings(n, gens)
 

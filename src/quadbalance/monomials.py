@@ -60,6 +60,8 @@ class Monomial:
 
 def parse_monomial(text: str, n: int) -> Monomial:
     """Parse ``x3^2*x5`` (1-based) into a Monomial in n variables."""
+    if not isinstance(text, str):
+        raise InputError(f"a monomial must be a string, got {type(text).__name__}")
     s = text.strip()
     if s == "1":
         if n < 1:

@@ -24,7 +24,7 @@ from .errors import (
     UnattainableTargetError,
 )
 from .fields import parse_field_spec
-from .hilbert import poly_trim, series_numerator
+from .hilbert import _numerator, poly_trim, series_numerator
 from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
 from .linalg import LinearForm
@@ -52,9 +52,18 @@ def field_spec_name(field) -> str:
 
 
 def _get(obj: dict, key: str):
+    if not isinstance(obj, dict):
+        raise InputError(f'expected a JSON object holding "{key}", got {type(obj).__name__}')
     if key not in obj:
         raise InputError(f'report is missing the key "{key}"')
     return obj[key]
+
+
+def _typed(obj: dict, key: str, kind: type, what: str):
+    value = _get(obj, key)
+    if not isinstance(value, kind):
+        raise InputError(f'"{key}" must be {what}, got {type(value).__name__}')
+    return value
 
 
 def _witness_obj(witness):
@@ -208,7 +217,7 @@ def _parse_forms(obj: dict, n: int, prime0) -> tuple:
                 f"expected x{prime0[j] + 1}"
             )
         coeffs = [0] * n
-        for name, value in _get(entry, "coefficients").items():
+        for name, value in _typed(entry, "coefficients", dict, "an object").items():
             m = re.fullmatch(r"x(\d+)", name)
             if not m or not 1 <= int(m.group(1)) <= n:
                 raise InputError(f"bad coefficient key {name!r}")
@@ -288,7 +297,8 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     g = _int_field(obj, "powers", 0, ideal.n)
     # kept as a flat list: minimalizing a deep companion's generator set is
     # quadratic in its size, and no check here needs minimality
-    gens = [parse_monomial(s, ideal.n) for s in _get(obj, "generators")]
+    raw = _typed(obj, "generators", list, "a list of monomial strings")
+    gens = [parse_monomial(s, ideal.n) for s in raw]
 
     checker.run(
         "height", lambda: (g == height(ideal), f"powers {g} != height {height(ideal)}")
@@ -310,9 +320,8 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
             # reproduction check below re-derives the whole construction,
             # whose own termination argument certifies the series
             return True, ""
-        built = MonomialIdeal(ideal.n, tuple(gens))
         return (
-            series_numerator(ideal) == series_numerator(built),
+            series_numerator(ideal) == _numerator(frozenset(g.exponents for g in gens)),
             "Hilbert series of source and result differ",
         )
 
@@ -328,12 +337,14 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
     field = parse_field_spec(str(_get(obj, "field")))
     result = complex_from_obj(_get(obj, "result"))
     g = _int_field(obj, "g", 0, cx.n_vertices)
+    hs, hr = (tuple(_typed(obj, key, list, "a list")) for key in ("h_source", "h_result"))
+    cm_source, cm_result = (_get(_get(obj, key), "cm") for key in ("cm_source", "cm_result"))
 
     checker.run("flag", lambda: (is_flag(cx), "input complex is not flag"))
     checker.run(
         "cm_source",
         lambda: (
-            bool(is_cohen_macaulay(cx, field)) and _get(obj, "cm_source")["cm"] is True,
+            bool(is_cohen_macaulay(cx, field)) and cm_source is True,
             "input complex is not Cohen-Macaulay over the stated field",
         ),
     )
@@ -346,8 +357,6 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
     checker.run("height", heights)
 
     def h_vectors():
-        hs = tuple(_get(obj, "h_source"))
-        hr = tuple(_get(obj, "h_result"))
         if h_vector(cx) != hs:
             return False, "h_source does not match the input complex"
         if h_vector(result) != hr:
@@ -393,7 +402,7 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
     checker.run(
         "cm_result",
         lambda: (
-            bool(is_cohen_macaulay(result, field)) and _get(obj, "cm_result")["cm"] is True,
+            bool(is_cohen_macaulay(result, field)) and cm_result is True,
             "result complex is not Cohen-Macaulay over the stated field",
         ),
     )

@@ -61,14 +61,6 @@ class SimplicialComplex:
                 out.update(frozenset(c) for c in combinations(fs, k))
         return out
 
-    def faces_by_dim(self) -> dict:
-        by: dict = {}
-        for f in self.faces():
-            by.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-        for k in by:
-            by[k].sort()
-        return by
-
     def has_face(self, face) -> bool:
         face = frozenset(face)
         return any(face <= fac for fac in self.facets)

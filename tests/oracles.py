@@ -113,14 +113,37 @@ def integer_rank(rows) -> int:
     return len(reduced)
 
 
-def oracle_reduced_betti(facets, p=None):
+def oracle_reduced_betti(facets, p=None, rank=sympy_rank):
     """Reduced Betti numbers of the complex generated by ``facets``.
 
     Returns a dict {k: betti_k} for k = -1 .. top dimension, computed from
     boundary-matrix ranks with the augmentation map included.  ``p`` selects
-    GF(p) coefficients; None means the rationals via sympy.
+    GF(p) coefficients; None means the rationals, ranked by ``rank`` (sympy
+    unless given).
     """
-    return _betti_of_faces(all_faces(facets), p, sympy_rank)
+    return _betti_of_faces(all_faces(facets), p, rank)
+
+
+def brute_cohen_macaulay(facets, p=None):
+    """Reisner's link test, one link rebuilt from the facets per face.
+
+    Faces are visited by size, then lexicographically; the first face whose
+    link has a nonzero reduced Betti number below the link's dimension is
+    the witness (face, degree, betti).  Returns (is_cm, faces_checked,
+    witness); ``p`` selects GF(p), None the rationals, ranked by
+    ``integer_rank``: on these many small matrices sympy is 40 times slower.
+    """
+    facets = [frozenset(f) for f in facets]
+    checked = 0
+    for face in sorted(all_faces(facets), key=lambda f: (len(f), sorted(f))):
+        checked += 1
+        link = [f - face for f in facets if face <= f]
+        betti = oracle_reduced_betti(link, p, integer_rank)
+        top = max(len(f) for f in link) - 1
+        for k in range(top):
+            if betti[k]:
+                return False, checked, (tuple(sorted(face)), k, betti[k])
+    return True, checked, None
 
 
 def _betti_of_faces(faces, p, rank):

@@ -288,6 +288,44 @@ def test_verify_rejects_unknown_kind(run, tmp_path):
     assert code == 2
 
 
+def _set(key, value):
+    return lambda rep: rep.update({key: value})
+
+
+@pytest.mark.parametrize(
+    "command, data, mutate",
+    [
+        pytest.param("balance", OCTA_OBJ, _set("cm_source", 5), id="cm_source-int"),
+        pytest.param("balance", OCTA_OBJ, _set("cm_source", {}), id="cm_source-empty"),
+        pytest.param("balance", OCTA_OBJ, _set("cm_result", 5), id="cm_result-int"),
+        pytest.param("balance", OCTA_OBJ, _set("h_source", 5), id="h_source-int"),
+        pytest.param("balance", OCTA_OBJ, _set("h_result", 5), id="h_result-int"),
+        pytest.param("balance", OCTA_OBJ, _set("complex", 3), id="complex-int"),
+        pytest.param("balance", OCTA_OBJ, _set("result", 3), id="result-int"),
+        pytest.param(
+            "regseq", TRIANGLE_OBJ, lambda rep: rep["forms"].__setitem__(0, 5), id="form-int"
+        ),
+        pytest.param(
+            "regseq",
+            TRIANGLE_OBJ,
+            lambda rep: rep["forms"][0].update(coefficients=[1]),
+            id="coefficients-list",
+        ),
+        pytest.param("regseq", TRIANGLE_OBJ, _set("ideal", 3), id="ideal-int"),
+        pytest.param("egh", TRIANGLE_OBJ, _set("generators", 5), id="generators-int"),
+        pytest.param("egh", TRIANGLE_OBJ, _set("generators", [5]), id="generators-int-list"),
+        pytest.param("egh", TRIANGLE_OBJ, _set("ideal", [1]), id="ideal-list"),
+    ],
+)
+def test_verify_malformed_report_exits_two(run, tmp_path, command, data, mutate):
+    _, out, _ = run(command, data=data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(tampered(out, mutate)))
+    code, vout, err = run("verify", str(path))
+    assert code == 2 and vout == "", err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_stdin_input(run, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TRIANGLE_OBJ)))
     code, out, _ = run("egh", "-")

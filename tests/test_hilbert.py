@@ -10,7 +10,9 @@ from quadbalance import (
     hilbert_series_equal,
     series_numerator,
 )
+from quadbalance import hilbert
 from quadbalance.hilbert import (
+    _numerator,
     poly_mul,
     window_from_numerator,
 )
@@ -68,6 +70,21 @@ def test_against_brute_force_enumeration():
         window = hilbert_function(ideal, bound).window
         for d in range(bound + 1):
             assert window[d] == count_standard_monomials(n, gens, d), (n, gens, d)
+
+
+def test_numerator_of_redundant_generators():
+    # verify feeds a report's flat generator list to the recursion without
+    # minimalizing it first
+    rng = random.Random(29)
+    redundant = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        gens = random_exponents(rng, n, 8, 4)
+        ideal = MonomialIdeal(n, tuple(Monomial(e) for e in gens))
+        redundant += len(ideal.generators) < len(gens)
+        hilbert._MEMO.clear()
+        assert _numerator(frozenset(gens)) == series_numerator(ideal), (n, gens)
+    assert redundant >= 50
 
 
 def test_window_from_numerator_matches_series():

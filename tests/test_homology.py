@@ -14,6 +14,7 @@ from quadbalance import (
     egh_for_quadratic,
     f_vector,
     height,
+    independence_complex,
     is_cohen_macaulay,
     polarize,
     reduced_homology_ranks,
@@ -21,7 +22,7 @@ from quadbalance import (
     total_betti_numbers,
 )
 
-from oracles import hochster_betti, oracle_reduced_betti, random_facets
+from oracles import brute_cohen_macaulay, hochster_betti, oracle_reduced_betti, random_facets
 
 # minimal 6-vertex triangulation of the real projective plane
 RP2_FACETS = [
@@ -108,6 +109,36 @@ def test_cohen_macaulay_depends_on_field():
     assert not bad.is_cm
     assert bad.field_name == "GF(2)"
     assert bad.witness == ((), 1, 1)
+
+
+def test_cohen_macaulay_against_link_oracle():
+    # the certificate, faces_checked and first witness included, against
+    # Reisner's criterion with every link rebuilt from the facets
+    rng = random.Random(59)
+    cases = [
+        SimplicialComplex.from_faces(6, RP2_FACETS),
+        SimplicialComplex.from_faces(4, [frozenset({0, 1}), frozenset({2, 3})]),
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        cases.append(SimplicialComplex.from_faces(n, random_facets(rng, n, 6)))
+        # independence complexes of random graphs, CM often enough to
+        # reach the deeper links
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+        cases.append(independence_complex(n, edges))
+    verdicts = set()
+    for cx in cases:
+        facets = [tuple(sorted(f)) for f in cx.facets]
+        for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3)):
+            cert = is_cohen_macaulay(cx, field)
+            assert cert.field_name == field.name
+            assert (cert.is_cm, cert.faces_checked, cert.witness) == brute_cohen_macaulay(
+                facets, p
+            ), (facets, field.name)
+            verdicts.add(cert.is_cm)
+    assert verdicts == {True, False}
+    rp2 = [tuple(sorted(f)) for f in RP2_FACETS]
+    assert brute_cohen_macaulay(rp2)[0] and not brute_cohen_macaulay(rp2, 2)[0]
 
 
 def test_cone_preserves_cohen_macaulayness():
