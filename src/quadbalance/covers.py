@@ -2,15 +2,33 @@
 
 A prime monomial ideal is generated by variables, and the minimal primes of
 a monomial ideal are exactly the minimal transversals of the hypergraph of
-generator supports.  The enumeration is a branch and bound over an uncovered
-support, followed by an antichain filter; every minimal transversal appears
-in the branch tree, so the filter leaves exactly the minimal ones.
+generator supports.
+
+Height and the canonical prime need only the first prime in (size, lex)
+order, which ``smallest_minimal_prime`` finds by a branch and bound for a
+minimum transversal, without listing the others; ``is_minimal_prime``
+checks a given set in one pass over the generators.  The full listing,
+``minimal_primes``, is kept for the callers whose output it is: a branch
+over an uncovered support, followed by an antichain filter; every minimal
+transversal appears in the branch tree, so the filter leaves exactly the
+minimal ones.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .errors import InputError
 from .monomials import MonomialIdeal
+
+
+def _supports(ideal: MonomialIdeal) -> list:
+    if ideal.is_zero():
+        raise InputError("the zero ideal has no associated support hypergraph")
+    if not ideal.is_proper():
+        raise InputError("the unit ideal has no minimal primes")
+    return [g.support() for g in ideal.generators]
 
 
 def _minimal_transversals(supports) -> list:
@@ -40,15 +58,81 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple:
     Sorted by cardinality then lexicographically, so the first entry is the
     canonical choice of a smallest minimal prime.
     """
-    if ideal.is_zero():
-        raise InputError("the zero ideal has no associated support hypergraph")
-    if not ideal.is_proper():
-        raise InputError("the unit ideal has no minimal primes")
-    return tuple(_minimal_transversals(g.support() for g in ideal.generators))
+    return tuple(_minimal_transversals(_supports(ideal)))
+
+
+def _packing(edges) -> int:
+    """Size of a greedy family of pairwise disjoint edges: a lower bound on
+    the size of any transversal."""
+    used = count = 0
+    for e in sorted(edges, key=int.bit_count):
+        if not e & used:
+            used |= e
+            count += 1
+    return count
+
+
+def _cover(edges, budget: int):
+    """The lex-first transversal of at most ``budget`` elements, or None.
+
+    Picks are made in increasing order, so the uncovered edges keep only
+    their elements above the last pick.  Each of them is hit by a later
+    pick, so the next pick is at most the smallest of their largest
+    elements; and a minimum transversal picks no element that lies in no
+    uncovered edge, as dropping it would leave a smaller one.  The depth
+    can reach the number of variables, hence the explicit stack.
+    """
+    trail: list = []  # per pick: the edges it was made on, its untried candidates, the pick
+    while edges:
+        if _packing(edges) <= budget - len(trail):
+            bound = min(e.bit_length() for e in edges)
+            trail.append([edges, reduce(or_, edges) & ((1 << bound) - 1), 0])
+        while trail and not trail[-1][1]:
+            trail.pop()
+        if not trail:
+            return None
+        level = trail[-1]
+        low = level[2] = level[1] & -level[1]
+        level[1] ^= low
+        above = ~((low << 1) - 1)
+        edges = {e & above for e in level[0] if not e & low}
+    return [level[2].bit_length() - 1 for level in trail]
+
+
+def smallest_minimal_prime(ideal: MonomialIdeal) -> frozenset:
+    """``minimal_primes(ideal)[0]``, found without listing the others.
+
+    Iterative deepening from the greedy packing bound: the first size that
+    admits a transversal is the height, and the search at that size returns
+    the lexicographically first one.  A minimum transversal is minimal, so
+    this is exactly the first entry of the sorted listing.
+    """
+    edges = {sum(1 << v for v in s) for s in _supports(ideal)}
+    budget = _packing(edges)
+    while (found := _cover(edges, budget)) is None:
+        budget += 1
+    return frozenset(found)
+
+
+def is_minimal_prime(ideal: MonomialIdeal, prime) -> bool:
+    """Whether ``prime`` lists the variables of a minimal prime of the ideal.
+
+    It must meet every generator's support, and each member must be the only
+    member in some generator's support (else dropping it leaves a prime).
+    """
+    prime = frozenset(prime)
+    needed: set = set()
+    for s in _supports(ideal):
+        hit = s & prime
+        if not hit:
+            return False
+        if len(hit) == 1:
+            needed |= hit
+    return needed == prime
 
 
 def height(ideal: MonomialIdeal) -> int:
     """Height = size of a smallest minimal prime; the zero ideal has height 0."""
     if ideal.is_zero():
         return 0
-    return len(minimal_primes(ideal)[0])
+    return len(smallest_minimal_prime(ideal))

@@ -2,9 +2,10 @@
 
 Every matrix here has integer entries.  Ranks over the rationals are
 computed by fraction-free (Bareiss) elimination; ranks over GF(p) use
-ordinary modular elimination.  A form with rational coefficients is a
-scalar multiple of an integer one, so nothing is lost by accepting only
-integers.  No floating point is involved anywhere.
+ordinary modular elimination, and ``ModularEchelon`` keeps a GF(p) basis
+that rows can be pushed onto and popped off.  A form with rational
+coefficients is a scalar multiple of an integer one, so nothing is lost by
+accepting only integers.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -124,6 +125,43 @@ def modular_rank(rows, p: int) -> int:
         if rank == m:
             break
     return rank
+
+
+class ModularEchelon:
+    """An echelon basis over GF(p) that grows and shrinks like a stack.
+
+    Rows are sparse dicts {column: integer}.  Each stored row is reduced
+    against the rows pushed before it and scaled to 1 at its pivot, so a new
+    row is reduced in one pass over the stack, and ``pop`` undoes the last
+    successful ``push`` without touching the rows below it.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list = []  # (pivot column, row), in push order
+
+    def push(self, vector: dict) -> bool:
+        """Add the row if it is independent of the basis mod p; report which."""
+        p = self.p
+        v = {c: a % p for c, a in vector.items() if a % p}
+        for pivot, row in self.rows:
+            f = v.get(pivot)
+            if f:
+                for c, a in row.items():
+                    x = (v.get(c, 0) - f * a) % p
+                    if x:
+                        v[c] = x
+                    else:
+                        del v[c]
+        if not v:
+            return False
+        pivot = min(v)
+        inv = pow(v[pivot], -1, p)
+        self.rows.append((pivot, {c: a * inv % p for c, a in v.items()}))
+        return True
+
+    def pop(self):
+        self.rows.pop()
 
 
 def rank_of_rows(rows, field=QQ) -> int:

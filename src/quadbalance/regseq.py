@@ -7,7 +7,9 @@ generators assigned to position j.  A tuple of forms l_j in V_j yields a
 regular sequence (x_{p_1} l_1, ..., x_{p_g} l_g) exactly when every mixed
 choice -- prime variables on a subset of positions, the forms elsewhere --
 spans dimension g.  That condition is checked exhaustively over all 2^g
-subsets with exact rank computations, which is the certificate.
+subsets, which is the certificate: one depth-first sweep mod p covers them
+all (full rank mod p implies full rank over Q), and subsets are ranked one
+by one, exactly, only when the sweep meets a dependency.
 
 Candidate forms are sampled with small random integer coefficients; a
 failure survives a single sample with probability at most 1/2 at the default
@@ -24,10 +26,16 @@ import random
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
-from .covers import minimal_primes
+from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import BudgetExceededError, InputError, RegularSequenceNotFoundError
-from .fields import QQ
-from .linalg import LinearForm, ProductOfLinearForms, rank_of_forms, rank_of_rows
+from .fields import DEFAULT_PRIME, QQ, PrimeField
+from .linalg import (
+    LinearForm,
+    ModularEchelon,
+    ProductOfLinearForms,
+    rank_of_forms,
+    rank_of_rows,
+)
 from .monomials import Monomial, MonomialIdeal
 
 MAX_PRIME_SIZE = 20
@@ -210,6 +218,35 @@ def _subsets_lex(g: int):
     yield from rec([], 0)
 
 
+def _independent_mod_p(prime, forms, p: int) -> bool:
+    """Whether every mixed choice has full rank mod p.
+
+    Walks the choices depth first, position by position, pushing the form
+    or the prime variable onto one shared basis and popping it on the way
+    back: 2^(g+1) row insertions in all.  A dependent prefix fails every
+    choice that extends it, so the walk stops there.
+    """
+    choices = [
+        ({v: c for v, c in enumerate(form.coefficients) if c}, {q: 1})
+        for q, form in zip(prime, forms)
+    ]
+    basis = ModularEchelon(p)
+
+    def walk(j: int) -> bool:
+        if j == len(choices):
+            return True
+        for vector in choices[j]:
+            if not basis.push(vector):
+                return False
+            independent = walk(j + 1)
+            basis.pop()
+            if not independent:
+                return False
+        return True
+
+    return walk(0)
+
+
 def certify_transversal_ranks(
     prime, forms, field=QQ, seed=None, attempts: int = 1
 ) -> RegularSequenceCertificate:
@@ -219,6 +256,12 @@ def certify_transversal_ranks(
     so the full-rank condition reduces to the forms outside A keeping rank
     g - |A| after the prime columns of A are deleted.  Stops at the
     lexicographically first failing subset.
+
+    All 2^g choices are first swept together mod p (the field's own p, or
+    ``DEFAULT_PRIME`` over Q, where full rank mod p implies full rank).
+    Only when the sweep meets a dependency are the subsets ranked one by
+    one in the field itself, to find the first failing one, or over Q to
+    overrule a dependency that holds only mod p.
     """
     prime = tuple(prime)
     forms = tuple(forms)
@@ -227,6 +270,9 @@ def certify_transversal_ranks(
         raise InputError("need exactly one form per prime position")
     if g > MAX_PRIME_SIZE:
         raise BudgetExceededError(f"2^{g} subsets exceed the hard cap g <= {MAX_PRIME_SIZE}")
+    p = field.p if isinstance(field, PrimeField) else DEFAULT_PRIME
+    if _independent_mod_p(prime, forms, p):
+        return RegularSequenceCertificate(prime, forms, field.name, 1 << g, seed, attempts)
     checked = 0
     for subset in _subsets_lex(g):
         checked += 1
@@ -344,13 +390,13 @@ def find_regular_sequence(
     if not ideal.generated_in_degree(2):
         bad = [str(g) for g in ideal.generators if g.degree != 2]
         raise InputError(f"generators must have degree 2; offending: {', '.join(bad)}")
-    primes = minimal_primes(ideal)
-    g = len(primes[0])
+    smallest = smallest_minimal_prime(ideal)
+    g = len(smallest)
     if prime is None:
-        chosen = primes[0]
+        chosen = smallest
     else:
         chosen = frozenset(prime)
-        if chosen not in primes:
+        if not is_minimal_prime(ideal, chosen):
             raise InputError("the supplied prime is not a minimal prime of the ideal")
         if len(chosen) != g:
             raise InputError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .balance import balance
-from .covers import height, minimal_primes
+from .covers import height, is_minimal_prime
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -244,14 +244,15 @@ def _verify_regseq(obj: dict, checker: _Checker, budget, max_degree):
     forms = _parse_forms(obj, ideal.n, prime0)
     g = len(prime0)
 
-    checker.run(
-        "height",
-        lambda: (g == height(ideal), f"prime has size {g}, height is {height(ideal)}"),
-    )
+    def height_check():
+        h = height(ideal)
+        return g == h, f"prime has size {g}, height is {h}"
+
+    checker.run("height", height_check)
     checker.run(
         "minimal_prime",
         lambda: (
-            frozenset(prime0) in minimal_primes(ideal),
+            is_minimal_prime(ideal, prime0),
             "the stated prime is not a minimal prime of the ideal",
         ),
     )
@@ -300,9 +301,11 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     raw = _typed(obj, "generators", list, "a list of monomial strings")
     gens = [parse_monomial(s, ideal.n) for s in raw]
 
-    checker.run(
-        "height", lambda: (g == height(ideal), f"powers {g} != height {height(ideal)}")
-    )
+    def height_check():
+        h = height(ideal)
+        return g == h, f"powers {g} != height {h}"
+
+    checker.run("height", height_check)
 
     def squares():
         i = missing_square(gens, ideal.n, g)

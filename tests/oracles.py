@@ -223,6 +223,27 @@ def quotient_exponents(n, powers, d):
     return list(rec(0, d))
 
 
+def transversal_ranks(prime, forms, p=None):
+    """(ok, failing_subset, subsets_checked) of the mixed-choice rank test.
+
+    Subsets A of positions are visited in lex order of their sorted tuples;
+    the unit vectors of prime[j] for j in A and the forms outside A must
+    have rank g.  ``forms`` are integer coefficient tuples; ``p`` selects
+    GF(p), None the rationals.
+    """
+    g = len(prime)
+    n = len(forms[0]) if forms else 0
+    subsets = sorted(c for k in range(g + 1) for c in combinations(range(g), k))
+    for checked, subset in enumerate(subsets, 1):
+        rows = [
+            tuple(int(v == prime[j]) for v in range(n)) if j in subset else forms[j]
+            for j in range(g)
+        ]
+        if (integer_rank(rows) if p is None else gf_rank(rows, p)) != g:
+            return False, subset, checked
+    return True, None, len(subsets)
+
+
 def brute_minimal_covers(supports):
     """All minimal vertex covers of a set system, smallest first."""
     supports = [frozenset(s) for s in supports]

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -124,6 +125,31 @@ def test_regseq_prime_override(run):
     assert code == 2 and "out of range" in err
     code, _, err = run("regseq", "--prime", "a,b", data=TRIANGLE_OBJ)
     assert code == 2 and "comma-separated" in err
+
+
+def _matching(k):
+    return [f"x{2 * i + 1}*x{2 * i + 2}" for i in range(k)]
+
+
+def test_regseq_large_height_fails_fast(run):
+    # the height is found without listing the 2^k minimal primes, so the
+    # hard cap on g and a bad --prime are reported at once
+    start = time.perf_counter()
+    code, out, err = run("regseq", data={"n": 42, "generators": _matching(21)})
+    assert code == 3 and out == "" and "hard cap g <= 20" in err
+    assert time.perf_counter() - start < 1
+    # 18 disjoint edges and the path x37-x38-x39: height 19, and the
+    # minimal primes with x37 and x39 have size 20
+    data = {"n": 39, "generators": _matching(18) + ["x37*x38", "x38*x39"]}
+    odd = ",".join(str(2 * i + 1) for i in range(18))
+    for prime, message in (
+        (odd + ",2,38", "not a minimal prime"),
+        (odd + ",37,39", "the supplied prime has size 20, but the height is 19"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run("regseq", "--prime", prime, data=data)
+        assert code == 2 and out == "" and message in err, err
+        assert time.perf_counter() - start < 1
 
 
 def test_egh_triangle(run):

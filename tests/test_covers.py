@@ -3,8 +3,9 @@ import random
 import pytest
 
 from quadbalance import InputError, Monomial, MonomialIdeal, height, minimal_primes
+from quadbalance.covers import is_minimal_prime, smallest_minimal_prime
 
-from oracles import brute_minimal_covers
+from oracles import brute_minimal_covers, random_exponents, random_quadratic_exponents
 
 
 def idl(n, *gens):
@@ -41,10 +42,11 @@ def test_height_examples():
 
 
 def test_rejects_unit():
-    with pytest.raises(InputError):
-        minimal_primes(idl(2, "1"))
-    with pytest.raises(InputError):
-        minimal_primes(MonomialIdeal(2, ()))
+    for fn in (minimal_primes, smallest_minimal_prime, lambda i: is_minimal_prime(i, {0})):
+        with pytest.raises(InputError, match="unit ideal"):
+            fn(idl(2, "1"))
+        with pytest.raises(InputError, match="zero ideal"):
+            fn(MonomialIdeal(2, ()))
 
 
 def test_primes_are_antichain_and_match_brute_force():
@@ -77,3 +79,34 @@ def test_primes_of_nonsquarefree_use_support():
         frozenset({1}),
         frozenset({0, 2}),
     }
+
+
+def _random_hypergraph_ideal(rng, kind):
+    n = rng.randint(1, 8)
+    if kind == "quadratic":
+        exps = random_quadratic_exponents(rng, n, 14)
+    elif kind == "squarefree":
+        edges = {
+            frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 9))
+        }
+        exps = [tuple(int(v in e) for v in range(n)) for e in edges]
+    else:
+        exps = random_exponents(rng, n, 9, 4)
+    return MonomialIdeal(n, tuple(Monomial(e) for e in exps))
+
+
+def test_smallest_prime_and_minimality_against_brute_force():
+    rng = random.Random(23)
+    for i in range(2000):
+        ideal = _random_hypergraph_ideal(rng, ("quadratic", "squarefree", "powers")[i % 3])
+        covers = brute_minimal_covers([g.support() for g in ideal.generators])
+        assert smallest_minimal_prime(ideal) == covers[0]
+        assert height(ideal) == len(covers[0])
+        n = ideal.n
+        candidates = list(covers)
+        for c in covers:
+            candidates += [c | {v} for v in range(n) if v not in c]
+            candidates += [c - {v} for v in c]
+        candidates += [frozenset(v for v in range(n) if rng.random() < 0.5) for _ in range(4)]
+        for c in candidates:
+            assert is_minimal_prime(ideal, c) == (c in covers), (ideal, c)

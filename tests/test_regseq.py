@@ -21,8 +21,9 @@ from quadbalance import (
     monomial_as_product,
     sample_forms,
 )
+from quadbalance.fields import DEFAULT_PRIME
 
-from oracles import random_quadratic_exponents
+from oracles import random_quadratic_exponents, transversal_ranks
 
 TRIANGLE = MonomialIdeal.from_strings(3, ["x1*x2", "x1*x3", "x2*x3"])
 
@@ -282,3 +283,31 @@ def test_structured_fallback():
     cert = find_regular_sequence(ideal, coefficient_range=1)
     assert cert.ok and cert.attempts == 9 and cert.seed is None
     assert [f.coefficients for f in cert.forms] == [(0, 0, 8, 16), (0, 0, 64, 256)]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_certify_against_subset_oracle(p):
+    # small coefficients, so that both outcomes are common
+    field = QQ if p is None else GF(p)
+    rng = random.Random(71 + (p or 0))
+    failed = 0
+    for _ in range(300):
+        g = rng.randint(1, 5)
+        n = g + rng.randint(0, 3)
+        prime = tuple(sorted(rng.sample(range(n), g)))
+        forms = [tuple(rng.choice((0, 0, 1, 2, -1)) for _ in range(n)) for _ in range(g)]
+        cert = certify_transversal_ranks(prime, [LinearForm(f) for f in forms], field)
+        expected = transversal_ranks(prime, forms, p)
+        assert (cert.ok, cert.failing_subset, cert.subsets_checked) == expected
+        failed += not cert.ok
+    assert 60 <= failed <= 240, failed
+
+
+def test_certify_overrules_modular_dependency():
+    # the first form vanishes modulo the prime the Q sweep works in, but it
+    # is independent over Q; the certificate must still pass every subset
+    forms = (LinearForm((0, 0, DEFAULT_PRIME, 0)), LinearForm((0, 0, 0, 1)))
+    cert = certify_transversal_ranks((0, 1), forms, QQ)
+    assert cert.ok and cert.subsets_checked == 4
+    bad = certify_transversal_ranks((0, 1), forms, GF(DEFAULT_PRIME))
+    assert bad.failing_subset == () and bad.subsets_checked == 1
