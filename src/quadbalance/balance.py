@@ -33,7 +33,6 @@ from .simplicial import (
     check_balanced,
     complex_of_ideal,
     h_vector,
-    is_flag,
     minimal_non_faces,
     stanley_reisner,
 )
@@ -65,8 +64,8 @@ def balance(
     """Balanced Cohen-Macaulay companion of a Cohen-Macaulay flag complex."""
     if cx.is_void():
         raise InputError("the void complex has no h-vector")
-    if not is_flag(cx):
-        bad = min((m for m in minimal_non_faces(cx) if len(m) != 2), key=len)
+    bad = next((m for m in minimal_non_faces(cx) if len(m) != 2), None)
+    if bad is not None:
         raise InputError(
             "not a flag complex: minimal non-face "
             f"{{{', '.join(str(v + 1) for v in sorted(bad))}}} has size {len(bad)}"

@@ -8,10 +8,10 @@ Height and the canonical prime need only the first prime in (size, lex)
 order, which ``smallest_minimal_prime`` finds by a branch and bound for a
 minimum transversal, without listing the others; ``is_minimal_prime``
 checks a given set in one pass over the generators.  The full listing,
-``minimal_primes``, is kept for the callers whose output it is: a branch
-over an uncovered support, followed by an antichain filter; every minimal
-transversal appears in the branch tree, so the filter leaves exactly the
-minimal ones.
+``minimal_primes``, is kept for the callers whose output it is.  It runs on
+``_minimal_transversals``, the one enumerator of minimal transversals in
+the package, which also lists independence complexes (through the edges of
+a graph) and minimal non-faces (through the facet complements).
 """
 
 from __future__ import annotations
@@ -32,24 +32,53 @@ def _supports(ideal: MonomialIdeal) -> list:
 
 
 def _minimal_transversals(supports) -> list:
-    supports = [frozenset(s) for s in supports]
-    results: set = set()
-    seen: set = set()
+    """All minimal transversals of a set system, (size, lex)-sorted.
 
-    def branch(chosen: frozenset):
-        if chosen in seen:
-            return
-        seen.add(chosen)
-        for s in supports:
-            if not (s & chosen):
-                for v in sorted(s):
-                    branch(chosen | {v})
-                return
-        results.add(chosen)
-
-    branch(frozenset())
-    minimal = [c for c in results if not any(o < c for o in results)]
-    return sorted(minimal, key=lambda c: (len(c), sorted(c)))
+    The MMCS scheme of Murakami and Uno ("Efficient algorithms for
+    dualizing large-scale hypergraphs", Discrete Appl. Math. 170, 2014) on
+    int bitmasks, with an explicit stack.  A node holds the chosen
+    vertices, the vertices still allowed, the uncovered edges and, per
+    chosen vertex, its private edges (those it alone meets).  It branches on
+    the uncovered edge with the fewest allowed vertices, bans each tried
+    vertex for its later siblings, and admits a child only while every
+    chosen vertex keeps a private edge.  So every leaf is a minimal
+    transversal, and each one is reached exactly once.
+    """
+    edges = [sum(1 << v for v in s) for s in supports]
+    incidence: dict = {}  # vertex -> mask of the edges (by index) it meets
+    for i, e in enumerate(edges):
+        while e:
+            v = (e & -e).bit_length() - 1
+            e &= e - 1
+            incidence[v] = incidence.get(v, 0) | 1 << i
+    found = []
+    stack = [((), sum(1 << v for v in incidence), (1 << len(edges)) - 1, ())]
+    while stack:
+        chosen, allowed, uncovered, private = stack.pop()
+        if not uncovered:
+            found.append(sorted(chosen))
+            continue
+        branch = None
+        rest = uncovered
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            here = edges[i] & allowed
+            if branch is None or here.bit_count() < branch.bit_count():
+                branch = here
+                if not here:
+                    break
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            allowed ^= low
+            v = low.bit_length() - 1
+            hit = incidence[v]
+            kept = tuple(p & ~hit for p in private)
+            if all(kept):
+                stack.append((chosen + (v,), allowed, uncovered & ~hit, kept + (uncovered & hit,)))
+    found.sort(key=lambda c: (len(c), c))
+    return [frozenset(c) for c in found]
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import le
 
 from .errors import InputError
@@ -95,11 +96,14 @@ def format_monomial(m: Monomial) -> str:
 
 def _minimalize(exponents) -> tuple:
     """Reduce exponent tuples to the unique minimal generating set, in
-    descending lex order."""
+    descending lex order.
+
+    Distinct tuples of equal degree never divide each other, so each degree
+    is tested only against the kept tuples of smaller degree.
+    """
     kept: list = []
-    for m in sorted(set(exponents), key=sum):
-        if not any(all(map(le, k, m)) for k in kept):
-            kept.append(m)
+    for _, same_degree in groupby(sorted(set(exponents), key=sum), key=sum):
+        kept += [m for m in same_degree if not any(all(map(le, k, m)) for k in kept)]
     return tuple(sorted(kept, reverse=True))
 
 

@@ -73,12 +73,6 @@ class SimplicialComplex:
             self.n_vertices, frozenset(fac - face for fac in self.facets if face <= fac)
         )
 
-    def used_vertices(self) -> frozenset:
-        out: set = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
-
 
 def f_vector(cx: SimplicialComplex) -> tuple:
     """(f_-1, f_0, ..., f_dim); f_-1 = 1 counts the empty face."""
@@ -101,20 +95,14 @@ def h_vector(cx: SimplicialComplex) -> tuple:
 
 
 def minimal_non_faces(cx: SimplicialComplex) -> tuple:
-    """All inclusion-minimal non-faces, sorted; each has size <= dim + 2."""
-    if cx.is_void():
-        return (frozenset(),)
-    faces = cx.faces()
-    out = []
-    top = cx.dim + 2
-    for size in range(1, min(top, cx.n_vertices) + 1):
-        for cand in combinations(range(cx.n_vertices), size):
-            cs = frozenset(cand)
-            if cs in faces:
-                continue
-            if all(cs - {v} in faces for v in cand):
-                out.append(cs)
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+    """All inclusion-minimal non-faces, sorted; each has size <= dim + 2.
+
+    By Alexander duality a set is a non-face exactly when it meets the
+    complement of every facet, so the minimal non-faces are the minimal
+    transversals of the facet complements; the void complex gets (∅,).
+    """
+    everything = frozenset(range(cx.n_vertices))
+    return tuple(_minimal_transversals(everything - f for f in cx.facets))
 
 
 def is_flag(cx: SimplicialComplex) -> bool:
@@ -171,47 +159,20 @@ def independence_complex(n: int, edges) -> SimplicialComplex:
     )
 
 
-def check_balanced(cx: SimplicialComplex, coloring=None):
-    """Verify or find a proper (dim+1)-coloring: no face repeats a color.
+def check_balanced(cx: SimplicialComplex, coloring):
+    """Verify a proper (dim+1)-coloring: no face repeats a color.
 
     Colors are 1..dim+1, given as a tuple indexed by vertex.  Returns the
-    verified coloring, or None when the given one is improper / none exists.
+    verified coloring, or None when it is improper.
     """
     if cx.is_void():
         raise InputError("the void complex cannot be colored")
-    d = cx.dim + 1
-    n = cx.n_vertices
-    edges = {tuple(sorted(e)) for fac in cx.facets for e in combinations(sorted(fac), 2)}
-    if coloring is not None:
-        colors = tuple(coloring)
-        if len(colors) != n:
-            raise InputError("coloring must assign a color to every ambient vertex")
-        if any(not 1 <= c <= max(d, 1) for c in colors):
+    colors = tuple(coloring)
+    if len(colors) != cx.n_vertices:
+        raise InputError("coloring must assign a color to every ambient vertex")
+    if any(not 1 <= c <= max(cx.dim + 1, 1) for c in colors):
+        return None
+    for fac in cx.facets:
+        if len({colors[v] for v in fac}) < len(fac):
             return None
-        for a, b in edges:
-            if colors[a] == colors[b]:
-                return None
-        return colors
-    if d == 0:
-        return (1,) * n if not cx.used_vertices() else None
-    # backtracking proper coloring of the 1-skeleton; faces are cliques in it
-    adj = {v: set() for v in range(n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
-    colors_arr = [0] * n
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for c in range(1, d + 1):
-            if all(colors_arr[u] != c for u in adj[v]):
-                colors_arr[v] = c
-                if assign(i + 1):
-                    return True
-                colors_arr[v] = 0
-        return False
-
-    return tuple(colors_arr) if assign(0) else None
+    return colors

@@ -257,6 +257,22 @@ def brute_minimal_covers(supports):
     return covers
 
 
+def brute_minimal_non_faces(n, facets):
+    """Minimal non-faces by a scan of every vertex subset up to size
+    dim + 2, (size, lex)-sorted; the void complex gets (∅,)."""
+    if not facets:
+        return (frozenset(),)
+    faces = all_faces(facets)
+    out = []
+    top = max(len(f) for f in facets) + 1
+    for size in range(1, min(top, n) + 1):
+        for cand in combinations(range(n), size):
+            cs = frozenset(cand)
+            if cs not in faces and all(cs - {v} in faces for v in cand):
+                out.append(cs)
+    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+
+
 def hvector_from_f(f):
     """h-vector via the polynomial identity sum f_{i-1} (t-1)^(d-i) = sum h_k t^(d-k)."""
     t = sympy.symbols("t")

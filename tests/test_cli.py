@@ -71,6 +71,17 @@ def test_analyze_graph_input(run):
     assert rep["f_vector"] == [1, 6, 12, 8] and rep["flag"] is True
 
 
+def test_analyze_ideal_of_all_variables(run):
+    # every listing here is as deep as the number of variables
+    data = {"n": 1000, "generators": [f"x{i}" for i in range(1, 1001)]}
+    code, out, err = run("analyze", data=data)
+    assert code == 0 and err == ""
+    rep = parse(out)
+    assert rep["height"] == 1000 and rep["complex"]["facets"] == [[]]
+    assert rep["flag"] is False and rep["cm"] is True
+    assert rep["faces_checked"] == 1
+
+
 def test_analyze_rejects_non_squarefree_ideal(run):
     code, _, err = run("analyze", data={"n": 2, "generators": ["x1^2"]})
     assert code == 2 and "squarefree" in err

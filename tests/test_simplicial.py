@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +17,13 @@ from quadbalance import (
     stanley_reisner,
 )
 
-from oracles import all_faces, hvector_from_f, random_facets
+from oracles import (
+    all_faces,
+    brute_minimal_covers,
+    brute_minimal_non_faces,
+    hvector_from_f,
+    random_facets,
+)
 
 OCTA_FACETS = [
     frozenset(f)
@@ -124,8 +130,36 @@ def test_independence_complexes():
         # faces are exactly the independent sets
         for face in cx.faces():
             assert not any(set(e) <= face for e in edges)
+        if edges:
+            everything = frozenset(range(n))
+            assert cx.facets == {everything - c for c in brute_minimal_covers(edges)}
     with pytest.raises(InputError):
         independence_complex(3, [(0, 0)])
+
+
+def test_independence_complex_of_a_large_star():
+    star = independence_complex(1201, [(0, leaf) for leaf in range(1, 1201)])
+    assert star.facets == {frozenset({0}), frozenset(range(1, 1201))}
+
+
+def test_minimal_non_faces_against_brute_force():
+    cases = [
+        (0, [frozenset()]),
+        (4, [frozenset()]),
+        (4, [frozenset(range(4))]),
+        (5, [frozenset({0, 1}), frozenset({1, 2})]),
+        (3, []),
+    ]
+    rng = random.Random(37)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        used = rng.randint(1, n)  # vertices used..n-1 lie in no facet
+        cases.append((n, random_facets(rng, used, 6)))
+    for n, facets in cases:
+        cx = SimplicialComplex.from_faces(n, facets)
+        expected = brute_minimal_non_faces(n, cx.facets)
+        assert minimal_non_faces(cx) == expected
+        assert is_flag(cx) == all(len(m) == 2 for m in expected)
 
 
 def test_check_balanced():
@@ -137,9 +171,8 @@ def test_check_balanced():
         3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
     )
     # odd cycle is 1-dimensional: 2 colors can never be proper
-    assert check_balanced(cycle) is None
-    found = check_balanced(octahedron())
-    assert found is not None and check_balanced(octahedron(), found) == found
+    for colors in product((1, 2), repeat=3):
+        assert check_balanced(cycle, colors) is None
 
 
 def test_void_and_empty():
