@@ -15,15 +15,12 @@ from .fields import GF, QQ, parse_field_spec
 from .hilbert import (
     HilbertData,
     hilbert_function,
-    hilbert_series_equal,
     series_numerator,
 )
 from .homology import (
     CMCertificate,
     depth_and_pd,
     is_cohen_macaulay,
-    reduced_homology_ranks,
-    total_betti_numbers,
 )
 from .jsonio import canonical_json
 from .linalg import LinearForm, ProductOfLinearForms
@@ -119,7 +116,6 @@ __all__ = [
     "h_vector",
     "height",
     "hilbert_function",
-    "hilbert_series_equal",
     "independence_complex",
     "is_cohen_macaulay",
     "is_flag",
@@ -130,11 +126,9 @@ __all__ = [
     "parse_field_spec",
     "parse_monomial",
     "polarize",
-    "reduced_homology_ranks",
     "regseq_report",
     "sample_forms",
     "series_numerator",
     "stanley_reisner",
-    "total_betti_numbers",
     "verify_report",
 ]

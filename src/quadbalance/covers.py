@@ -39,10 +39,11 @@ def _minimal_transversals(supports) -> list:
     int bitmasks, with an explicit stack.  A node holds the chosen
     vertices, the vertices still allowed, the uncovered edges and, per
     chosen vertex, its private edges (those it alone meets).  It branches on
-    the uncovered edge with the fewest allowed vertices, bans each tried
-    vertex for its later siblings, and admits a child only while every
-    chosen vertex keeps a private edge.  So every leaf is a minimal
-    transversal, and each one is reached exactly once.
+    an uncovered edge with the fewest allowed vertices, or on the first one
+    found with at most one (any branching edge is correct; the scan only
+    saves work), bans each tried vertex for its later siblings, and admits
+    a child only while every chosen vertex keeps a private edge.  So every
+    leaf is a minimal transversal, and each one is reached exactly once.
     """
     edges = [sum(1 << v for v in s) for s in supports]
     incidence: dict = {}  # vertex -> mask of the edges (by index) it meets
@@ -66,7 +67,7 @@ def _minimal_transversals(supports) -> list:
             here = edges[i] & allowed
             if branch is None or here.bit_count() < branch.bit_count():
                 branch = here
-                if not here:
+                if not here & (here - 1):  # at most one allowed vertex
                     break
         while branch:
             low = branch & -branch

@@ -29,7 +29,8 @@ class NotCohenMacaulayError(ValueError):
 class RegularSequenceNotFoundError(RuntimeError):
     """All sampling attempts and the deterministic fallback were exhausted.
 
-    For genuine inputs this is unreachable: every attempt fails with
-    probability at most 1/2, and failure of the fallback would contradict
-    the nonemptiness argument established by the bipartite matchings.
+    Over Q this is not expected for genuine inputs: every attempt fails
+    with probability at most 1/2, and the bipartite matchings show that
+    suitable forms exist.  Over a small prime field it can happen, because
+    the sampled and structured coefficients may collapse mod p.
     """

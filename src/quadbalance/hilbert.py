@@ -178,10 +178,3 @@ def hilbert_function(ideal: MonomialIdeal, bound: int | None = None) -> HilbertD
         raise InputError("window bound must be nonnegative")
     num = series_numerator(ideal)
     return HilbertData(ideal.n, window_from_numerator(num, ideal.n, bound), num)
-
-
-def hilbert_series_equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """Exact equality of Hilbert series, certified by numerator comparison."""
-    if a.n != b.n:
-        raise InputError(f"ambient variable counts differ: {a.n} vs {b.n}")
-    return series_numerator(a) == series_numerator(b)

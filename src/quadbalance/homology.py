@@ -45,7 +45,7 @@ _PROBE = GF(DEFAULT_PRIME)
 def _boundary_rows(faces_k, index_km1):
     rows = []
     for f in faces_k:
-        row = [0] * len(index_km1)
+        row = {}
         for j in range(len(f)):
             row[index_km1[f[:j] + f[j + 1 :]]] = -1 if j % 2 else 1
         rows.append(row)

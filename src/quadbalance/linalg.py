@@ -1,9 +1,12 @@
 """Linear forms, products of linear forms, and exact rank computation.
 
-Every matrix here has integer entries.  Ranks over the rationals are
-computed by fraction-free (Bareiss) elimination; ranks over GF(p) use
-ordinary modular elimination, and ``ModularEchelon`` keeps a GF(p) basis
-that rows can be pushed onto and popped off.  A form with rational
+Every matrix here has integer entries, given as sparse rows {column:
+entry}.  There is one eliminator over GF(p): ``ModularEchelon``, a basis
+that rows can be pushed onto and popped off, and ``modular_rank`` counts
+the pushes it accepts.  Fraction-free (Bareiss) elimination is kept for
+exact ranks over the rationals only; homology and the regular-sequence
+sweep reach it only after a probe mod p, to confirm a nonzero Betti number
+or to rank subsets one by one after a dependency.  A form with rational
 coefficients is a scalar multiple of an integer one, so nothing is lost by
 accepting only integers.  No floating point is involved anywhere.
 """
@@ -63,12 +66,12 @@ class ProductOfLinearForms:
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix by one-step fraction-free elimination."""
-    mat = [list(r) for r in rows]
+    """Rank over Q of sparse integer rows by one-step fraction-free
+    elimination, dense over the columns that occur."""
+    columns = sorted(set().union(*rows))
+    mat = [[r.get(c, 0) for c in columns] for r in rows]
     m = len(mat)
-    if m == 0:
-        return 0
-    ncols = len(mat[0])
+    ncols = len(columns)
     rank = 0
     prev = 1
     for c in range(ncols):
@@ -96,76 +99,61 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
-def modular_rank(rows, p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
-    mat = [[c % p for c in r] for r in rows]
-    m = len(mat)
-    if m == 0:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, m):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        inv = pow(pr[c], -1, p)
-        for i in range(rank + 1, m):
-            ri = mat[i]
-            if ri[c]:
-                f = ri[c] * inv % p
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - f * pr[j]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 class ModularEchelon:
     """An echelon basis over GF(p) that grows and shrinks like a stack.
 
-    Rows are sparse dicts {column: integer}.  Each stored row is reduced
-    against the rows pushed before it and scaled to 1 at its pivot, so a new
-    row is reduced in one pass over the stack, and ``pop`` undoes the last
-    successful ``push`` without touching the rows below it.
+    Rows are sparse dicts {column: integer}.  Each stored row is keyed by
+    its pivot, its largest column, and scaled to 1 there; a new row is
+    reduced at its largest column until that column is no stored pivot.
+    Keys keep their insertion order, so ``pop`` undoes the last successful
+    ``push`` without touching the rows below it.
     """
+
+    __slots__ = ("p", "rows")
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: list = []  # (pivot column, row), in push order
+        self.rows: dict = {}  # pivot column -> row
 
     def push(self, vector: dict) -> bool:
         """Add the row if it is independent of the basis mod p; report which."""
         p = self.p
-        v = {c: a % p for c, a in vector.items() if a % p}
-        for pivot, row in self.rows:
-            f = v.get(pivot)
-            if f:
-                for c, a in row.items():
-                    x = (v.get(c, 0) - f * a) % p
-                    if x:
-                        v[c] = x
-                    else:
-                        del v[c]
-        if not v:
-            return False
-        pivot = min(v)
-        inv = pow(v[pivot], -1, p)
-        self.rows.append((pivot, {c: a * inv % p for c, a in v.items()}))
-        return True
+        rows = self.rows
+        v = {}
+        # a loop costs less than a comprehension on rows of a few entries
+        for c, a in vector.items():
+            if x := a % p:
+                v[c] = x
+        while v:
+            pivot = max(v)
+            row = rows.get(pivot)
+            if row is None:
+                if v[pivot] != 1:
+                    inv = pow(v[pivot], -1, p)
+                    v = {c: a * inv % p for c, a in v.items()}
+                rows[pivot] = v
+                return True
+            f = v[pivot]
+            for c, a in row.items():
+                x = (v.get(c, 0) - f * a) % p
+                if x:
+                    v[c] = x
+                else:
+                    del v[c]
+        return False
 
     def pop(self):
-        self.rows.pop()
+        self.rows.popitem()
+
+
+def modular_rank(rows, p: int) -> int:
+    """Rank over GF(p) of sparse integer rows."""
+    return sum(map(ModularEchelon(p).push, rows))
 
 
 def rank_of_rows(rows, field=QQ) -> int:
-    """Exact rank of a list of integer rows over the given field."""
+    """Exact rank over the given field of a list of sparse integer rows
+    {column: entry}."""
     if isinstance(field, PrimeField):
         return modular_rank(rows, field.p)
     return bareiss_rank(rows)
@@ -178,4 +166,4 @@ def rank_of_forms(forms, field=QQ) -> int:
         return 0
     if len({f.n for f in forms}) > 1:
         raise InputError("forms live in different ambient rings")
-    return rank_of_rows([f.coefficients for f in forms], field)
+    return rank_of_rows([dict(enumerate(f.coefficients)) for f in forms], field)

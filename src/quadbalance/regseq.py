@@ -279,7 +279,7 @@ def certify_transversal_ranks(
         drop = {prime[j] for j in subset}
         aset = set(subset)
         rows = [
-            [c for idx, c in enumerate(forms[j].coefficients) if idx not in drop]
+            {idx: c for idx, c in enumerate(forms[j].coefficients) if idx not in drop}
             for j in range(g)
             if j not in aset
         ]
@@ -433,6 +433,13 @@ def find_regular_sequence(
         if cert.ok:
             _assert_products_in_ideal(cert, ideal, field)
             return cert
+    if isinstance(field, PrimeField):
+        # the sampled and structured coefficients can collapse mod a small p
+        raise RegularSequenceNotFoundError(
+            f"sampling and the structured fallback were exhausted over {field.name}; "
+            "the field may be too small for this search, and a larger prime or q "
+            "may succeed"
+        )
     raise RegularSequenceNotFoundError(
         "sampling and the structured fallback were exhausted; this is not "
         "expected to be reachable for a genuine height-g quadratic ideal"

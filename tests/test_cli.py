@@ -127,6 +127,22 @@ def test_regseq_on_complex_input(run):
     ]
 
 
+def test_regseq_small_field_exhaustion(run):
+    # mod 3 every sampled and structured choice of forms is dependent,
+    # while a larger prime and the rationals succeed
+    data = {
+        "n": 4,
+        "generators": ["x1*x2", "x1*x3", "x1*x4", "x2^2", "x2*x3", "x3*x4", "x4^2"],
+    }
+    code, out, err = run("regseq", "--field", "p:3", data=data)
+    assert code == 1 and out == ""
+    assert err.startswith("failed: ") and "over GF(3)" in err
+    assert "a larger prime or q may succeed" in err and "genuine" not in err
+    for field in ("p:5", "q"):
+        code, _, _ = run("regseq", "--field", field, data=data)
+        assert code == 0
+
+
 def test_regseq_prime_override(run):
     code, out, _ = run("regseq", "--prime", "2,3", data=TRIANGLE_OBJ)
     assert code == 0 and parse(out)["prime"] == [2, 3]

@@ -1,13 +1,9 @@
 import random
 
-import pytest
-
 from quadbalance import (
-    InputError,
     Monomial,
     MonomialIdeal,
     hilbert_function,
-    hilbert_series_equal,
     series_numerator,
 )
 from quadbalance import hilbert
@@ -31,12 +27,10 @@ def test_window_examples():
 
 
 def test_series_equal_examples():
-    assert hilbert_series_equal(idl(2, "x1*x2"), idl(2, "x1^2"))
-    assert not hilbert_series_equal(idl(2, "x1"), idl(2, "x1^2"))
+    assert series_numerator(idl(2, "x1*x2")) == series_numerator(idl(2, "x1^2"))
+    assert series_numerator(idl(2, "x1")) != series_numerator(idl(2, "x1^2"))
     triangle = idl(3, "x1*x2", "x1*x3", "x2*x3")
-    assert hilbert_series_equal(triangle, triangle)
-    with pytest.raises(InputError):
-        hilbert_series_equal(idl(2, "x1"), idl(3, "x1"))
+    assert series_numerator(triangle) == series_numerator(triangle)
 
 
 def test_numerator_base_cases():

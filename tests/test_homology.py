@@ -17,10 +17,9 @@ from quadbalance import (
     independence_complex,
     is_cohen_macaulay,
     polarize,
-    reduced_homology_ranks,
     stanley_reisner,
-    total_betti_numbers,
 )
+from quadbalance.homology import reduced_homology_ranks, total_betti_numbers
 
 from oracles import brute_cohen_macaulay, hochster_betti, oracle_reduced_betti, random_facets
 

@@ -14,7 +14,7 @@ from quadbalance import (
     egh_for_quadratic,
     height,
     hilbert_function,
-    hilbert_series_equal,
+    series_numerator,
 )
 
 from oracles import count_standard_monomials, quotient_exponents, random_quadratic_exponents
@@ -146,7 +146,7 @@ def test_egh_triangle_and_fixed_point():
     assert rep.g == 2 and rep.result.series_equal
     assert set(rep.ideal.generator_strings()) == {"x1^2", "x1*x2", "x2^2"}
     assert pds(rep) == (2, 2)
-    assert hilbert_series_equal(TRIANGLE, rep.ideal)
+    assert series_numerator(TRIANGLE) == series_numerator(rep.ideal)
     again = egh_for_quadratic(rep.ideal)
     assert again.ideal == rep.ideal
 
@@ -174,7 +174,7 @@ def test_egh_on_random_quadratic_ideals():
         rep = egh_for_quadratic(ideal)
         assert rep.g == height(ideal)
         assert rep.result.series_equal
-        assert hilbert_series_equal(ideal, rep.ideal)
+        assert series_numerator(ideal) == series_numerator(rep.ideal)
         for i in range(rep.g):
             square = Monomial(tuple(2 if j == i else 0 for j in range(n)))
             assert rep.ideal.contains(square)
@@ -197,4 +197,4 @@ def test_egh_deep_lex_tail():
     assert rep.result.top_degree == 100
     assert sum(rep.result.picked_by_degree.values()) == 547
     assert len(rep.ideal.generators) == 551
-    assert hilbert_series_equal(ideal, rep.ideal)
+    assert series_numerator(ideal) == series_numerator(rep.ideal)
