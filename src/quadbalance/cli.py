@@ -173,8 +173,6 @@ def _dispatch(args):
     field = parse_field_spec(args.field)
     if args.command == "verify":
         obj = parse_json_text(_read_text(args.input))
-        if not isinstance(obj, dict):
-            raise InputError("a report must be a JSON object")
         verdict = verify_report(obj, budget=args.budget, max_degree=args.max_degree)
         return verdict, 0 if verdict["ok"] else 1
     kind, value = _load(args)

@@ -132,12 +132,14 @@ def expansion_coefficient(n: int, k: int) -> int:
     return comb(n + k - 1, k)
 
 
+def _value(numerator, n: int, d: int) -> int:
+    """HF(d) of the series numerator/(1-t)^n; 0 in negative degrees."""
+    return sum(c * expansion_coefficient(n, d - j) for j, c in enumerate(numerator) if j <= d)
+
+
 def window_from_numerator(numerator, n: int, bound: int) -> tuple:
     """Values HF(0..bound) of the series numerator/(1-t)^n."""
-    return tuple(
-        sum(c * expansion_coefficient(n, d - j) for j, c in enumerate(numerator) if j <= d)
-        for d in range(bound + 1)
-    )
+    return tuple(_value(numerator, n, d) for d in range(bound + 1))
 
 
 @dataclass(frozen=True)
@@ -157,13 +159,7 @@ class HilbertData:
         object.__setattr__(self, "numerator", poly_trim(self.numerator))
 
     def value(self, d: int) -> int:
-        if d < 0:
-            return 0
-        return sum(
-            c * expansion_coefficient(self.n, d - j)
-            for j, c in enumerate(self.numerator)
-            if j <= d
-        )
+        return _value(self.numerator, self.n, d)
 
 
 def hilbert_function(ideal: MonomialIdeal, bound: int | None = None) -> HilbertData:

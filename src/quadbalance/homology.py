@@ -2,13 +2,14 @@
 
 One engine serves all three.  A complex is given by facet bitmasks: a set
 F of positions is a face when ``within``, the facets in play, meets the
-mask of every member of F.  ``_faces`` lists the faces and ``_betti`` takes
-one reduced Betti number from the boundary ranks.  A simplicial complex has
-one bit per facet, and the link of a face F keeps the same masks, with
-``within`` cut down to the facets containing F and the vertices of F
-dropped.  Over Q every degree is probed mod p first: rank mod p never
-exceeds the rational rank, so a zero there is a zero over Q, and a nonzero
-probe is redone exactly.
+mask of every member of F.  The face walk ``simplicial._faces`` lists the
+faces and ``_betti`` takes one reduced Betti number from the boundary
+ranks.  A simplicial complex has one bit per facet, and the link of a face
+F keeps the same masks, with ``within`` cut down to the facets containing
+F and the vertices of F dropped.  Over Q every degree is probed mod p
+first: rank mod p never exceeds the rational rank, so a zero there is a
+zero over Q, and a nonzero probe is redone exactly on the same boundary
+rows.
 
 Betti numbers of S/I come from upper Koszul complexes (Miller-Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34): for a multidegree b,
@@ -37,7 +38,7 @@ from .errors import BudgetExceededError, InputError
 from .fields import DEFAULT_PRIME, GF, QQ
 from .linalg import rank_of_rows
 from .monomials import MonomialIdeal
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, _facet_masks, _faces
 
 _PROBE = GF(DEFAULT_PRIME)
 
@@ -52,40 +53,21 @@ def _boundary_rows(faces_k, index_km1):
     return rows
 
 
-def _faces(lt: list, within: int) -> dict:
-    """Faces by dimension, the empty face included, of the complex whose
-    faces are the sets F of positions in ``lt`` for which ``within`` and
-    every ``lt[v]``, v in F, have a common bit.
-
-    Each dimension's faces come out sorted: the walk is a preorder that
-    grows a face by increasing positions, and the row order of a boundary
-    matrix sets its elimination fill-in.
-    """
-    faces: dict = {}
-    stack = [((), within, 0)]
-    while stack:
-        face, mask, start = stack.pop()
-        faces.setdefault(len(face) - 1, []).append(face)
-        for v in range(len(lt) - 1, start - 1, -1):
-            meet = mask & lt[v]
-            if meet:
-                stack.append((face + (v,), meet, v + 1))
-    return faces
-
-
-def _betti(faces: dict, j: int, field, ranks: dict) -> int:
+def _betti(faces: dict, j: int, field, cache: dict) -> int:
     """Reduced Betti number in degree j over the field, probed mod p first
-    over Q; ``ranks`` keeps the boundary ranks of this complex per (field,
-    dimension) between calls."""
+    over Q; ``cache`` keeps the boundary matrices of this complex per
+    dimension, and their ranks per (field, dimension), between calls."""
 
     def rank(f, d):
-        if (f, d) not in ranks:
-            rows, lower = faces.get(d), faces.get(d - 1)
-            ranks[f, d] = 0
-            if rows and lower:
-                index = {face: i for i, face in enumerate(lower)}
-                ranks[f, d] = rank_of_rows(_boundary_rows(rows, index), f)
-        return ranks[f, d]
+        if (f, d) not in cache:
+            if d not in cache:
+                rows, lower = faces.get(d), faces.get(d - 1)
+                cache[d] = []
+                if rows and lower:
+                    index = {face: i for i, face in enumerate(lower)}
+                    cache[d] = _boundary_rows(rows, index)
+            cache[f, d] = rank_of_rows(cache[d], f) if cache[d] else 0
+        return cache[f, d]
 
     def betti(f):
         return len(faces.get(j, ())) - rank(f, j) - rank(f, j + 1)
@@ -99,22 +81,13 @@ def _betti(faces: dict, j: int, field, ranks: dict) -> int:
 # simplicial complexes and their links
 
 
-def _facet_masks(cx: SimplicialComplex) -> list:
-    """masks[v]: the facets containing vertex v, bit i for the i-th facet."""
-    masks = [0] * cx.n_vertices
-    for i, facet in enumerate(cx.facets):
-        for v in facet:
-            masks[v] |= 1 << i
-    return masks
-
-
 def reduced_homology_ranks(cx: SimplicialComplex, field=QQ) -> tuple:
     """(betti_0, ..., betti_dim) over the given field; () for the complex {∅}."""
     if cx.is_void():
         raise InputError("the void complex has no reduced homology")
     faces = _faces(_facet_masks(cx), (1 << len(cx.facets)) - 1)
-    ranks: dict = {}
-    return tuple(_betti(faces, j, field, ranks) for j in range(0, cx.dim + 1))
+    cache: dict = {}
+    return tuple(_betti(faces, j, field, cache) for j in range(0, cx.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -147,9 +120,9 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
             within = reduce(and_, (masks[v] for v in face), every)
             lt = [m for v, m in enumerate(masks) if m & within and v not in face]
             link = _faces(lt, within)
-            ranks: dict = {}
+            cache: dict = {}
             for j in range(max(link)):
-                betti = _betti(link, j, field, ranks)
+                betti = _betti(link, j, field, cache)
                 if betti:
                     return CMCertificate(False, field.name, checked, (face, j, betti))
     return CMCertificate(True, field.name, checked)
@@ -219,9 +192,9 @@ def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tup
     totals = [1] + [0] * ideal.n
     for lt, divisors in _lattice_points(ideal, budget):
         faces = _faces(lt, divisors)
-        ranks: dict = {}
+        cache: dict = {}
         for j in range(-1, max(faces) + 1):
-            totals[j + 2] += _betti(faces, j, field, ranks)
+            totals[j + 2] += _betti(faces, j, field, cache)
     while not totals[-1]:
         totals.pop()
     return tuple(totals)
@@ -237,9 +210,9 @@ def depth_and_pd(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
         if len(lt) <= pd:
             break
         faces = _faces(lt, divisors)
-        ranks: dict = {}
+        cache: dict = {}
         for j in range(max(faces), pd - 2, -1):
-            if _betti(faces, j, field, ranks):
+            if _betti(faces, j, field, cache):
                 pd = j + 2
                 break
     return ideal.n - pd, pd

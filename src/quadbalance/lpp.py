@@ -30,7 +30,10 @@ from math import comb
 from .covers import height
 from .errors import InputError, UnattainableTargetError
 from .hilbert import HilbertData, hilbert_function, series_numerator
-from .monomials import Monomial, MonomialIdeal, _ideal_from_minimal
+from .monomials import Monomial, MonomialIdeal, _ideal_from_minimal, _require_quadratic
+
+# egh's refusal of a zero source, which verify shares
+_ZERO_SOURCE = "the zero ideal needs no realization"
 
 
 class _SegmentCounter:
@@ -93,15 +96,16 @@ class _SegmentCounter:
                 return m[:v] + (m[v] + 1,) + m[v + 1 :]
         return None
 
-    def top_monomial(self, d: int):
-        """The lex-largest monomial of degree d, filling caps from the left."""
+    def top_monomial(self, d: int, start: int = 0):
+        """The lex-largest monomial of degree d in the variables from
+        position ``start`` on (their exponents only), filling caps from the
+        left."""
         exps = []
-        rem = d
-        for cap in self.caps:
-            take = rem if cap is None else min(cap, rem)
+        for cap in self.caps[start:]:
+            take = d if cap is None else min(cap, d)
             exps.append(take)
-            rem -= take
-        if rem:
+            d -= take
+        if d:
             raise RuntimeError("internal error: degree exceeds the quotient")
         return tuple(exps)
 
@@ -118,14 +122,7 @@ class _SegmentCounter:
                 room += cap
             carry += m[j + 1]
             if m[j] and (unbounded or carry < room):
-                exps = list(m[:j]) + [m[j] - 1]
-                rem = carry + 1
-                for i in range(j + 1, self.n):
-                    cap = self.caps[i]
-                    take = rem if cap is None else min(cap, rem)
-                    exps.append(take)
-                    rem -= take
-                return tuple(exps)
+                return m[:j] + (m[j] - 1,) + self.top_monomial(carry + 1, j + 1)
         raise RuntimeError("internal error: walked past the end of the slice")
 
 
@@ -265,13 +262,7 @@ def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> Eg
 
     The result is certified by exact Hilbert-series equality.
     """
-    if ideal.is_zero():
-        raise InputError("the zero ideal needs no realization")
-    if not ideal.is_proper():
-        raise InputError("the unit ideal is out of scope")
-    if not ideal.generated_in_degree(2):
-        bad = [str(g) for g in ideal.generators if g.degree != 2]
-        raise InputError(f"generators must have degree 2; offending: {', '.join(bad)}")
+    _require_quadratic(ideal, _ZERO_SOURCE)
     g = height(ideal)
     data = hilbert_function(ideal, bound=0)
     target = LppTarget(ideal.n, (2,) * g, data)

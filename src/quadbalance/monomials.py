@@ -178,6 +178,17 @@ class MonomialIdeal:
         return "(" + ", ".join(self.generator_strings()) + ")"
 
 
+def _require_quadratic(ideal: MonomialIdeal, zero_message: str):
+    """Refuse a zero (with the caller's message), unit or non-quadratic ideal."""
+    if ideal.is_zero():
+        raise InputError(zero_message)
+    if not ideal.is_proper():
+        raise InputError("the unit ideal is out of scope")
+    if not ideal.generated_in_degree(2):
+        bad = [str(g) for g in ideal.generators if g.degree != 2]
+        raise InputError(f"generators must have degree 2; offending: {', '.join(bad)}")
+
+
 def polarize(ideal: MonomialIdeal):
     """Replace each power x_i^a by a product of a distinct new variables.
 

@@ -36,9 +36,11 @@ from .linalg import (
     rank_of_forms,
     rank_of_rows,
 )
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _require_quadratic
 
 MAX_PRIME_SIZE = 20
+# seeded samples find_regular_sequence tries before its deterministic fallback
+_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -188,21 +190,23 @@ def default_coefficient_range(g: int) -> int:
     return max(4, 2 * g * g * (1 << g))
 
 
+def _forms(dec: DegreeTwoDecomposition, coefficient) -> tuple:
+    """One form per position, coefficient(j, v) on variable v of space j,
+    called in space order; a singleton space normalizes to 1 without a call."""
+    forms = []
+    for j, space in enumerate(dec.spaces):
+        coeffs = [0] * dec.ideal.n
+        for v in space:
+            coeffs[v] = 1 if len(space) == 1 else coefficient(j, v)
+        forms.append(LinearForm(tuple(coeffs)))
+    return tuple(forms)
+
+
 def sample_forms(dec: DegreeTwoDecomposition, seed: int, coefficient_range=None):
     """Seeded integer forms, one per position; singleton spaces normalize to 1."""
     bound = coefficient_range or default_coefficient_range(dec.g)
     rng = random.Random(seed)
-    n = dec.ideal.n
-    forms = []
-    for space in dec.spaces:
-        coeffs = [0] * n
-        if len(space) == 1:
-            coeffs[space[0]] = 1
-        else:
-            for v in space:
-                coeffs[v] = rng.randint(1, bound)
-        forms.append(LinearForm(tuple(coeffs)))
-    return tuple(forms)
+    return _forms(dec, lambda j, v: rng.randint(1, bound))
 
 
 def _subsets_lex(g: int):
@@ -247,9 +251,7 @@ def _independent_mod_p(prime, forms, p: int) -> bool:
     return walk(0)
 
 
-def certify_transversal_ranks(
-    prime, forms, field=QQ, seed=None, attempts: int = 1
-) -> RegularSequenceCertificate:
+def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertificate:
     """Exhaustively check every mixed choice of prime variables and forms.
 
     For a subset A of positions the prime variables there are unit vectors,
@@ -272,7 +274,7 @@ def certify_transversal_ranks(
         raise BudgetExceededError(f"2^{g} subsets exceed the hard cap g <= {MAX_PRIME_SIZE}")
     p = field.p if isinstance(field, PrimeField) else DEFAULT_PRIME
     if _independent_mod_p(prime, forms, p):
-        return RegularSequenceCertificate(prime, forms, field.name, 1 << g, seed, attempts)
+        return RegularSequenceCertificate(prime, forms, field.name, 1 << g)
     checked = 0
     for subset in _subsets_lex(g):
         checked += 1
@@ -285,9 +287,9 @@ def certify_transversal_ranks(
         ]
         if rank_of_rows(rows, field) != g - len(subset):
             return RegularSequenceCertificate(
-                prime, forms, field.name, checked, seed, attempts, failing_subset=subset
+                prime, forms, field.name, checked, failing_subset=subset
             )
-    return RegularSequenceCertificate(prime, forms, field.name, checked, seed, attempts)
+    return RegularSequenceCertificate(prime, forms, field.name, checked)
 
 
 def is_regular_sequence_of_products(products, field=QQ):
@@ -332,21 +334,6 @@ def monomial_as_product(m: Monomial) -> ProductOfLinearForms:
     return ProductOfLinearForms(tuple(factors))
 
 
-def _structured_forms(dec: DegreeTwoDecomposition, t: int):
-    """Fallback family: coefficient t^((j+1)(v+1)) for variable v at position j."""
-    n = dec.ideal.n
-    forms = []
-    for j, space in enumerate(dec.spaces):
-        coeffs = [0] * n
-        if len(space) == 1:
-            coeffs[space[0]] = 1
-        else:
-            for v in space:
-                coeffs[v] = t ** ((j + 1) * (v + 1))
-        forms.append(LinearForm(tuple(coeffs)))
-    return tuple(forms)
-
-
 def product_outside_ideal(ideal: MonomialIdeal, prime, forms, field):
     """The first (p, v) with x_p * x_v outside the ideal, where x_v occurs in
     the form multiplying x_p; None when every product lies in the ideal."""
@@ -362,17 +349,9 @@ def product_outside_ideal(ideal: MonomialIdeal, prime, forms, field):
     return None
 
 
-def _assert_products_in_ideal(cert: RegularSequenceCertificate, ideal: MonomialIdeal, field):
-    escaped = product_outside_ideal(ideal, cert.prime, cert.forms, field)
-    if escaped is not None:
-        p, v = escaped
-        raise RuntimeError(f"internal error: product x{p + 1}*x{v + 1} escaped the ideal")
-
-
 def find_regular_sequence(
     ideal: MonomialIdeal,
     seed: int = 0,
-    retries: int = 8,
     field=QQ,
     prime=None,
     coefficient_range=None,
@@ -383,13 +362,7 @@ def find_regular_sequence(
     smallest minimal prime but may be overridden with any minimal prime of
     the same size.  Identical inputs and seed give identical certificates.
     """
-    if ideal.is_zero():
-        raise InputError("the zero ideal contains no regular sequence of products")
-    if not ideal.is_proper():
-        raise InputError("the unit ideal is out of scope")
-    if not ideal.generated_in_degree(2):
-        bad = [str(g) for g in ideal.generators if g.degree != 2]
-        raise InputError(f"generators must have degree 2; offending: {', '.join(bad)}")
+    _require_quadratic(ideal, "the zero ideal contains no regular sequence of products")
     smallest = smallest_minimal_prime(ideal)
     g = len(smallest)
     if prime is None:
@@ -406,33 +379,32 @@ def find_regular_sequence(
         raise BudgetExceededError(f"2^{g} subsets exceed the hard cap g <= {MAX_PRIME_SIZE}")
     dec = decompose_degree_two(ideal, sorted(chosen))
 
-    attempts = 0
-    for k in range(max(1, retries)):
-        attempts += 1
-        forms = sample_forms(dec, seed + k, coefficient_range)
-        cert = certify_transversal_ranks(
-            dec.prime, forms, field, seed=seed + k, attempts=attempts
-        )
-        if cert.ok:
-            _assert_products_in_ideal(cert, ideal, field)
-            return cert
+    def candidates():
+        # seeded samples, then the fallback: matchings certify that every
+        # subset admits an independent choice, then the structured family
+        # puts t^((j+1)(v+1)) on variable v at position j
+        for k in range(_SAMPLES):
+            yield sample_forms(dec, seed + k, coefficient_range), seed + k
+        for subset in _subsets_lex(dec.g):
+            inst = find_matching(build_matching_instance(dec, subset))
+            if not inst.ok:
+                raise RegularSequenceNotFoundError(
+                    f"positions {inst.deficient} violate the matching condition; "
+                    "the ideal cannot have height g, input is inconsistent"
+                )
+        for t in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+            yield _forms(dec, lambda j, v: t ** ((j + 1) * (v + 1))), None
 
-    # deterministic fallback: matchings certify that every subset admits an
-    # independent choice, then a structured integer family is tried
-    for subset in _subsets_lex(dec.g):
-        inst = find_matching(build_matching_instance(dec, subset))
-        if not inst.ok:
-            raise RegularSequenceNotFoundError(
-                f"positions {inst.deficient} violate the matching condition; "
-                "the ideal cannot have height g, input is inconsistent"
-            )
-    for t in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
-        attempts += 1
-        forms = _structured_forms(dec, t)
-        cert = certify_transversal_ranks(dec.prime, forms, field, seed=None, attempts=attempts)
+    for attempts, (forms, form_seed) in enumerate(candidates(), 1):
+        cert = certify_transversal_ranks(dec.prime, forms, field)
         if cert.ok:
-            _assert_products_in_ideal(cert, ideal, field)
-            return cert
+            escaped = product_outside_ideal(ideal, cert.prime, cert.forms, field)
+            if escaped is not None:
+                p, v = escaped
+                raise RuntimeError(
+                    f"internal error: product x{p + 1}*x{v + 1} escaped the ideal"
+                )
+            return replace(cert, seed=form_seed, attempts=attempts)
     if isinstance(field, PrimeField):
         # the sampled and structured coefficients can collapse mod a small p
         raise RegularSequenceNotFoundError(

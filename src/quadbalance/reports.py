@@ -28,8 +28,8 @@ from .hilbert import _numerator, poly_trim, series_numerator
 from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
 from .linalg import LinearForm
-from .lpp import egh_for_quadratic, missing_square
-from .monomials import MonomialIdeal, parse_monomial, polarize
+from .lpp import _ZERO_SOURCE, egh_for_quadratic, missing_square
+from .monomials import MonomialIdeal, _require_quadratic, parse_monomial, polarize
 from .regseq import certify_transversal_ranks, find_regular_sequence, product_outside_ideal
 from .simplicial import (
     SimplicialComplex,
@@ -93,7 +93,7 @@ def analyze_report(cx: SimplicialComplex, field) -> dict:
         "dim": cx.dim,
         "f_vector": list(f_vector(cx)),
         "h_vector": list(h_vector(cx)),
-        "height": 0 if ideal.is_zero() else height(ideal),
+        "height": height(ideal),
         "flag": is_flag(cx),
         "cm": bool(cert),
         "faces_checked": cert.faces_checked,
@@ -300,6 +300,8 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     # quadratic in its size, and no check here needs minimality
     raw = _typed(obj, "generators", list, "a list of monomial strings")
     gens = [parse_monomial(s, ideal.n) for s in raw]
+    # each check below costs at least the source's degrees: refuse first
+    _require_quadratic(ideal, _ZERO_SOURCE)
 
     def height_check():
         h = height(ideal)
@@ -354,7 +356,7 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
 
     def heights():
         ideal = stanley_reisner(cx)
-        actual = 0 if ideal.is_zero() else height(ideal)
+        actual = height(ideal)
         return actual == g, f"stated g = {g}, Stanley-Reisner height = {actual}"
 
     checker.run("height", heights)

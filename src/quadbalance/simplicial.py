@@ -10,7 +10,6 @@ size-1 minimal non-face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .covers import _minimal_transversals, minimal_primes
@@ -54,12 +53,8 @@ class SimplicialComplex:
 
     def faces(self) -> set:
         """All faces, including the empty face when the complex is nonvoid."""
-        out: set = set()
-        for fac in self.facets:
-            fs = sorted(fac)
-            for k in range(len(fs) + 1):
-                out.update(frozenset(c) for c in combinations(fs, k))
-        return out
+        by_dim = _faces(_facet_masks(self), (1 << len(self.facets)) - 1)
+        return {frozenset(f) for faces in by_dim.values() for f in faces}
 
     def has_face(self, face) -> bool:
         face = frozenset(face)
@@ -74,14 +69,43 @@ class SimplicialComplex:
         )
 
 
+def _facet_masks(cx: SimplicialComplex) -> list:
+    """masks[v]: the facets containing vertex v, bit i for the i-th facet."""
+    masks = [0] * cx.n_vertices
+    for i, facet in enumerate(cx.facets):
+        for v in facet:
+            masks[v] |= 1 << i
+    return masks
+
+
+def _faces(lt: list, within: int) -> dict:
+    """Faces by dimension, the empty face included, of the complex whose
+    faces are the sets F of positions in ``lt`` for which ``within`` and
+    every ``lt[v]``, v in F, have a common bit.
+
+    On facet masks with every facet in ``within`` these are a complex's
+    faces as vertex tuples.  Each dimension's faces come out sorted: the
+    walk is a preorder that grows a face by increasing positions, and the
+    row order of a boundary matrix sets its elimination fill-in.
+    """
+    faces: dict = {}
+    stack = [((), within, 0)] if within else []
+    while stack:
+        face, mask, start = stack.pop()
+        faces.setdefault(len(face) - 1, []).append(face)
+        for v in range(len(lt) - 1, start - 1, -1):
+            meet = mask & lt[v]
+            if meet:
+                stack.append((face + (v,), meet, v + 1))
+    return faces
+
+
 def f_vector(cx: SimplicialComplex) -> tuple:
     """(f_-1, f_0, ..., f_dim); f_-1 = 1 counts the empty face."""
     if cx.is_void():
         raise InputError("the void complex has no f-vector")
-    counts = [0] * (cx.dim + 2)
-    for f in cx.faces():
-        counts[len(f)] += 1
-    return tuple(counts)
+    by_dim = _faces(_facet_masks(cx), (1 << len(cx.facets)) - 1)
+    return tuple(len(by_dim[d]) for d in range(-1, cx.dim + 1))
 
 
 def h_vector(cx: SimplicialComplex) -> tuple:

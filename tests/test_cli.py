@@ -4,9 +4,15 @@ import time
 
 import pytest
 
-from quadbalance import InputError, canonical_json
+from quadbalance import (
+    InputError,
+    MonomialIdeal,
+    canonical_json,
+    egh_for_quadratic,
+    find_regular_sequence,
+)
 from quadbalance.cli import main
-from quadbalance.jsonio import MAX_VARIABLES, ideal_from_obj, load_input_obj
+from quadbalance.jsonio import MAX_VARIABLES, ideal_from_obj, ideal_to_obj, load_input_obj
 
 OCTA_OBJ = {
     "vertices": 6,
@@ -368,15 +374,53 @@ def _set(key, value):
         pytest.param("egh", TRIANGLE_OBJ, _set("generators", 5), id="generators-int"),
         pytest.param("egh", TRIANGLE_OBJ, _set("generators", [5]), id="generators-int-list"),
         pytest.param("egh", TRIANGLE_OBJ, _set("ideal", [1]), id="ideal-list"),
+        # the series check would expand (1 - t^d) for the source's degree d
+        pytest.param(
+            "egh",
+            TRIANGLE_OBJ,
+            _set("ideal", {"n": 3, "generators": ["x1^4000000000"]}),
+            id="ideal-huge-degree",
+        ),
     ],
 )
 def test_verify_malformed_report_exits_two(run, tmp_path, command, data, mutate):
     _, out, _ = run(command, data=data)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(tampered(out, mutate)))
+    start = time.perf_counter()
     code, vout, err = run("verify", str(path))
+    assert time.perf_counter() - start < 1
     assert code == 2 and vout == "", err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        pytest.param([], None, id="zero"),
+        pytest.param(["1"], "the unit ideal is out of scope", id="unit"),
+        pytest.param(
+            ["x1*x2", "x3", "x1^3"],
+            "generators must have degree 2; offending: x1^3, x3",
+            id="degree",
+        ),
+    ],
+)
+def test_quadratic_guard_messages(run, tmp_path, generators, message):
+    ideal = MonomialIdeal.from_strings(3, generators)
+    regseq_zero = "the zero ideal contains no regular sequence of products"
+    egh_zero = "the zero ideal needs no realization"
+    with pytest.raises(InputError) as err:
+        find_regular_sequence(ideal)
+    assert str(err.value) == (message or regseq_zero)
+    with pytest.raises(InputError) as err:
+        egh_for_quadratic(ideal)
+    assert str(err.value) == (message or egh_zero)
+    _, out, _ = run("egh", data=TRIANGLE_OBJ)
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(tampered(out, _set("ideal", ideal_to_obj(ideal)))))
+    code, vout, verr = run("verify", str(path))
+    assert (code, vout, verr) == (2, "", f"error: {message or egh_zero}\n")
 
 
 def test_stdin_input(run, monkeypatch):

@@ -19,6 +19,7 @@ from quadbalance import (
     polarize,
     stanley_reisner,
 )
+from quadbalance import homology
 from quadbalance.homology import reduced_homology_ranks, total_betti_numbers
 
 from oracles import brute_cohen_macaulay, hochster_betti, oracle_reduced_betti, random_facets
@@ -77,6 +78,28 @@ def test_euler_characteristic():
         chi = -sum((-1) ** i * f[i] for i in range(len(f)))
         betti = reduced_homology_ranks(cx)
         assert chi == sum((-1) ** k * b for k, b in enumerate(betti))
+
+
+def test_boundary_matrix_built_once_per_dimension(monkeypatch):
+    built = []
+    original = homology._boundary_rows
+
+    def counting(faces_k, index_km1):
+        built.append(len(faces_k[0]) - 1)
+        return original(faces_k, index_km1)
+
+    monkeypatch.setattr(homology, "_boundary_rows", counting)
+    octa = SimplicialComplex.from_faces(
+        6,
+        [frozenset(f) for f in [
+            (0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
+            (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
+        ]],
+    )
+    # the probe of degree 2 is nonzero, so its boundary rows are ranked
+    # over Q as well, from the same build
+    assert reduced_homology_ranks(octa) == (0, 0, 1)
+    assert sorted(built) == [0, 1, 2]
 
 
 def test_cohen_macaulay_examples():

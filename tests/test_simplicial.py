@@ -67,6 +67,33 @@ def test_faces_and_purity():
     assert faces == all_faces(cx.facets) | {frozenset()}
 
 
+def test_faces_and_f_vector_against_oracle():
+    rng = random.Random(29)
+    cases = [
+        (3, []),  # void
+        (4, [frozenset()]),  # {∅}
+        (5, [frozenset(range(5))]),  # full simplex
+        (6, [frozenset({0, 2}), frozenset({2, 3})]),  # unused vertices 1, 4, 5
+    ]
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        # facets on part of the vertex set leave ambient vertices unused
+        used = rng.randint(1, n)
+        cases.append((n, random_facets(rng, used, 6)))
+    for n, facets in cases:
+        cx = SimplicialComplex.from_faces(n, facets)
+        expected = all_faces(cx.facets)
+        assert cx.faces() == expected
+        if cx.is_void():
+            with pytest.raises(InputError):
+                f_vector(cx)
+            continue
+        counts = [0] * (cx.dim + 2)
+        for face in expected:
+            counts[len(face)] += 1
+        assert f_vector(cx) == tuple(counts)
+
+
 def test_link_and_cone():
     cx = octahedron()
     link = cx.link(frozenset({0}))
