@@ -296,8 +296,8 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     ideal = ideal_from_obj(_get(obj, "ideal"))
     field = parse_field_spec(str(_get(obj, "field")))
     g = _int_field(obj, "powers", 0, ideal.n)
-    # kept as a flat list: minimalizing a deep companion's generator set is
-    # quadratic in its size, and no check here needs minimality
+    # kept as a flat list: only the series check needs a minimal set, and
+    # _numerator minimalizes its input once, on entry
     raw = _typed(obj, "generators", list, "a list of monomial strings")
     gens = [parse_monomial(s, ideal.n) for s in raw]
     # each check below costs at least the source's degrees: refuse first

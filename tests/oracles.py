@@ -58,6 +58,72 @@ def standard_monomial_counts(n, generators, top):
     return counts
 
 
+def _minimal_exponents(exponents):
+    """The minimal elements of a set of exponent tuples under divisibility."""
+    kept = []
+    for m in sorted(set(exponents), key=sum):
+        if not any(all(a <= b for a, b in zip(k, m)) for k in kept):
+            kept.append(m)
+    return frozenset(kept)
+
+
+def _poly_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def pivot_numerator(generators, memo=None):
+    """Hilbert series numerator of S/I, as integer coefficients from t^0
+    with no trailing zeros (() for the unit ideal), by the pivot recursion
+
+        N(I) = N(I + (x)) + t * N(I : x)
+
+    on the most frequent variable x, which minimalizes every colon ideal it
+    forms.  ``generators`` are exponent tuples of one length, not
+    necessarily minimal.  Results are memoized in ``memo`` (a fresh dict by
+    default), keyed by the sorted generator sets with unused variables
+    projected away.
+    """
+    memo = {} if memo is None else memo
+
+    def rec(gens):
+        used = [j for j in range(len(next(iter(gens)))) if any(g[j] for g in gens)]
+        key = tuple(sorted(tuple(g[j] for j in used) for g in gens))
+        if key in memo:
+            return memo[key]
+        counts = [sum(1 for g in gens if g[j]) for j in range(len(next(iter(gens))))]
+        if any(sum(g) == 0 for g in gens):
+            result = ()
+        elif max(counts) <= 1:
+            result = (1,)
+            for g in gens:
+                factor = [1] + [0] * (sum(g) - 1) + [-1]
+                product = [0] * (len(result) + len(factor) - 1)
+                for i, a in enumerate(result):
+                    for j, b in enumerate(factor):
+                        product[i + j] += a * b
+                result = _poly_trim(product)
+        else:
+            v = counts.index(max(counts))
+            plus = frozenset(g for g in gens if g[v] == 0) | {
+                tuple(int(j == v) for j in range(len(counts)))
+            }
+            colon = _minimal_exponents(
+                tuple(e - (j == v and e > 0) for j, e in enumerate(g)) for g in gens
+            )
+            a, b = rec(plus), (0,) + rec(colon)
+            if len(a) < len(b):
+                a, b = b, a
+            result = _poly_trim([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+        memo[key] = result
+        return result
+
+    generators = frozenset(map(tuple, generators))
+    return rec(generators) if generators else (1,)
+
+
 def sympy_rank(rows) -> int:
     rows = [row for row in rows]
     if not rows:

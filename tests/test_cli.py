@@ -307,6 +307,24 @@ def test_verify_catches_series_tamper(run, tmp_path):
     assert "series" in failing
 
 
+def test_verify_deep_appended_generators(run, tmp_path):
+    # the series recheck pivots once per power of x3 here, far past
+    # Python's recursion limit, and must still report the real difference
+    _, out, _ = run("egh", data={"n": 3, "generators": ["x1*x2", "x1*x3"]})
+
+    def append(rep):
+        rep["generators"] += ["x2*x3^1500", "x2^2*x3^1499"]
+
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(tampered(out, append)))
+    start = time.perf_counter()
+    code, vout, verr = run("verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, verr) == (1, "")
+    series = next(f for f in parse(vout)["failures"] if f["check"] == "series")
+    assert series["detail"] == "Hilbert series of source and result differ"
+
+
 def test_verify_catches_recolored_balance(run, tmp_path):
     # a permuted coloring is still proper; only reproduction can catch it
     _, out, _ = run("balance", data=OCTA_OBJ)

@@ -3,6 +3,7 @@ import random
 from quadbalance import (
     Monomial,
     MonomialIdeal,
+    egh_for_quadratic,
     hilbert_function,
     series_numerator,
 )
@@ -13,7 +14,14 @@ from quadbalance.hilbert import (
     window_from_numerator,
 )
 
-from oracles import count_standard_monomials, random_exponents
+from quadbalance.monomials import _minimalize
+
+from oracles import (
+    count_standard_monomials,
+    pivot_numerator,
+    random_exponents,
+    random_quadratic_exponents,
+)
 
 
 def idl(n, *gens):
@@ -87,3 +95,61 @@ def test_window_from_numerator_matches_series():
     assert window_from_numerator(num, 3, 4) == hilbert_function(
         idl(3, "x1^2", "x2^2"), 4
     ).window
+
+
+def _companion_exponents(seed):
+    # a criterion-2 style ideal (see test_acceptance) and its egh companion
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    gens = random_quadratic_exponents(rng, n, 12, allow_squares=rng.random() < 0.5)
+    ideal = MonomialIdeal(n, tuple(Monomial(e) for e in gens))
+    return [m.exponents for m in egh_for_quadratic(ideal).ideal.generators]
+
+
+def test_numerator_against_pivot_oracle():
+    rng = random.Random(31)
+    redundant = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        gens = random_exponents(rng, n, 10, 5)
+        redundant += len(MonomialIdeal(n, tuple(Monomial(e) for e in gens)).generators) < len(gens)
+        hilbert._MEMO.clear()
+        assert _numerator(frozenset(gens)) == pivot_numerator(gens), (n, gens)
+    assert redundant >= 50
+    # deep lex tails, out of count_standard_monomials' reach; on a minimal
+    # set both recursions visit the same generator sets
+    for seed in (7, 9, 27):
+        gens = _companion_exponents(seed)
+        assert 100 <= len(gens) <= 700
+        hilbert._MEMO.clear()
+        memo = {}
+        assert _numerator(frozenset(gens)) == pivot_numerator(gens, memo), seed
+        assert hilbert._MEMO.keys() == memo.keys()
+
+
+def test_numerator_minimalizes_once(monkeypatch):
+    calls = []
+
+    def counting(exponents):
+        calls.append(1)
+        return _minimalize(exponents)
+
+    monkeypatch.setattr(hilbert, "_minimalize", counting)
+    rng = random.Random(37)
+    inputs = [random_exponents(rng, 5, 10, 5) for _ in range(50)] + [_companion_exponents(9)]
+    for gens in inputs:
+        hilbert._MEMO.clear()
+        calls.clear()
+        _numerator(frozenset(gens))
+        assert len(calls) == 1
+
+
+def test_numerator_of_deep_generators():
+    # I = x2*x3^(D-1) * (x2, x3) has numerator 1 - 2t^(D+1) + t^(D+2), and
+    # the pivot recursion takes one step per power of x3: far past Python's
+    # recursion limit
+    d = 2000
+    hilbert._MEMO.clear()
+    want = [0] * (d + 3)
+    want[0], want[d + 1], want[d + 2] = 1, -2, 1
+    assert _numerator(frozenset([(0, 1, d), (0, 2, d - 1)])) == tuple(want)
