@@ -11,6 +11,7 @@ from quadbalance import (
     egh_for_quadratic,
     find_regular_sequence,
 )
+from quadbalance import reports
 from quadbalance.cli import main
 from quadbalance.jsonio import MAX_VARIABLES, ideal_from_obj, ideal_to_obj, load_input_obj
 
@@ -307,22 +308,77 @@ def test_verify_catches_series_tamper(run, tmp_path):
     assert "series" in failing
 
 
-def test_verify_deep_appended_generators(run, tmp_path):
-    # the series recheck pivots once per power of x3 here, far past
-    # Python's recursion limit, and must still report the real difference
+def _verify_egh_tampered(run, tmp_path, monkeypatch, mutate):
+    # the source (x1*x2, x1*x3) has companion (x1^2, x1*x2), top degree 2;
+    # a stated generator of degree D would cost the pivot recursion about
+    # D^2 memory, so no generator that deep may reach it
+    def shallow_only(gens):
+        assert all(sum(e) < 1000 for e in gens), "a deep generator reached the recursion"
+        return numerator(gens)
+
+    numerator = reports._numerator
+    monkeypatch.setattr(reports, "_numerator", shallow_only)
     _, out, _ = run("egh", data={"n": 3, "generators": ["x1*x2", "x1*x3"]})
-
-    def append(rep):
-        rep["generators"] += ["x2*x3^1500", "x2^2*x3^1499"]
-
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps(tampered(out, append)))
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(tampered(out, mutate)))
     start = time.perf_counter()
     code, vout, verr = run("verify", str(path))
     assert time.perf_counter() - start < 1
-    assert (code, verr) == (1, "")
-    series = next(f for f in parse(vout)["failures"] if f["check"] == "series")
-    assert series["detail"] == "Hilbert series of source and result differ"
+    assert verr == ""
+    return code, {f["check"]: f["detail"] for f in parse(vout)["failures"]}
+
+
+def test_verify_deep_appended_generators(run, tmp_path, monkeypatch):
+    # x1^2 is still in the result, so a minimal generator above the
+    # companion's top degree proves the series differ without recomputing
+    def append(rep):
+        rep["generators"] += ["x2*x3^100000", "x2^2*x3^99999"]
+
+    code, failures = _verify_egh_tampered(run, tmp_path, monkeypatch, append)
+    assert code == 1
+    assert failures["series"] == "Hilbert series of source and result differ"
+
+
+def test_verify_deep_generator_without_squares(run, tmp_path, monkeypatch):
+    # without x1^2 the degree argument does not apply: the check fails
+    # without claiming the series differ, and without recomputing them
+    def swap(rep):
+        rep["generators"] = ["x1*x2", "x2*x3^100000"]
+
+    code, failures = _verify_egh_tampered(run, tmp_path, monkeypatch, swap)
+    assert code == 1
+    assert failures["squares"] == "x1^2 is not in the result"
+    assert failures["series"] == (
+        "result generator of degree 100001 lies above the companion's top degree 2; "
+        "series not rechecked"
+    )
+
+
+def test_verify_redundant_deep_generator_keeps_series(run, tmp_path, monkeypatch):
+    # x1^2*x3^100000 lies in (x1^2): the degree bound applies to minimal
+    # generators only, so the series check passes and reproduction fails
+    def append(rep):
+        rep["generators"].append("x1^2*x3^100000")
+
+    code, failures = _verify_egh_tampered(run, tmp_path, monkeypatch, append)
+    assert code == 1
+    assert set(failures) == {"reproduction"}
+
+
+def test_verify_max_degree_below_companion_fails_series(run, tmp_path):
+    # the series check takes its degree bound from the companion, which a
+    # cap below the companion's top degree forbids building
+    _, out, _ = run("egh", data={"n": 3, "generators": ["x1*x2", "x2*x3"]})
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run("verify", str(path), "--max-degree", "2")[0] == 0
+    code, vout, _ = run("verify", str(path), "--max-degree", "1")
+    assert code == 1
+    detail = "no powers-plus-lex ideal matched the series within degree 1"
+    assert parse(vout)["failures"] == [
+        {"check": "series", "detail": detail},
+        {"check": "reproduction", "detail": detail},
+    ]
 
 
 def test_verify_catches_recolored_balance(run, tmp_path):
