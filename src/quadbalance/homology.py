@@ -6,10 +6,15 @@ mask of every member of F.  The face walk ``simplicial._faces`` lists the
 faces and ``_betti`` takes one reduced Betti number from the boundary
 ranks.  A simplicial complex has one bit per facet, and the link of a face
 F keeps the same masks, with ``within`` cut down to the facets containing
-F and the vertices of F dropped.  Over Q every degree is probed mod p
-first: rank mod p never exceeds the rational rank, so a zero there is a
-zero over Q, and a nonzero probe is redone exactly on the same boundary
-rows.
+F and the vertices of F dropped.  The CM test lists a link only when it
+can fail: a link with a vertex in all of its facets is a cone, acyclic
+over every field, and is skipped; any other link is keyed by its facet
+set (vertex masks of the facets containing F, F's bits cleared), and a
+key that passed once is not listed again.  Skipped links are exactly ones
+that pass, so the face count and the first failing witness do not move.
+Over Q every degree is probed mod p first: rank mod p never exceeds the
+rational rank, so a zero there is a zero over Q, and a nonzero probe is
+redone exactly on the same boundary rows.
 
 Betti numbers of S/I come from upper Koszul complexes (Miller-Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34): for a multidegree b,
@@ -106,26 +111,55 @@ class CMCertificate:
 def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     """Exhaustive link test: every face's link must have vanishing reduced
     homology below its own dimension.  Faces are visited by size, then
-    lexicographically; returns the first failing witness."""
+    lexicographically; returns the first failing witness.
+
+    Only links that can fail reach homology.  The link of F is a cone, and
+    acyclic over every field, when a vertex outside F lies in every facet
+    containing F.  Any other link is keyed by its facets, as vertex masks
+    with F's vertices cleared, and a key whose homology passed once is not
+    listed again; the vertex set alone would not do, since two links on the
+    same vertices can differ.  Both shortcuts pass only links that pass, so
+    ``faces_checked`` still counts every face and the first witness stays.
+    """
     if cx.is_void():
         raise InputError("the void complex is not a ring-theoretic object here")
     masks = _facet_masks(cx)
     every = (1 << len(cx.facets)) - 1
+    # vertex mask of each facet, in the bit order of ``masks``
+    members = [sum(1 << v for v in facet) for facet in cx.facets]
+    passed = set()
     checked = 0
-    for _, faces in sorted(_faces(masks, every).items()):
+    listed = _faces(masks, every)
+    for _, faces in sorted(listed.items()):
         for face in faces:
             checked += 1
             # the link of F: the facets containing F, restricted to the
             # vertices outside F
             within = reduce(and_, (masks[v] for v in face), every)
             lt = [m for v, m in enumerate(masks) if m & within and v not in face]
-            link = _faces(lt, within)
+            if any(m & within == within for m in lt):
+                continue  # a cone over that vertex
+            outside = ~sum(1 << v for v in face)
+            key = frozenset(members[i] & outside for i in _bits(within))
+            if key in passed:
+                continue
+            # the link of the empty face is the complex, listed above
+            link = _faces(lt, within) if face else listed
             cache: dict = {}
             for j in range(max(link)):
                 betti = _betti(link, j, field, cache)
                 if betti:
                     return CMCertificate(False, field.name, checked, (face, j, betti))
+            passed.add(key)
     return CMCertificate(True, field.name, checked)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -13,7 +14,13 @@ from quadbalance import (
 )
 from quadbalance import reports
 from quadbalance.cli import main
-from quadbalance.jsonio import MAX_VARIABLES, ideal_from_obj, ideal_to_obj, load_input_obj
+from quadbalance.jsonio import (
+    MAX_VARIABLES,
+    complex_from_obj,
+    ideal_from_obj,
+    ideal_to_obj,
+    load_input_obj,
+)
 
 OCTA_OBJ = {
     "vertices": 6,
@@ -397,6 +404,69 @@ def test_verify_catches_recolored_balance(run, tmp_path):
     assert failing == {"reproduction"}
     detail = verdict["failures"][0]["detail"]
     assert "coloring" in detail
+
+
+C5_OBJ = {"vertices": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]]}
+
+
+@pytest.fixture
+def cm_tests(monkeypatch):
+    """The complexes handed to the Cohen-Macaulay test, in call order."""
+    tested = []
+    original = reports.is_cohen_macaulay
+
+    def counting(cx, field):
+        tested.append(cx)
+        return original(cx, field)
+
+    for module in (reports, sys.modules["quadbalance.balance"]):
+        monkeypatch.setattr(module, "is_cohen_macaulay", counting)
+    return tested
+
+
+@pytest.mark.parametrize("data", [OCTA_OBJ, C5_OBJ], ids=["octahedron", "c5"])
+def test_verify_balance_tests_each_complex_once(run, tmp_path, cm_tests, data):
+    _, out, _ = run("balance", data=data)
+    rep = parse(out)
+    complexes = {complex_from_obj(rep[key]) for key in ("complex", "result")}
+    cm_tests.clear()
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, vout, _ = run("verify", str(path))
+    assert code == 0 and parse(vout)["ok"] is True
+    # the cm checks and the reproduction share one test per distinct complex
+    assert len(cm_tests) == len(complexes) and set(cm_tests) == complexes
+    assert len(complexes) == (1 if data is OCTA_OBJ else 2)
+
+
+def test_verify_balance_tests_a_replaced_result(run, tmp_path, cm_tests):
+    _, out, _ = run("balance", data=C5_OBJ)
+    two_edges = {"vertices": 6, "facets": [[1, 2], [3, 4]]}
+    path = tmp_path / "replaced.json"
+    path.write_text(json.dumps(tampered(out, _set("result", two_edges))))
+    cm_tests.clear()
+    code, vout, _ = run("verify", str(path))
+    assert code == 1
+    failures = parse(vout)["failures"]
+    detail = "result complex is not Cohen-Macaulay over the stated field"
+    assert {"check": "cm_result", "detail": detail} in failures
+    # the stated result is tested itself, not read off the rebuilt one
+    assert complex_from_obj(two_edges) in cm_tests and len(cm_tests) == 3
+
+
+def test_verify_balance_rejects_forged_cm_flag(run, tmp_path, cm_tests):
+    _, out, _ = run("balance", data=C5_OBJ)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(tampered(out, lambda rep: rep["cm_source"].update(cm=False))))
+    cm_tests.clear()
+    code, vout, _ = run("verify", str(path))
+    assert code == 1
+    detail = "input complex is not Cohen-Macaulay over the stated field"
+    assert parse(vout)["failures"] == [
+        {"check": "cm_source", "detail": detail},
+        {"check": "reproduction", "detail": "re-derivation differs in: cm_source"},
+    ]
+    assert len(cm_tests) == 2
 
 
 def test_verify_catches_h_vector_tamper(run, tmp_path):

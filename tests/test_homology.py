@@ -9,7 +9,9 @@ from quadbalance import (
     BudgetExceededError,
     Monomial,
     MonomialIdeal,
+    NotCohenMacaulayError,
     SimplicialComplex,
+    balance,
     depth_and_pd,
     egh_for_quadratic,
     f_vector,
@@ -32,6 +34,17 @@ RP2_FACETS = [
         (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
     ]
 ]
+
+
+# a cone over a disk (vertex 0) and a cone over an annulus (vertex 1), the
+# disk being the annulus cut open along 2-5: lk 0 and lk 1 both have the
+# vertex set 2..7 but different facets, and only lk 1 has homology (H~_1)
+ANNULUS = [(2, 3, 5), (3, 5, 6), (3, 4, 6), (4, 6, 7), (2, 4, 7), (2, 5, 7)]
+SAME_VERTICES = SimplicialComplex.from_faces(
+    8,
+    [frozenset({0, *t}) for t in ANNULUS if not {2, 5} <= set(t)]
+    + [frozenset({1, *t}) for t in ANNULUS],
+)
 
 
 def cycle_complex(n):
@@ -133,21 +146,43 @@ def test_cohen_macaulay_depends_on_field():
     assert bad.witness == ((), 1, 1)
 
 
+def cone(cx):
+    return SimplicialComplex(cx.n_vertices + 1, frozenset(f | {cx.n_vertices} for f in cx.facets))
+
+
 def test_cohen_macaulay_against_link_oracle():
     # the certificate, faces_checked and first witness included, against
     # Reisner's criterion with every link rebuilt from the facets
     rng = random.Random(59)
+    lk0, lk1 = (SAME_VERTICES.link({v}) for v in (0, 1))
+    assert set().union(*lk0.facets) == set().union(*lk1.facets) == set(range(2, 8))
+    assert lk0.facets != lk1.facets
     cases = [
         SimplicialComplex.from_faces(6, RP2_FACETS),
         SimplicialComplex.from_faces(4, [frozenset({0, 1}), frozenset({2, 3})]),
+        SAME_VERTICES,
+        cone(SAME_VERTICES),
+        # lk 0, lk 1 and lk 2 are cones; lk 3 is two components
+        SimplicialComplex.from_faces(
+            5, [frozenset(f) for f in [(0, 1, 2), (0, 1, 3), (3, 4)]]
+        ),
     ]
+    companions = 0
     for _ in range(40):
         n = rng.randint(1, 8)
         cases.append(SimplicialComplex.from_faces(n, random_facets(rng, n, 6)))
+        cases.append(cone(cases[-1]))
         # independence complexes of random graphs, CM often enough to
-        # reach the deeper links
+        # reach the deeper links, and the balanced companions of CM ones:
+        # those are not flag, so a link is not fixed by its vertices
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
         cases.append(independence_complex(n, edges))
+        if n <= 6:
+            try:
+                cases.append(balance(cases[-1]).result)
+                companions += 1
+            except NotCohenMacaulayError:
+                pass
     verdicts = set()
     for cx in cases:
         facets = [tuple(sorted(f)) for f in cx.facets]
@@ -158,9 +193,33 @@ def test_cohen_macaulay_against_link_oracle():
                 facets, p
             ), (facets, field.name)
             verdicts.add(cert.is_cm)
-    assert verdicts == {True, False}
+    assert verdicts == {True, False} and companions >= 5
+    assert is_cohen_macaulay(SAME_VERTICES).witness == ((1,), 1, 1)
     rp2 = [tuple(sorted(f)) for f in RP2_FACETS]
     assert brute_cohen_macaulay(rp2)[0] and not brute_cohen_macaulay(rp2, 2)[0]
+
+
+def test_cross_polytope_links_reach_homology_once(monkeypatch):
+    # the k-pair cross-polytope has 3^k faces, and the link of a face is
+    # the cross-polytope on the pairs it misses: 2^k distinct links; over
+    # its cone, a face without the apex has a cone for its link, and the
+    # faces with the apex have the same 2^k links as before
+    listed = []
+    original = homology._faces
+
+    def counting(lt, within):
+        listed.append(within)
+        return original(lt, within)
+
+    monkeypatch.setattr(homology, "_faces", counting)
+    k = 6
+    cross = independence_complex(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    for cx, faces in ((cross, 3**k), (cone(cross), 2 * 3**k)):
+        listed.clear()
+        cert = is_cohen_macaulay(cx)
+        assert cert.is_cm and cert.faces_checked == faces
+        # the first listing is the complex's own faces, the rest are links
+        assert len(listed) - 1 <= 2**k
 
 
 def test_cone_preserves_cohen_macaulayness():
@@ -168,8 +227,7 @@ def test_cone_preserves_cohen_macaulayness():
     for _ in range(25):
         n = rng.randint(1, 6)
         cx = SimplicialComplex.from_faces(n, random_facets(rng, n, 4))
-        cone = SimplicialComplex(n + 1, frozenset(f | {n} for f in cx.facets))
-        assert is_cohen_macaulay(cone).is_cm == is_cohen_macaulay(cx).is_cm
+        assert is_cohen_macaulay(cone(cx)).is_cm == is_cohen_macaulay(cx).is_cm
 
 
 def test_total_betti_examples():
