@@ -31,6 +31,14 @@ def _supports(ideal: MonomialIdeal) -> list:
     return [g.support() for g in ideal.generators]
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _minimal_transversals(supports) -> list:
     """All minimal transversals of a set system, (size, lex)-sorted.
 
@@ -138,10 +146,17 @@ def smallest_minimal_prime(ideal: MonomialIdeal) -> frozenset:
     this is exactly the first entry of the sorted listing.
     """
     edges = {sum(1 << v for v in s) for s in _supports(ideal)}
+    # every transversal holds the element of a one-element edge, so these
+    # picks are taken at once and the search runs on the edges they miss;
+    # minimum transversals all have one size, and between two of them the
+    # lex order is decided by the least element of their symmetric
+    # difference, which the forced picks never are
+    forced = reduce(or_, (e for e in edges if not e & (e - 1)), 0)
+    edges = {e for e in edges if not e & forced}
     budget = _packing(edges)
     while (found := _cover(edges, budget)) is None:
         budget += 1
-    return frozenset(found)
+    return frozenset(found) | frozenset(_bits(forced))
 
 
 def is_minimal_prime(ideal: MonomialIdeal, prime) -> bool:

@@ -16,6 +16,20 @@ Over Q every degree is probed mod p first: rank mod p never exceeds the
 rational rank, so a zero there is a zero over Q, and a nonzero probe is
 redone exactly on the same boundary rows.
 
+Degrees 0 and 1 need no elimination: over every field d_0 has rank 1 on a
+nonempty vertex set and d_1 has rank V - c, read off a union-find on the
+edges.  Mod p the higher maps are ranked from the top dimension down with
+clearing (Chen-Kerber, "Persistent homology computation with a twist",
+2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Each row the
+echelon basis of d_{k+1} stores is a combination of boundaries, so a
+k-cycle mod p, and it is nonzero at its pivot tau, its largest column; so
+the boundary of tau is a combination of the boundaries of the k-faces
+before tau, and the row of d_k at tau can be dropped without changing the
+rank of d_k.  The rows pushed onto d_k are then f_k - rank d_{k+1}, of
+which betti_k reduce to zero.  The exact redo over Q keeps every row: a
+cycle mod p need not lift to a rational one that is nonzero at tau, so a
+pivot mod p proves no dependence over Q.
+
 Betti numbers of S/I come from upper Koszul complexes (Miller-Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34): for a multidegree b,
 
@@ -39,8 +53,9 @@ from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
 
+from .covers import _bits
 from .errors import BudgetExceededError, InputError
-from .fields import DEFAULT_PRIME, GF, QQ
+from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
 from .linalg import rank_of_rows
 from .monomials import MonomialIdeal
 from .simplicial import SimplicialComplex, _facet_masks, _faces
@@ -60,26 +75,65 @@ def _boundary_rows(faces_k, index_km1):
 
 def _betti(faces: dict, j: int, field, cache: dict) -> int:
     """Reduced Betti number in degree j over the field, probed mod p first
-    over Q; ``cache`` keeps the boundary matrices of this complex per
-    dimension, and their ranks per (field, dimension), between calls."""
-
-    def rank(f, d):
-        if (f, d) not in cache:
-            if d not in cache:
-                rows, lower = faces.get(d), faces.get(d - 1)
-                cache[d] = []
-                if rows and lower:
-                    index = {face: i for i, face in enumerate(lower)}
-                    cache[d] = _boundary_rows(rows, index)
-            cache[f, d] = rank_of_rows(cache[d], f) if cache[d] else 0
-        return cache[f, d]
+    over Q; ``cache`` keeps this complex's ranks between calls."""
 
     def betti(f):
-        return len(faces.get(j, ())) - rank(f, j) - rank(f, j + 1)
+        return len(faces.get(j, ())) - _rank(faces, f, j, cache) - _rank(faces, f, j + 1, cache)
 
     if field == QQ and not betti(_PROBE):
         return 0
     return betti(field)
+
+
+def _rank(faces: dict, field, d: int, cache: dict) -> int:
+    """Rank of the boundary map from the d-faces to the (d-1)-faces.
+
+    Degrees 0 and 1 come from the graph of vertices and edges, exactly over
+    every field.  Over GF(p) the maps are ranked from the top dimension
+    down, each with the rows at the pivots of the map above cleared; over Q
+    a map is ranked on all of its rows.  ``cache`` holds the ranks by
+    (field, d) and, by (field, None), the lowest map ranked mod p so far
+    with its pivots.
+    """
+    if (field, d) in cache:
+        return cache[field, d]
+    if d < 0 or not faces.get(d):
+        return 0
+    if d < 2:
+        if "low" not in cache:
+            cache["low"] = _low_ranks(faces)
+        return cache["low"][d]
+    if not isinstance(field, PrimeField):
+        index = {face: i for i, face in enumerate(faces[d - 1])}
+        cache[field, d] = rank_of_rows(_boundary_rows(faces[d], index), field)
+        return cache[field, d]
+    e, cleared = cache.get((field, None), (max(faces) + 1, set()))
+    while e > d:
+        e -= 1
+        index = {face: i for i, face in enumerate(faces[e - 1])}
+        kept = [face for i, face in enumerate(faces[e]) if i not in cleared]
+        cleared = set()
+        cache[field, e] = rank_of_rows(_boundary_rows(kept, index), field, cleared)
+    cache[field, None] = (e, cleared)
+    return cache[field, d]
+
+
+def _low_ranks(faces: dict) -> tuple:
+    """(rank d_0, rank d_1) over every field, by a union-find on the edges:
+    d_0 has rank 1 once there is a vertex, and the edges of a spanning
+    forest form a basis of the row space of d_1, so its rank is V - c for
+    V vertices in c components."""
+    parent = {v: v for (v,) in faces.get(0, ())}
+    merged = 0
+    for u, v in faces.get(1, ()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            merged += 1
+    return int(bool(parent)), merged
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +184,11 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     passed = set()
     checked = 0
     listed = _faces(masks, every)
-    for _, faces in sorted(listed.items()):
-        for face in faces:
+    top = max(listed)
+    # a face of dimension top - 1 or more has a link of dimension at most
+    # 0, with no degree below its own to test; these faces come last
+    for d in range(-1, top - 1):
+        for face in listed[d]:
             checked += 1
             # the link of F: the facets containing F, restricted to the
             # vertices outside F
@@ -151,15 +208,8 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
                 if betti:
                     return CMCertificate(False, field.name, checked, (face, j, betti))
             passed.add(key)
+    checked += sum(len(faces) for d, faces in listed.items() if d >= top - 1)
     return CMCertificate(True, field.name, checked)
-
-
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Every matrix here has integer entries, given as sparse rows {column:
 entry}.  There is one eliminator over GF(p): ``ModularEchelon``, a basis
 that rows can be pushed onto and popped off, and ``modular_rank`` counts
-the pushes it accepts.  Fraction-free (Bareiss) elimination is kept for
-exact ranks over the rationals only; homology and the regular-sequence
-sweep reach it only after a probe mod p, to confirm a nonzero Betti number
-or to rank subsets one by one after a dependency.  A form with rational
-coefficients is a scalar multiple of an integer one, so nothing is lost by
-accepting only integers.  No floating point is involved anywhere.
+the pushes it accepts and can report the pivot columns of the basis.
+Fraction-free (Bareiss) elimination is kept for exact ranks over the
+rationals only; homology and the regular-sequence sweep reach it only
+after a probe mod p, to confirm a nonzero Betti number or to rank subsets
+one by one after a dependency.  A form with rational coefficients is a
+scalar multiple of an integer one, so nothing is lost by accepting only
+integers.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -146,16 +147,23 @@ class ModularEchelon:
         self.rows.popitem()
 
 
-def modular_rank(rows, p: int) -> int:
-    """Rank over GF(p) of sparse integer rows."""
-    return sum(map(ModularEchelon(p).push, rows))
+def modular_rank(rows, p: int, pivots: set | None = None) -> int:
+    """Rank over GF(p) of sparse integer rows.  ``pivots``, when given,
+    receives the pivot columns of the echelon basis: each is the largest
+    column of some combination of the rows that is nonzero there mod p."""
+    echelon = ModularEchelon(p)
+    rank = sum(map(echelon.push, rows))
+    if pivots is not None:
+        pivots.update(echelon.rows)
+    return rank
 
 
-def rank_of_rows(rows, field=QQ) -> int:
+def rank_of_rows(rows, field=QQ, pivots: set | None = None) -> int:
     """Exact rank over the given field of a list of sparse integer rows
-    {column: entry}."""
+    {column: entry}; over GF(p) ``pivots`` is filled as in ``modular_rank``,
+    over Q it is left alone."""
     if isinstance(field, PrimeField):
-        return modular_rank(rows, field.p)
+        return modular_rank(rows, field.p, pivots)
     return bareiss_rank(rows)
 
 

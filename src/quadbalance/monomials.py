@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import compress, count, groupby
 from operator import le
 
 from .errors import InputError
@@ -25,10 +25,12 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        # map and min run in C: a long vector is converted and checked
+        # without a Python step per entry
+        exps = tuple(map(int, self.exponents))
         if not exps:
             raise InputError("zero-length exponent vector is disallowed")
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise InputError("negative exponent")
         object.__setattr__(self, "exponents", exps)
 
@@ -44,10 +46,10 @@ class Monomial:
         return self.degree == 0
 
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
+        return max(self.exponents) <= 1
 
     def support(self) -> frozenset:
-        return frozenset(j for j, e in enumerate(self.exponents) if e)
+        return frozenset(compress(count(), self.exponents))
 
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))

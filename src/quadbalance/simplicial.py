@@ -142,7 +142,10 @@ def stanley_reisner(cx: SimplicialComplex) -> MonomialIdeal:
         if not nf:
             # void complex: even the empty set is not a face
             return MonomialIdeal(max(n, 1), (Monomial((0,) * max(n, 1)),))
-        gens.append(Monomial(tuple(1 if j in nf else 0 for j in range(n))))
+        exps = [0] * n
+        for j in nf:
+            exps[j] = 1
+        gens.append(Monomial(tuple(exps)))
     return MonomialIdeal(n, tuple(gens))
 
 

@@ -212,17 +212,25 @@ def brute_cohen_macaulay(facets, p=None):
     return True, checked, None
 
 
-def _betti_of_faces(faces, p, rank):
-    if not faces:
-        return {}
+def oracle_boundary_ranks(facets, p=None, rank=integer_rank):
+    """{k: rank of the boundary map from k-faces to (k-1)-faces} for k = 0 ..
+    top dimension of the complex generated by ``facets``, every row kept;
+    ``p`` selects GF(p), None the rationals, ranked by ``rank``."""
+    return _ranks_of_faces(_by_dim(all_faces(facets)), p, rank)
+
+
+def _by_dim(faces):
     by_dim = {}
     for f in faces:
         by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
     for k in by_dim:
         by_dim[k].sort()
-    top = max(by_dim)
+    return by_dim
+
+
+def _ranks_of_faces(by_dim, p, rank):
     ranks = {}
-    for k in range(0, top + 1):
+    for k in range(0, max(by_dim) + 1):
         lower = {f: i for i, f in enumerate(by_dim.get(k - 1, []))}
         rows = []
         for face in by_dim.get(k, []):
@@ -231,9 +239,17 @@ def _betti_of_faces(faces, p, rank):
                 row[lower[face[:j] + face[j + 1:]]] = (-1) ** j
             rows.append(row)
         ranks[k] = rank(rows) if p is None else gf_rank(rows, p)
+    return ranks
+
+
+def _betti_of_faces(faces, p, rank):
+    if not faces:
+        return {}
+    by_dim = _by_dim(faces)
+    ranks = _ranks_of_faces(by_dim, p, rank)
     return {
         k: len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        for k in range(-1, top + 1)
+        for k in range(-1, max(by_dim) + 1)
     }
 
 

@@ -23,8 +23,16 @@ from quadbalance import (
 )
 from quadbalance import homology
 from quadbalance.homology import reduced_homology_ranks, total_betti_numbers
+from quadbalance.linalg import ModularEchelon
 
-from oracles import brute_cohen_macaulay, hochster_betti, oracle_reduced_betti, random_facets
+from oracles import (
+    brute_cohen_macaulay,
+    hochster_betti,
+    integer_rank,
+    oracle_boundary_ranks,
+    oracle_reduced_betti,
+    random_facets,
+)
 
 # minimal 6-vertex triangulation of the real projective plane
 RP2_FACETS = [
@@ -69,19 +77,6 @@ def test_torsion_detected_by_field():
     assert reduced_homology_ranks(rp2, GF(3)) == (0, 0, 0)
 
 
-def test_homology_against_oracle():
-    rng = random.Random(31)
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        cx = SimplicialComplex.from_faces(n, random_facets(rng, n, 6))
-        facets = [tuple(sorted(f)) for f in cx.facets]
-        for field, p in ((QQ, None), (GF(2), 2)):
-            got = reduced_homology_ranks(cx, field)
-            want = oracle_reduced_betti(facets, p)
-            assert got == tuple(want[k] for k in range(cx.dim + 1))
-            assert want[-1] == 0
-
-
 def test_euler_characteristic():
     rng = random.Random(37)
     for _ in range(40):
@@ -93,40 +88,97 @@ def test_euler_characteristic():
         assert chi == sum((-1) ** k * b for k, b in enumerate(betti))
 
 
-def test_boundary_matrix_built_once_per_dimension(monkeypatch):
-    built = []
-    original = homology._boundary_rows
-
-    def counting(faces_k, index_km1):
-        built.append(len(faces_k[0]) - 1)
-        return original(faces_k, index_km1)
-
-    monkeypatch.setattr(homology, "_boundary_rows", counting)
-    octa = SimplicialComplex.from_faces(
+def octahedron():
+    return SimplicialComplex.from_faces(
         6,
         [frozenset(f) for f in [
             (0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
             (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
         ]],
     )
-    # the probe of degree 2 is nonzero, so its boundary rows are ranked
-    # over Q as well, from the same build
-    assert reduced_homology_ranks(octa) == (0, 0, 1)
-    assert sorted(built) == [0, 1, 2]
+
+
+def cross_polytope(k):
+    return independence_complex(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def test_homology_against_oracle():
+    # each boundary map's rank, asked for in ascending and in descending
+    # order (mod p the maps are ranked top down and cleared by the pivots
+    # of the map above, whichever degree is asked first), and the reduced
+    # Betti numbers, against ranks with every row kept
+    rng = random.Random(31)
+    cases = [SimplicialComplex.from_faces(6, RP2_FACETS), octahedron(), cross_polytope(4)]
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        cases.append(SimplicialComplex.from_faces(n, random_facets(rng, n, 6)))
+    verdicts = set()
+    for cx in cases:
+        facets = [tuple(sorted(f)) for f in cx.facets]
+        faces = homology._faces(homology._facet_masks(cx), (1 << len(facets)) - 1)
+        dims = range(-1, cx.dim + 3)
+        for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3), (GF(32003), 32003)):
+            want = oracle_boundary_ranks(facets, p)
+            for order in (dims, reversed(dims)):
+                cache: dict = {}
+                got = {d: homology._rank(faces, field, d, cache) for d in order}
+                assert got == {d: want.get(d, 0) for d in dims}, (facets, field.name)
+            betti = oracle_reduced_betti(facets, p, integer_rank)
+            assert reduced_homology_ranks(cx, field) == tuple(betti[k] for k in range(cx.dim + 1))
+            assert betti[-1] == 0
+            verdicts.add(is_cohen_macaulay(cx, field).is_cm)
+    assert verdicts == {True, False}
+    assert reduced_homology_ranks(cases[0], GF(2)) == (0, 1, 1)
+
+
+def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
+    # every build of boundary rows is ranked once; per field path (the
+    # probe mod p, then Q only where the probe is nonzero) each dimension
+    # is built at most once, and mod p a dimension's rows skip the faces at
+    # the pivots of the map above, so their count is f_d - rank d_{d+1}
+    built, ranked = [], []
+    original_rows, original_rank = homology._boundary_rows, homology.rank_of_rows
+
+    def rows(faces_k, index_km1):
+        built.append(len(faces_k))
+        return original_rows(faces_k, index_km1)
+
+    def rank(rows, field=QQ, pivots=None):
+        ranked.append((field.name, len(rows[0]) - 1, len(rows)))
+        return original_rank(rows, field, pivots)
+
+    monkeypatch.setattr(homology, "_boundary_rows", rows)
+    monkeypatch.setattr(homology, "rank_of_rows", rank)
+    rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
+    cases = [
+        (octahedron(), QQ, (0, 0, 1)),
+        (rp2, QQ, (0, 0, 0)),
+        (rp2, GF(2), (0, 1, 1)),
+        (cross_polytope(4), GF(3), (0, 0, 0, 1)),
+    ]
+    for cx, field, betti in cases:
+        built.clear()
+        ranked.clear()
+        assert reduced_homology_ranks(cx, field) == betti
+        assert len(built) == len(ranked) == len(set((f, d) for f, d, _ in ranked))
+        facets = [tuple(sorted(f)) for f in cx.facets]
+        f = f_vector(cx)
+        probe = homology._PROBE if field == QQ else field
+        mod_p = oracle_boundary_ranks(facets, probe.p)
+        for name, d, count in ranked:
+            assert d >= 2  # degrees 0 and 1 come from the union-find
+            if name == probe.name:
+                assert count == f[d + 1] - mod_p.get(d + 1, 0)
+            else:
+                assert name == "Q" and count == f[d + 1]
+        paths = {name for name, _, _ in ranked}
+        # the octahedron's probe of degree 2 is nonzero and is redone over Q
+        assert paths == ({"GF(32003)", "Q"} if cx == cases[0][0] else {probe.name})
+        assert {d for name, d, _ in ranked if name == probe.name} == set(range(2, cx.dim + 1))
 
 
 def test_cohen_macaulay_examples():
-    octa = SimplicialComplex.from_faces(
-        6,
-        [
-            frozenset(f)
-            for f in [
-                (0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
-                (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
-            ]
-        ],
-    )
-    cert = is_cohen_macaulay(octa)
+    cert = is_cohen_macaulay(octahedron())
     assert cert.is_cm and bool(cert) and cert.faces_checked == 27
     assert cert.field_name == "Q" and cert.witness is None
     assert is_cohen_macaulay(SimplicialComplex.full_simplex(4)).is_cm
@@ -213,13 +265,44 @@ def test_cross_polytope_links_reach_homology_once(monkeypatch):
 
     monkeypatch.setattr(homology, "_faces", counting)
     k = 6
-    cross = independence_complex(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    cross = cross_polytope(k)
     for cx, faces in ((cross, 3**k), (cone(cross), 2 * 3**k)):
         listed.clear()
         cert = is_cohen_macaulay(cx)
         assert cert.is_cm and cert.faces_checked == faces
         # the first listing is the complex's own faces, the rest are links
         assert len(listed) - 1 <= 2**k
+
+
+def test_cross_polytope_pushes_only_rows_that_can_be_independent(monkeypatch):
+    # the link of a face missing s of the k pairs is the cross-polytope on
+    # those s pairs, an (s-1)-sphere.  Degrees 0 and 1 come from a
+    # union-find, so a link is ranked only when s >= 3, and no row of
+    # dimension 0 or 1 is pushed.  A sphere has one top cycle and no other
+    # homology, and cleared rows are never pushed, so each ranked link has
+    # exactly one push that reduces to zero.
+    pushed, ranked = [], []
+    push, faces = ModularEchelon.push, homology._faces
+
+    def counting_push(self, vector):
+        accepted = push(self, vector)
+        pushed.append((len(vector) - 1, accepted))
+        return accepted
+
+    def listing(lt, within):
+        listed = faces(lt, within)
+        ranked.append(max(listed) >= 2)
+        return listed
+
+    monkeypatch.setattr(ModularEchelon, "push", counting_push)
+    monkeypatch.setattr(homology, "_faces", listing)
+    k = 6
+    cert = is_cohen_macaulay(cross_polytope(k))
+    assert cert.is_cm and cert.faces_checked == 3**k
+    assert min(d for d, _ in pushed) == 2
+    # the first listing is the complex itself, the link of the empty face
+    assert sum(ranked) == sum(comb(k, s) for s in range(3, k + 1)) == 42
+    assert sum(not accepted for _, accepted in pushed) == sum(ranked)
 
 
 def test_cone_preserves_cohen_macaulayness():
