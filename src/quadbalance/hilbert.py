@@ -19,6 +19,7 @@ degrees at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from operator import le
 
@@ -73,11 +74,10 @@ _MEMO: dict = {}
 
 def _canonical(gens: frozenset) -> tuple:
     """Project away unused variables and sort; the numerator is invariant."""
-    if not gens:
-        return ()
-    width = len(next(iter(gens)))
-    used = [j for j in range(width) if any(g[j] for g in gens)]
-    return tuple(sorted(tuple(g[j] for j in used) for g in gens))
+    used = list(map(any, zip(*gens)))
+    if all(used):
+        return tuple(sorted(gens))
+    return tuple(sorted(tuple(compress(g, used)) for g in gens))
 
 
 def _numerator(gens) -> tuple:

@@ -9,13 +9,18 @@ descending lexicographic order (x1 > x2 > ... > xn).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, count, groupby
-from operator import le
+from functools import cached_property, reduce
+from itertools import accumulate, compress, count
+from operator import and_, getitem, or_
 
 from .errors import InputError
 
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
+_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+# a whole monomial other than "1": factors joined by "*", each padded with
+# the whitespace str.strip removes (both use the same Unicode test)
+_MONOMIAL_RE = re.compile(r"\s*x\d+(?:\^\d+)?\s*(?:\*\s*x\d+(?:\^\d+)?\s*)*")
 
 
 @dataclass(frozen=True, order=True)
@@ -62,60 +67,124 @@ class Monomial:
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse ``x3^2*x5`` (1-based) into a Monomial in n variables."""
+    """Parse ``x3^2*x5`` (1-based) into a Monomial in n variables.
+
+    A well-formed product is checked by one regex and read by one findall;
+    a malformed one is read factor by factor, to name the first bad factor
+    and its position.
+    """
     if not isinstance(text, str):
         raise InputError(f"a monomial must be a string, got {type(text).__name__}")
-    s = text.strip()
-    if s == "1":
+    if _MONOMIAL_RE.fullmatch(text):
+        exps = [0] * n
+        for idx, e in _FACTOR_RE.findall(text):
+            i = int(idx)
+            if not 1 <= i <= n:
+                break
+            exps[i - 1] += int(e or 1)
+        else:
+            return Monomial(tuple(exps))
+    elif text.strip() == "1":
         if n < 1:
             raise InputError("constant monomial needs an ambient ring with n >= 1")
         return Monomial((0,) * n)
-    exps = [0] * n
+    _raise_bad_factor(text, n)
+
+
+def _raise_bad_factor(text: str, n: int):
+    """Raise the InputError for the first bad factor of a malformed monomial."""
     pos = 0
-    for chunk in s.split("*"):
-        m = _FACTOR_RE.match(chunk.strip())
+    for chunk in text.strip().split("*"):
+        m = _FACTOR_RE.fullmatch(chunk.strip())
         if m is None:
             raise InputError(f"bad monomial factor {chunk.strip()!r} at position {pos} in {text!r}")
         idx = int(m.group(1))
         if not 1 <= idx <= n:
             raise InputError(f"variable x{idx} out of range 1..{n} at position {pos} in {text!r}")
-        exps[idx - 1] += int(m.group(2) or 1)
         pos += len(chunk) + 1
-    return Monomial(tuple(exps))
+    raise AssertionError(f"{text!r} has no bad factor")
 
 
 def format_monomial(m: Monomial) -> str:
-    if m.degree == 0:
-        return "1"
-    parts = []
-    for j, e in enumerate(m.exponents):
-        if e == 1:
-            parts.append(f"x{j + 1}")
-        elif e > 1:
-            parts.append(f"x{j + 1}^{e}")
-    return "*".join(parts)
+    factors = [f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(m.exponents, 1) if e]
+    return "*".join(factors) or "1"
+
+
+class _DivisorIndex:
+    """Which tuples of a block of exponent tuples divide a given one.
+
+    For each variable it keeps the distinct exponents t of the list, sorted,
+    and for each t the mask of the tuples whose exponent there is at most t
+    (bit i for the i-th tuple), after a 0 for exponents below the smallest.
+    The tuples dividing e are the AND over the variables of the mask at the
+    largest t <= e_v: n lookups and n ANDs instead of a divisibility test
+    per tuple.  Exponents are keys, not positions, so a huge exponent costs
+    one entry.
+    """
+
+    __slots__ = ("values", "masks", "full")
+
+    def __init__(self, gens):
+        self.values, self.masks = [], []
+        for column in zip(*gens):
+            at = dict.fromkeys(sorted(set(column)), 0)
+            bit = 1
+            for e in column:
+                at[e] |= bit
+                bit <<= 1
+            self.values.append(list(at))
+            self.masks.append([0, *accumulate(at.values(), or_)])
+        self.full = (1 << len(gens)) - 1
+
+    def divisors(self, exponents) -> int:
+        """The mask of the indexed tuples dividing ``exponents``."""
+        lookups = map(getitem, self.masks, map(bisect_right, self.values, exponents))
+        return reduce(and_, lookups, self.full)
+
+
+# tuples per _DivisorIndex: an index holds up to one mask of _BLOCK bits per
+# variable and distinct exponent, so a long list is indexed block by block,
+# in memory linear in its length whatever its exponents
+_BLOCK = 1024
+
+
+def _blocks(gens):
+    """(start, index of gens[start:start + _BLOCK]) for each block of gens."""
+    for start in range(0, len(gens), _BLOCK):
+        yield start, _DivisorIndex(gens[start:start + _BLOCK])
 
 
 def _minimalize(exponents) -> tuple:
     """Reduce exponent tuples to the unique minimal generating set, in
     descending lex order.
 
-    Distinct tuples of equal degree never divide each other, so each degree
-    is tested only against the kept tuples of smaller degree.
+    A tuple is minimal exactly when no other tuple divides it.  A proper
+    divisor is lex smaller, so it comes later in this order: the block
+    from ``start`` can divide only the tuples before its end, and the tuple
+    at block position p only through the bits above p.  Distinct tuples of
+    one degree never divide each other, so a list of one degree (a
+    quadratic ideal, say) is minimal as it stands.
     """
-    kept: list = []
-    for _, same_degree in groupby(sorted(set(exponents), key=sum), key=sum):
-        kept += [m for m in same_degree if not any(all(map(le, k, m)) for k in kept)]
-    return tuple(sorted(kept, reverse=True))
+    gens = sorted(set(exponents), reverse=True)
+    if len(set(map(sum, gens))) <= 1:
+        return tuple(gens)
+    minimal = [True] * len(gens)
+    for start, index in _blocks(gens):
+        for i in range(min(start + _BLOCK, len(gens))):
+            if minimal[i] and index.divisors(gens[i]) >> max(0, i - start + 1):
+                minimal[i] = False
+    return tuple(compress(gens, minimal))
 
 
 def _ideal_from_minimal(n: int, monomials) -> "MonomialIdeal":
     """Wrap generators already known to be minimal, skipping the reduction.
 
-    The divisibility sweep in _minimalize is quadratic, which matters for
-    constructions that emit many thousands of generators but guarantee
-    minimality themselves.  Callers must pass pairwise incomparable
-    monomials; the canonical descending sort is still applied.
+    _minimalize tests every generator against each block of generators
+    from its own on, a cost quadratic in the generator count, which matters
+    for constructions that emit many thousands of generators but guarantee
+    minimality themselves.  Callers must pass
+    pairwise incomparable monomials; the canonical descending sort is still
+    applied.
     """
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "n", n)
@@ -165,11 +234,15 @@ class MonomialIdeal:
     def generated_in_degree(self, d: int) -> bool:
         return all(g.degree == d for g in self.generators)
 
+    @cached_property
+    def _indexes(self) -> list:
+        return [index for _, index in _blocks([g.exponents for g in self.generators])]
+
     def contains(self, m: Monomial) -> bool:
         """Membership test: a monomial lies in the ideal iff some generator divides it."""
         if m.n != self.n:
             raise InputError("ambient variable counts differ")
-        return any(g.divides(m) for g in self.generators)
+        return any(index.divisors(m.exponents) for index in self._indexes)
 
     def generator_strings(self) -> list:
         return [format_monomial(g) for g in self.generators]

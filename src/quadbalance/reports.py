@@ -408,6 +408,14 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
             ok = art_obj == {"n": 0, "generators": []} and result.facets == cx.facets
             return ok, "trivial case must return the input unchanged"
         artinian = ideal_from_obj(art_obj)
+        # polarizing allocates an entry per new variable and generator, at
+        # least the polarized support: refuse one the result cannot hold
+        support = sum(map(max, zip(*(m.exponents for m in artinian.generators))))
+        if support > result.n_vertices:
+            return False, (
+                f"the Artinian ideal's polarized support {support} exceeds "
+                f"the result's {result.n_vertices} vertices"
+            )
         polarized, classes = polarize(artinian)
         if ideal_to_obj(polarized) != _get(obj, "polarized_ideal"):
             return False, "polarized ideal does not match the Artinian ideal"
@@ -472,7 +480,8 @@ def verify_report(obj, budget: int = 16, max_degree=None) -> dict:
     if not isinstance(obj, dict):
         raise InputError("a report must be a JSON object")
     kind = _get(obj, "kind")
-    handler = _VERIFIERS.get(kind)
+    # a list or object kind is unhashable: refuse it before the lookup
+    handler = _VERIFIERS.get(kind) if isinstance(kind, str) else None
     if handler is None:
         known = ", ".join(sorted(_VERIFIERS))
         raise InputError(f'cannot verify kind "{kind}"; expected one of: {known}')

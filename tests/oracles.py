@@ -5,10 +5,11 @@ derived here by brute force (subset enumeration, sympy linear algebra) and
 frozen into assertions.
 """
 
+import re
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import gcd
-from operator import or_
+from operator import le, or_
 
 import sympy
 
@@ -58,13 +59,46 @@ def standard_monomial_counts(n, generators, top):
     return counts
 
 
-def _minimal_exponents(exponents):
-    """The minimal elements of a set of exponent tuples under divisibility."""
+def minimal_exponents(exponents):
+    """The minimal elements of a set of exponent tuples under divisibility,
+    in descending lex order, by a pairwise sweep: distinct tuples of equal
+    degree never divide each other, so each degree is tested only against
+    the kept tuples of smaller degree."""
     kept = []
-    for m in sorted(set(exponents), key=sum):
-        if not any(all(a <= b for a, b in zip(k, m)) for k in kept):
-            kept.append(m)
-    return frozenset(kept)
+    for _, same_degree in groupby(sorted(set(exponents), key=sum), key=sum):
+        kept += [m for m in same_degree if not any(all(map(le, k, m)) for k in kept)]
+    return tuple(sorted(kept, reverse=True))
+
+
+def in_ideal(generators, exponents):
+    """Whether some generator exponent tuple divides ``exponents``."""
+    return any(all(map(le, g, exponents)) for g in generators)
+
+
+_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
+
+
+def parse_factors(text, n):
+    """Exponent tuple of the monomial ``text`` (``x3^2*x5``, 1-based, or
+    "1") in n variables, read one "*"-separated factor at a time; raises
+    ValueError naming the first bad factor and its position."""
+    s = text.strip()
+    if s == "1":
+        if n < 1:
+            raise ValueError("constant monomial needs an ambient ring with n >= 1")
+        return (0,) * n
+    exps = [0] * n
+    pos = 0
+    for chunk in s.split("*"):
+        m = _FACTOR_RE.match(chunk.strip())
+        if m is None:
+            raise ValueError(f"bad monomial factor {chunk.strip()!r} at position {pos} in {text!r}")
+        idx = int(m.group(1))
+        if not 1 <= idx <= n:
+            raise ValueError(f"variable x{idx} out of range 1..{n} at position {pos} in {text!r}")
+        exps[idx - 1] += int(m.group(2) or 1)
+        pos += len(chunk) + 1
+    return tuple(exps)
 
 
 def _poly_trim(c):
@@ -110,9 +144,8 @@ def pivot_numerator(generators, memo=None):
             plus = frozenset(g for g in gens if g[v] == 0) | {
                 tuple(int(j == v) for j in range(len(counts)))
             }
-            colon = _minimal_exponents(
-                tuple(e - (j == v and e > 0) for j, e in enumerate(g)) for g in gens
-            )
+            moved = (tuple(e - (j == v and e > 0) for j, e in enumerate(g)) for g in gens)
+            colon = frozenset(minimal_exponents(moved))
             a, b = rec(plus), (0,) + rec(colon)
             if len(a) < len(b):
                 a, b = b, a

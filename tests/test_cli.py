@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import sys
@@ -30,6 +31,7 @@ OCTA_OBJ = {
     ],
 }
 TRIANGLE_OBJ = {"n": 3, "generators": ["x1*x2", "x1*x3", "x2*x3"]}
+PATH_OBJ = {"vertices": 4, "facets": [[1, 2], [2, 3], [3, 4]]}
 
 
 @pytest.fixture
@@ -469,6 +471,24 @@ def test_verify_balance_rejects_forged_cm_flag(run, tmp_path, cm_tests):
     assert len(cm_tests) == 2
 
 
+def test_verify_balance_refuses_huge_artinian_exponent(run, tmp_path, monkeypatch):
+    def unreachable(ideal):
+        raise AssertionError("polarize was called")
+
+    _, out, _ = run("balance", data=PATH_OBJ)
+    rep = parse(out)
+    rep["artinian_ideal"]["generators"][0] = "x1^99999999999"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(rep))
+    monkeypatch.setattr(reports, "polarize", unreachable)
+    code, vout, _ = run("verify", str(path))
+    assert code == 1
+    failures = {f["check"]: f["detail"] for f in parse(vout)["failures"]}
+    assert failures["polarization"] == (
+        "the Artinian ideal's polarized support 100000000001 exceeds the result's 4 vertices"
+    )
+
+
 def test_verify_catches_h_vector_tamper(run, tmp_path):
     _, out, _ = run("balance", data=OCTA_OBJ)
     path = tmp_path / "hswap.json"
@@ -486,6 +506,10 @@ def test_verify_rejects_unknown_kind(run, tmp_path):
     path.write_text('{"kind": "mystery"}')
     code, _, err = run("verify", str(path))
     assert code == 2 and "cannot verify" in err
+    for kind in ([], {}, ["egh"], 5, None):
+        path.write_text(json.dumps({"kind": kind}))
+        code, out, err = run("verify", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: cannot verify kind"), kind
     path.write_text("[1, 2, 3]")
     code, _, err = run("verify", str(path))
     assert code == 2
@@ -536,6 +560,57 @@ def test_verify_malformed_report_exits_two(run, tmp_path, command, data, mutate)
     assert time.perf_counter() - start < 1
     assert code == 2 and vout == "", err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+FORGED_VALUES = [-1, 0, 10**12, True, "s", [], {}, None, [[[[]]]], "x1^99999999999"]
+
+
+def _paths(obj, depth: int = 3):
+    """Every path of object keys and list positions into obj, up to depth long."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield (key,)
+        if depth > 1:
+            yield from ((key, *rest) for rest in _paths(value, depth - 1))
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [("egh", TRIANGLE_OBJ), ("regseq", TRIANGLE_OBJ), ("balance", PATH_OBJ)],
+)
+def test_verify_survives_forged_values(run, tmp_path, monkeypatch, command, data):
+    # every entry down to depth 3 replaced by each forged value: verify ends
+    # with a verdict or an input error, and a huge exponent reaches neither
+    # polarize nor the pivot recursion, whose work grows with it
+    def bounded_polarize(ideal):
+        assert all(max(m.exponents) < 1000 for m in ideal.generators), "huge polarization"
+        return polarize(ideal)
+
+    def bounded_numerator(gens):
+        assert all(sum(e) < 1000 for e in gens), "a deep generator reached the recursion"
+        return numerator(gens)
+
+    polarize, numerator = reports.polarize, reports._numerator
+    monkeypatch.setattr(reports, "polarize", bounded_polarize)
+    monkeypatch.setattr(reports, "_numerator", bounded_numerator)
+    _, out, _ = run(command, data=data)
+    genuine = parse(out)
+    path = tmp_path / "forged.json"
+    for keys in _paths(genuine):
+        for value in FORGED_VALUES:
+            forged = copy.deepcopy(genuine)
+            target = forged
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            path.write_text(json.dumps(forged))
+            code, _, err = run("verify", str(path))
+            assert code in (0, 1, 2) and "Traceback" not in err, (keys, value, code, err)
 
 
 @pytest.mark.parametrize(

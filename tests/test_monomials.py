@@ -1,9 +1,14 @@
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from oracles import in_ideal, minimal_exponents, parse_factors, random_exponents
 
 from quadbalance import InputError, Monomial, MonomialIdeal, parse_monomial, polarize
-from quadbalance.monomials import format_monomial
+from quadbalance.monomials import _minimalize, format_monomial
+
+# every character str.strip removes
+SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
 
 
 def m(n, *pairs):
@@ -41,6 +46,94 @@ def test_format_round_trip():
         exps = tuple(rng.randint(0, 3) for _ in range(n))
         mono = Monomial(exps)
         assert parse_monomial(format_monomial(mono), n) == mono
+
+
+def _outcome(parse, error, text, n):
+    try:
+        return parse(text, n)
+    except error as exc:
+        return f"error: {exc}"
+
+
+def _digits(rng, value: int) -> str:
+    """value in ASCII, Arabic-Indic or fullwidth decimal digits."""
+    zero = rng.choice((0x30, 0x660, 0xFF10))
+    return "".join(chr(zero + int(d)) for d in str(value))
+
+
+def _random_text(rng, n: int) -> str:
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        index = rng.randint(1, n) if n and rng.random() < 0.9 else rng.choice((0, n + 1))
+        factor = "x" + _digits(rng, index)
+        if rng.random() < 0.5:
+            factor += "^" + _digits(rng, rng.randint(0, 12))
+        pad = "".join(rng.choices(SPACES + [""] * 20, k=2))
+        factors.append(pad[0:1] + factor + pad[1:])
+    text = "*".join(factors)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice("x1^*0y \u00a0\u0663") + text[i:]
+    return text
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_parse_against_factor_oracle(n):
+    def new(text, n):
+        return parse_monomial(text, n).exponents
+
+    fixed = [
+        "", "1", " 1\t", "x0", "x1^", "x1**x2", "x1*", "*x1", "x1 ^2", "x 1", "x1^2^3",
+        "X1", "x1x2", f"x{n + 1}", "x\u0663", "x1^\u0663", "x\uff11*x\uff12",
+        "\u3000x1\u00a0*\u2003x2^3\x1c", "1*x1", "x1*1", "x01^02", "x1^0", "x-1", "x1^-2",
+    ]
+    rng = random.Random(29 + n)
+    for text in fixed + [_random_text(rng, n) for _ in range(1500)]:
+        assert _outcome(new, InputError, text, n) == _outcome(parse_factors, ValueError, text, n)
+
+
+def test_minimalize_against_sweep_oracle():
+    rng = random.Random(41)
+    cases = [[(0, 0, 0)], [(10**6, 0)], [(2, 1), (2, 1)]]
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        # a few values per case, so that divisibility is common
+        values = ([0, 1] + rng.sample(range(2, 10**6 + 1), 2)) if rng.random() < 0.3 else range(4)
+        gens = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(1, 12))]
+        gens += rng.choices(gens, k=rng.randint(0, 3))
+        if rng.random() < 0.1:
+            gens.append((0,) * n)
+        cases.append(gens)
+    # 3003 squarefree quintics in 15 variables, with tuples above and below
+    quintics = [tuple(int(j in c) for j in range(15)) for c in combinations(range(15), 5)]
+    cases.append(quintics + random_exponents(rng, 15, 60, 8) + [(10**6,) + (1,) * 14])
+    for gens in cases:
+        assert _minimalize(gens) == minimal_exponents(gens), gens[:20]
+
+
+def test_contains_against_linear_scan():
+    rng = random.Random(43)
+    cases = []
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        # degree-1 generators among them; a unit one now and then
+        gens = random_exponents(rng, n, 8, 4) if trial else []
+        if rng.random() < 0.1:
+            gens.append((0,) * n)
+        queries = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(20)]
+        cases.append((n, gens, queries))
+    # 1500 of the quintics in 10 variables: the index spans several blocks
+    quintics = [tuple(map(c.count, range(10))) for c in combinations_with_replacement(range(10), 5)]
+    queries = rng.choices(quintics, k=200)
+    queries += [q[:9] + (q[9] + 1,) for q in queries[:100]]
+    cases.append((10, rng.sample(quintics, 1500), queries))
+    for n, gens, queries in cases:
+        ideal = MonomialIdeal(n, tuple(map(Monomial, gens)))
+        for exps in queries:
+            assert ideal.contains(Monomial(exps)) == in_ideal(gens, exps)
 
 
 def test_monomial_ops():
