@@ -27,7 +27,6 @@ from .linalg import LinearForm, ProductOfLinearForms
 from .lpp import (
     EghReport,
     LppResult,
-    LppTarget,
     construct_lex_plus_powers,
     egh_for_quadratic,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "InputError",
     "LinearForm",
     "LppResult",
-    "LppTarget",
     "MatchingInstance",
     "Monomial",
     "MonomialIdeal",

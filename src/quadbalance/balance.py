@@ -1,11 +1,15 @@
 """Rebuild a Cohen-Macaulay flag complex as a balanced one, h-vector intact.
 
-Pipeline: take the Stanley-Reisner ideal of the input, read off its height g,
+Pipeline: read off the height g of the input's Stanley-Reisner ideal,
 build an Artinian quotient of K[x1..xg] containing all g squares whose
-Hilbert function is the h-vector, polarize it, and return the complex of the
-polarized ideal.  Each polarization class has exactly two members (every
-variable's square is present), and coloring both members of class i with
-color i+1 is automatically proper: the class pair itself is a non-face.
+Hilbert function is the h-vector (series numerator h(t)(1-t)^g over
+(1-t)^g), polarize it, and return the complex of the polarized ideal.  The
+minimal primes of the Stanley-Reisner ideal are the complements of the
+facets (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.7), so
+g = n - dim - 1 and no ideal is built to find it.  Each polarization class
+has exactly two members (every variable's square is present), and coloring
+both members of class i with color i+1 is automatically proper: the class
+pair itself is a non-face.
 
 The two h-vectors are compared as polynomials.  The output complex has g+1
 h-entries while the input has depth+1, so when those lengths differ the
@@ -21,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import height
 from .errors import InputError, NotCohenMacaulayError
 from .fields import QQ
-from .hilbert import HilbertData, poly_mul, poly_trim, one_minus_t_power, window_from_numerator
+from .hilbert import one_minus_t_power, poly_mul, poly_trim
 from .homology import CMCertificate, is_cohen_macaulay
-from .lpp import LppTarget, construct_lex_plus_powers
+from .lpp import construct_lex_plus_powers
 from .monomials import MonomialIdeal, polarize
 from .simplicial import (
     SimplicialComplex,
@@ -34,7 +37,6 @@ from .simplicial import (
     complex_of_ideal,
     h_vector,
     minimal_non_faces,
-    stanley_reisner,
 )
 
 
@@ -84,8 +86,8 @@ def balance(
             witness=cm_source.witness,
         )
     h = h_vector(cx)
-    ideal = stanley_reisner(cx)
-    if ideal.is_zero():
+    g = cx.n_vertices - cx.dim - 1
+    if g == 0:
         # full simplex: already balanced, every vertex in its own color class
         trivial = MonomialIdeal(0, ())
         coloring = tuple(range(1, cx.n_vertices + 1))
@@ -95,11 +97,8 @@ def balance(
         return BalanceReport(
             cx, h, 0, trivial, trivial, (), cx, verified, h, cm_source, cm_source, field.name
         )
-    g = height(ideal)
-    h_poly = poly_trim(h)
-    numerator = poly_mul(h_poly, one_minus_t_power(g))
-    target = HilbertData(g, window_from_numerator(numerator, g, len(h_poly)), numerator)
-    built = construct_lex_plus_powers(LppTarget(g, (2,) * g, target), max_degree)
+    numerator = poly_mul(h, one_minus_t_power(g))
+    built = construct_lex_plus_powers(g, g, numerator, max_degree)
     if not built.series_equal:
         raise NotCohenMacaulayError(
             f"h-vector {tuple(h)} is not the Hilbert function of any "

@@ -13,18 +13,24 @@ from .errors import InputError
 DEFAULT_PRIME = 32003
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below psi_13 (Sorenson and
+# Webster, Math. Comp. 86, 2017); characteristics from there on are refused,
+# since the test could no longer prove them prime
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; the base set is exact for n < 3.3e24
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -59,6 +65,8 @@ class PrimeField:
     """The finite field with p elements, p prime."""
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise InputError(f"field characteristic must be below {PRIME_BOUND}, got {p}")
         if not _is_probable_prime(p):
             raise InputError(f"field characteristic must be prime, got {p}")
         self.p = p
@@ -91,8 +99,12 @@ def parse_field_spec(spec: str):
         return QQ
     if s.startswith("p:"):
         body = s[2:]
-        if not body.isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as "²"
+        if not body.isdecimal():
             raise InputError(f"bad field spec {spec!r}: expected q or p:<prime>")
+        # refused by length before int(), which is slow on thousands of digits
+        if len(body.lstrip("0")) > len(str(PRIME_BOUND)):
+            raise InputError(f"field characteristic must be below {PRIME_BOUND}")
         return PrimeField(int(body))
     if s == "p":
         return PrimeField(DEFAULT_PRIME)

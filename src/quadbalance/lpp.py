@@ -1,7 +1,9 @@
-"""Lex-plus-powers ideals with a prescribed Hilbert function.
+"""Lex-plus-squares ideals with a prescribed Hilbert function.
 
-The construction works inside the quotient by the pure powers.  In every
-degree the monomials forced into the ideal form an initial segment in
+The target is a Hilbert series numerator N over (1-t)^n; HF(d) is read off
+N directly, in any degree.  The construction works inside the quotient by
+the squares x1^2..xg^2, the only powers the paper's ideals contain.  In
+every degree the monomials forced into the ideal form an initial segment in
 descending lexicographic order (x1 > x2 > ... > xn), so the whole state is
 a single boundary monomial, the segment's smallest element.  The shadow of
 the segment above B is the segment above B * x_w, where x_w is the last
@@ -13,13 +15,13 @@ degree slice, so generators in high degrees cost almost nothing.
 
 Once picks stop, the boundary only accumulates the last variable, and both
 Hilbert functions agree with polynomials in the degree: the constructed
-one beyond the last pick plus the sum of the powers, the target beyond its
-numerator degree.  Both polynomials have degree below n, so per-degree
-equality on n+1 consecutive degrees past those bounds pins them against
-each other and certifies equality of the two series in all degrees at
-once.  The loop therefore terminates exactly when the realization is
-certified, with no degree cap; an explicit ``max_degree`` only limits the
-degrees that may receive generators.
+one beyond the last pick plus 2g, the target beyond the degree of N.  Both
+polynomials have degree below n, so per-degree equality on n+1 consecutive
+degrees past those bounds pins them against each other and certifies
+equality of the two series in all degrees at once.  The loop therefore
+terminates exactly when the realization is certified, with no degree cap;
+an explicit ``max_degree`` only limits the degrees that may receive
+generators.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import comb
 
 from .covers import height
 from .errors import InputError, UnattainableTargetError
-from .hilbert import HilbertData, hilbert_function, series_numerator
+from .hilbert import _value, series_numerator
 from .monomials import Monomial, MonomialIdeal, _ideal_from_minimal, _require_quadratic
 
 # egh's refusal of a zero source, which verify shares
@@ -37,27 +39,23 @@ _ZERO_SOURCE = "the zero ideal needs no realization"
 
 
 class _SegmentCounter:
-    """Lex-segment bookkeeping in the quotient by the powers.
+    """Lex-segment bookkeeping in the quotient by the squares of x1..xg.
 
-    caps[i] is powers[i] - 1 for the capped variables and None beyond.  The
-    signed offsets realize inclusion-exclusion over the capped variables, so
-    slice sizes and segment sizes come out as short alternating sums of
-    binomials and no degree slice is ever enumerated.
+    caps[i] is 1 for the first g variables and None beyond.  The signed
+    offsets realize inclusion-exclusion over the capped variables, so slice
+    sizes and segment sizes come out as short alternating sums of binomials
+    and no degree slice is ever enumerated.
     """
 
     __slots__ = ("n", "caps", "offsets")
 
-    def __init__(self, n: int, powers):
+    def __init__(self, n: int, g: int):
         self.n = n
-        self.caps = tuple(p - 1 for p in powers) + (None,) * (n - len(powers))
+        self.caps = (1,) * g + (None,) * (n - g)
         offsets = [((1, 0),)] * (n + 1)
-        for v in range(n - 1, -1, -1):
+        for v in range(g - 1, -1, -1):
             below = offsets[v + 1]
-            if self.caps[v] is None:
-                offsets[v] = below
-            else:
-                step = self.caps[v] + 1
-                offsets[v] = below + tuple((-s, off + step) for s, off in below)
+            offsets[v] = below + tuple((-s, off + 2) for s, off in below)
         self.offsets = offsets
 
     def cum(self, v: int, bound: int) -> int:
@@ -127,22 +125,6 @@ class _SegmentCounter:
 
 
 @dataclass(frozen=True)
-class LppTarget:
-    """A target Hilbert function for a powers-plus-lex construction."""
-
-    n: int
-    powers: tuple
-    target: HilbertData
-
-    def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(self.powers))
-        if self.target.n != self.n:
-            raise InputError("target Hilbert data lives in a different ambient ring")
-        if len(self.powers) > self.n:
-            raise InputError("more powers than variables")
-
-
-@dataclass(frozen=True)
 class LppResult:
     ideal: MonomialIdeal
     picked_by_degree: dict
@@ -150,55 +132,51 @@ class LppResult:
     top_degree: int
 
 
-def _assemble(n: int, power_gens, picks) -> MonomialIdeal:
-    """Collect powers plus picks into an ideal without the quadratic sweep.
+def _assemble(n: int, squares, picks) -> MonomialIdeal:
+    """Collect squares plus picks into an ideal without the quadratic sweep.
 
     Picks are pairwise incomparable by construction (each one was live when
-    chosen, and the slices exclude multiples of the powers), so the only
-    possible redundancy is a power x_i^p eclipsed by a pure-power pick x_i^k.
+    chosen, and the slices exclude multiples of the squares), so the only
+    possible redundancy is a square x_i^2 eclipsed by a degree-one pick x_i.
     """
     pure = set()
     for m in picks:
         support = m.support()
         if len(support) == 1:
             pure.update(support)
-    kept = [p for i, p in enumerate(power_gens) if i not in pure]
+    kept = [p for i, p in enumerate(squares) if i not in pure]
     return _ideal_from_minimal(n, kept + list(picks))
 
 
-def construct_lex_plus_powers(target: LppTarget, max_degree: int | None = None) -> LppResult:
-    """Greedy lex-segment selection realizing the target Hilbert function.
+def construct_lex_plus_powers(
+    n: int, g: int, numerator, max_degree: int | None = None
+) -> LppResult:
+    """Greedy lex-segment selection, in n variables over the squares of the
+    first g, realizing the Hilbert function numerator/(1-t)^n.
 
     The walk certifies the series equality through the polynomial tail lock
     described in the module docstring, so a result with ``series_equal``
     set is exact in every degree.  When ``max_degree`` is given, a pick
     forced beyond it abandons the search with ``series_equal=False``.
     """
-    n = target.n
-    data = target.target
-    num = data.numerator
-    if any(p < 1 for p in target.powers):
-        raise InputError("powers must be positive")
-    if data.value(0) != 1:
+    if not 0 <= g <= n:
+        raise InputError(f"need 0 <= g <= n squares, got g = {g} for n = {n}")
+    if _value(numerator, n, 0) != 1:
         raise UnattainableTargetError("a proper monomial quotient has HF(0) = 1", degree=0)
-    power_gens = []
-    for i, p in enumerate(target.powers):
-        exps = [0] * n
-        exps[i] = p
-        power_gens.append(Monomial(tuple(exps)))
-    partial = MonomialIdeal(n, tuple(power_gens))
-    if series_numerator(partial) == num:
+    squares = [Monomial((0,) * i + (2,) + (0,) * (n - i - 1)) for i in range(g)]
+    partial = MonomialIdeal(n, tuple(squares))
+    if series_numerator(partial) == numerator:
         return LppResult(partial, {}, True, 0)
-    counter = _SegmentCounter(n, target.powers)
+    counter = _SegmentCounter(n, g)
     picks: list = []
     picked_by_degree: dict = {}
     boundary = None
     top = 0
-    margin = sum(target.powers) + n
+    margin = 2 * g + n
     d = 0
     while True:
         d += 1
-        value = data.value(d)
+        value = _value(numerator, n, d)
         if value < 0:
             raise UnattainableTargetError(f"the target is negative in degree {d}", degree=d)
         shadow_boundary = counter.successor(boundary) if boundary is not None else None
@@ -214,7 +192,7 @@ def construct_lex_plus_powers(target: LppTarget, max_degree: int | None = None) 
         if k:
             if max_degree is not None and d > max_degree:
                 return LppResult(
-                    _assemble(n, power_gens, picks), picked_by_degree, False, max_degree
+                    _assemble(n, squares, picks), picked_by_degree, False, max_degree
                 )
             exps = (
                 counter.predecessor(shadow_boundary)
@@ -230,8 +208,8 @@ def construct_lex_plus_powers(target: LppTarget, max_degree: int | None = None) 
             top = d
         else:
             boundary = shadow_boundary
-        if d >= max(top + margin, len(num)) + n:
-            return LppResult(_assemble(n, power_gens, picks), picked_by_degree, True, top)
+        if d >= max(top + margin, len(numerator)) + n:
+            return LppResult(_assemble(n, squares, picks), picked_by_degree, True, top)
 
 
 def missing_square(generators, n: int, g: int):
@@ -264,9 +242,7 @@ def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> Eg
     """
     _require_quadratic(ideal, _ZERO_SOURCE)
     g = height(ideal)
-    data = hilbert_function(ideal, bound=0)
-    target = LppTarget(ideal.n, (2,) * g, data)
-    result = construct_lex_plus_powers(target, max_degree)
+    result = construct_lex_plus_powers(ideal.n, g, series_numerator(ideal), max_degree)
     if not result.series_equal:
         raise UnattainableTargetError(
             f"no powers-plus-lex ideal matched the series within degree {result.top_degree}"

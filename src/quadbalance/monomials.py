@@ -59,9 +59,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def __str__(self):
         return format_monomial(self)
 
@@ -75,20 +72,26 @@ def parse_monomial(text: str, n: int) -> Monomial:
     """
     if not isinstance(text, str):
         raise InputError(f"a monomial must be a string, got {type(text).__name__}")
-    if _MONOMIAL_RE.fullmatch(text):
-        exps = [0] * n
-        for idx, e in _FACTOR_RE.findall(text):
-            i = int(idx)
-            if not 1 <= i <= n:
-                break
-            exps[i - 1] += int(e or 1)
-        else:
-            return Monomial(tuple(exps))
-    elif text.strip() == "1":
-        if n < 1:
-            raise InputError("constant monomial needs an ambient ring with n >= 1")
-        return Monomial((0,) * n)
-    _raise_bad_factor(text, n)
+    try:
+        if _MONOMIAL_RE.fullmatch(text):
+            exps = [0] * n
+            for idx, e in _FACTOR_RE.findall(text):
+                i = int(idx)
+                if not 1 <= i <= n:
+                    break
+                exps[i - 1] += int(e or 1)
+            else:
+                return Monomial(tuple(exps))
+        elif text.strip() == "1":
+            if n < 1:
+                raise InputError("constant monomial needs an ambient ring with n >= 1")
+            return Monomial((0,) * n)
+        _raise_bad_factor(text, n)
+    except InputError:
+        raise
+    except ValueError:
+        # int() refuses digit strings longer than sys.get_int_max_str_digits()
+        raise InputError(f"a number in monomial {text[:40]!r}... has too many digits") from None
 
 
 def _raise_bad_factor(text: str, n: int):

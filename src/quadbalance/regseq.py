@@ -202,9 +202,9 @@ def _forms(dec: DegreeTwoDecomposition, coefficient) -> tuple:
     return tuple(forms)
 
 
-def sample_forms(dec: DegreeTwoDecomposition, seed: int, coefficient_range=None):
+def sample_forms(dec: DegreeTwoDecomposition, seed: int):
     """Seeded integer forms, one per position; singleton spaces normalize to 1."""
-    bound = coefficient_range or default_coefficient_range(dec.g)
+    bound = default_coefficient_range(dec.g)
     rng = random.Random(seed)
     return _forms(dec, lambda j, v: rng.randint(1, bound))
 
@@ -354,7 +354,6 @@ def find_regular_sequence(
     seed: int = 0,
     field=QQ,
     prime=None,
-    coefficient_range=None,
 ) -> RegularSequenceCertificate:
     """Produce a certified regular sequence (x_{p_1} l_1, ..., x_{p_g} l_g) in I.
 
@@ -384,7 +383,7 @@ def find_regular_sequence(
         # subset admits an independent choice, then the structured family
         # puts t^((j+1)(v+1)) on variable v at position j
         for k in range(_SAMPLES):
-            yield sample_forms(dec, seed + k, coefficient_range), seed + k
+            yield sample_forms(dec, seed + k), seed + k
         for subset in _subsets_lex(dec.g):
             inst = find_matching(build_matching_instance(dec, subset))
             if not inst.ok:

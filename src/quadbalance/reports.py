@@ -12,7 +12,6 @@ e.g. a coefficient replaced by another workable one or a reseeded run.
 
 from __future__ import annotations
 
-import re
 from functools import cache
 
 from .balance import balance
@@ -39,7 +38,6 @@ from .simplicial import (
     f_vector,
     h_vector,
     is_flag,
-    stanley_reisner,
 )
 
 
@@ -86,7 +84,6 @@ def analyze_report(cx: SimplicialComplex, field) -> dict:
     if cx.is_void():
         raise InputError("the void complex has nothing to analyze")
     cert = is_cohen_macaulay(cx, field)
-    ideal = stanley_reisner(cx)
     return {
         "kind": "analyze",
         "field": field_spec_name(field),
@@ -94,7 +91,7 @@ def analyze_report(cx: SimplicialComplex, field) -> dict:
         "dim": cx.dim,
         "f_vector": list(f_vector(cx)),
         "h_vector": list(h_vector(cx)),
-        "height": height(ideal),
+        "height": cx.n_vertices - cx.dim - 1,
         "flag": is_flag(cx),
         "cm": bool(cert),
         "faces_checked": cert.faces_checked,
@@ -214,6 +211,7 @@ def _parse_forms(obj: dict, n: int, prime0) -> tuple:
     raw = _get(obj, "forms")
     if not isinstance(raw, list) or len(raw) != len(prime0):
         raise InputError("need exactly one form per prime position")
+    index = {f"x{v + 1}": v for v in range(n)}
     forms = []
     for j, entry in enumerate(raw):
         if _get(entry, "times_variable") != prime0[j] + 1:
@@ -223,12 +221,11 @@ def _parse_forms(obj: dict, n: int, prime0) -> tuple:
             )
         coeffs = [0] * n
         for name, value in _typed(entry, "coefficients", dict, "an object").items():
-            m = re.fullmatch(r"x(\d+)", name)
-            if not m or not 1 <= int(m.group(1)) <= n:
+            if name not in index:
                 raise InputError(f"bad coefficient key {name!r}")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"coefficient {name} must be an integer")
-            coeffs[int(m.group(1)) - 1] = value
+            coeffs[index[name]] = value
         forms.append(LinearForm(tuple(coeffs)))
     return tuple(forms)
 
@@ -385,8 +382,7 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
     )
 
     def heights():
-        ideal = stanley_reisner(cx)
-        actual = height(ideal)
+        actual = cx.n_vertices - cx.dim - 1
         return actual == g, f"stated g = {g}, Stanley-Reisner height = {actual}"
 
     checker.run("height", heights)

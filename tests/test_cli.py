@@ -562,7 +562,14 @@ def test_verify_malformed_report_exits_two(run, tmp_path, command, data, mutate)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-FORGED_VALUES = [-1, 0, 10**12, True, "s", [], {}, None, [[[[]]]], "x1^99999999999"]
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, strong pseudoprime to 2..37
+
+FORGED_VALUES = [
+    -1, 0, 10**12, True, "s", [], {}, None, [[[[]]]], "x1^99999999999",
+    # digit strings longer than int() converts, a digit int() refuses, a
+    # composite the bases 2..37 pass
+    "x1^" + "9" * 5000, {"x" + "1" * 5000: 1}, "p:²", f"p:{PSI_12}",
+]
 
 
 def _paths(obj, depth: int = 3):
@@ -673,12 +680,31 @@ def test_pretty_regseq(run):
 
 
 def test_field_flag(run):
-    code, out, _ = run("analyze", "--field", "p:32003", data=OCTA_OBJ)
-    assert code == 0 and parse(out)["field"] == "p:32003"
+    for p in (32003, 2**61 - 1):
+        code, out, _ = run("analyze", "--field", f"p:{p}", data=OCTA_OBJ)
+        assert code == 0 and parse(out)["field"] == f"p:{p}"
     code, _, err = run("analyze", "--field", "z", data=OCTA_OBJ)
     assert code == 2 and "field" in err
     code, _, err = run("analyze", "--field", "p:4", data=OCTA_OBJ)
     assert code == 2 and "prime" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(f"p:{PSI_12}", id="psi12"),
+        pytest.param("p:3317044064679887385961981", id="psi13"),
+        pytest.param("p:3317044064679887385961987", id="above-psi13"),
+        # odd and free of factors up to 41: only Miller-Rabin could reject it
+        pytest.param("p:" + "9" * 4299 + "1", id="4300-digits"),
+        pytest.param("p:²", id="superscript"),
+    ],
+)
+def test_field_flag_refuses_unprovable_characteristic(run, spec):
+    start = time.perf_counter()
+    code, out, err = run("analyze", "--field", spec, data=OCTA_OBJ)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_budget_exceeded_exit_code(run):

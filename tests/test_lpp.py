@@ -3,9 +3,7 @@ import random
 import pytest
 
 from quadbalance import (
-    HilbertData,
     InputError,
-    LppTarget,
     Monomial,
     MonomialIdeal,
     UnattainableTargetError,
@@ -13,7 +11,6 @@ from quadbalance import (
     depth_and_pd,
     egh_for_quadratic,
     height,
-    hilbert_function,
     series_numerator,
 )
 
@@ -67,18 +64,15 @@ def test_companion_degrees_are_lex_segments():
 
 
 def test_target_validation():
-    data = hilbert_function(TRIANGLE)
-    with pytest.raises(InputError):
-        LppTarget(2, (2, 2), data)
-    with pytest.raises(InputError):
-        LppTarget(3, (2, 2, 2, 2), data)
-    assert LppTarget(3, (2, 2), data).powers == (2, 2)
+    numerator = series_numerator(TRIANGLE)
+    for g in (-1, 4):
+        with pytest.raises(InputError):
+            construct_lex_plus_powers(3, g, numerator)
 
 
 def test_construct_squares_only():
     squares = MonomialIdeal.from_strings(3, ["x1^2", "x2^2", "x3^2"])
-    target = LppTarget(3, (2, 2, 2), hilbert_function(squares, bound=0))
-    result = construct_lex_plus_powers(target)
+    result = construct_lex_plus_powers(3, 3, series_numerator(squares))
     assert set(result.ideal.generator_strings()) == {"x1^2", "x2^2", "x3^2"}
     assert result.picked_by_degree == {} and result.series_equal
     assert result.top_degree == 0
@@ -86,29 +80,28 @@ def test_construct_squares_only():
 
 def test_construct_with_degree_one_pick():
     # target values (1, 2, 1, 0, ...): numerator (1 + 2t + t^2)(1 - t)^3
-    target = LppTarget(
-        3, (2, 2, 2), HilbertData(3, (1, 2, 1, 0), (1, -1, -2, 2, 1, -1))
-    )
-    result = construct_lex_plus_powers(target)
+    result = construct_lex_plus_powers(3, 3, (1, -1, -2, 2, 1, -1))
     assert set(result.ideal.generator_strings()) == {"x1", "x2^2", "x3^2"}
     assert result.picked_by_degree == {1: 1}
     assert result.series_equal and result.top_degree == 1
 
 
+# target values (1, 2, 2, 1, 0, ...) in two variables
+PURE_LEX = (1, 0, -1, -1, 0, 1)
+
+
 def test_construct_pure_lex_ideal():
-    # no forced powers; target values (1, 2, 2, 1, 0, ...) in two variables
-    target = LppTarget(2, (), HilbertData(2, (1, 2, 2, 1, 0), (1, 0, -1, -1, 0, 1)))
-    result = construct_lex_plus_powers(target)
+    # no squares
+    result = construct_lex_plus_powers(2, 0, PURE_LEX)
     assert set(result.ideal.generator_strings()) == {"x1^2", "x1*x2^2", "x2^4"}
     assert result.picked_by_degree == {2: 1, 3: 1, 4: 1}
     assert result.series_equal
 
 
 def test_construct_monotone_in_degree_cap():
-    target = LppTarget(2, (), HilbertData(2, (1, 2, 2, 1, 0), (1, 0, -1, -1, 0, 1)))
-    full = construct_lex_plus_powers(target)
+    full = construct_lex_plus_powers(2, 0, PURE_LEX)
     for cap in range(1, full.top_degree + 1):
-        part = construct_lex_plus_powers(target, max_degree=cap)
+        part = construct_lex_plus_powers(2, 0, PURE_LEX, max_degree=cap)
         assert part.picked_by_degree == {
             d: k for d, k in full.picked_by_degree.items() if d <= cap
         }
@@ -116,13 +109,12 @@ def test_construct_monotone_in_degree_cap():
 
 
 def test_unattainable_target():
-    ambient = hilbert_function(MonomialIdeal(3, ()), bound=0)
-    target = LppTarget(3, (2, 2, 2), ambient)
+    ambient = series_numerator(MonomialIdeal(3, ()))
     with pytest.raises(UnattainableTargetError) as err:
-        construct_lex_plus_powers(target)
+        construct_lex_plus_powers(3, 3, ambient)
     assert err.value.degree == 2
     with pytest.raises(UnattainableTargetError) as err:
-        construct_lex_plus_powers(LppTarget(1, (), HilbertData(1, (), ())))
+        construct_lex_plus_powers(1, 0, ())
     assert err.value.degree == 0
 
 

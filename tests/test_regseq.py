@@ -21,6 +21,7 @@ from quadbalance import (
     monomial_as_product,
     sample_forms,
 )
+from quadbalance import regseq
 from quadbalance.fields import DEFAULT_PRIME
 
 from oracles import random_quadratic_exponents, transversal_ranks
@@ -276,11 +277,12 @@ def test_random_ideals_yield_certified_sequences():
                     assert ideal.contains(Monomial(tuple(exps)))
 
 
-def test_structured_fallback():
+def test_structured_fallback(monkeypatch):
     # with every sampled coefficient 1 both forms are x3 + x4, so all eight
     # samples fail and the structured family t^((j+1)(v+1)) takes over at t=2
+    monkeypatch.setattr(regseq, "default_coefficient_range", lambda g: 1)
     ideal = MonomialIdeal.from_strings(4, ["x1*x3", "x1*x4", "x2*x3", "x2*x4"])
-    cert = find_regular_sequence(ideal, coefficient_range=1)
+    cert = find_regular_sequence(ideal)
     assert cert.ok and cert.attempts == 9 and cert.seed is None
     assert [f.coefficients for f in cert.forms] == [(0, 0, 8, 16), (0, 0, 64, 256)]
 

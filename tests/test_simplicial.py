@@ -11,6 +11,7 @@ from quadbalance import (
     complex_of_ideal,
     f_vector,
     h_vector,
+    height,
     independence_complex,
     is_flag,
     minimal_non_faces,
@@ -140,6 +141,25 @@ def test_stanley_reisner_round_trip():
         assert back.facets == cx.facets and back.n_vertices == cx.n_vertices
     with pytest.raises(InputError):
         complex_of_ideal(MonomialIdeal.from_strings(2, ["x1^2"]))
+
+
+def test_height_against_stanley_reisner_oracle():
+    # the minimal primes of the Stanley-Reisner ideal are the facet
+    # complements, so its height is read off a largest facet: n - dim - 1
+    def agrees(cx):
+        return height(stanley_reisner(cx)) == cx.n_vertices - cx.dim - 1
+
+    for n in range(6):
+        assert agrees(SimplicialComplex(n, frozenset([frozenset()])))
+        assert agrees(SimplicialComplex.full_simplex(n))
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        # facets on the first few vertices only, so the rest go unused
+        cx = SimplicialComplex.from_faces(n, random_facets(rng, rng.randint(1, n), 6))
+        assert agrees(cx)
+        edges = [pair for pair in combinations(range(n), 2) if rng.random() < 0.4]
+        assert agrees(independence_complex(n, edges))
 
 
 def test_independence_complexes():
