@@ -12,11 +12,7 @@ from .errors import (
     UnattainableTargetError,
 )
 from .fields import GF, QQ, parse_field_spec
-from .hilbert import (
-    HilbertData,
-    hilbert_function,
-    series_numerator,
-)
+from .hilbert import series_numerator
 from .homology import (
     CMCertificate,
     depth_and_pd,
@@ -79,7 +75,6 @@ __all__ = [
     "DegreeTwoDecomposition",
     "EghReport",
     "GF",
-    "HilbertData",
     "InputError",
     "LinearForm",
     "LppResult",
@@ -113,7 +108,6 @@ __all__ = [
     "format_monomial",
     "h_vector",
     "height",
-    "hilbert_function",
     "independence_complex",
     "is_cohen_macaulay",
     "is_flag",

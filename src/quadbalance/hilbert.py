@@ -18,12 +18,10 @@ degrees at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
 from operator import le
 
-from .errors import InputError
 from .monomials import MonomialIdeal, _minimalize
 
 # ---------------------------------------------------------------------------
@@ -166,42 +164,3 @@ def expansion_coefficient(n: int, k: int) -> int:
 def _value(numerator, n: int, d: int) -> int:
     """HF(d) of the series numerator/(1-t)^n; 0 in negative degrees."""
     return sum(c * expansion_coefficient(n, d - j) for j, c in enumerate(numerator) if j <= d)
-
-
-def window_from_numerator(numerator, n: int, bound: int) -> tuple:
-    """Values HF(0..bound) of the series numerator/(1-t)^n."""
-    return tuple(_value(numerator, n, d) for d in range(bound + 1))
-
-
-@dataclass(frozen=True)
-class HilbertData:
-    """A Hilbert function: an exact series numerator plus a value window.
-
-    The numerator together with the ambient count n determines HF in every
-    degree; the window is a convenience slice HF(0..D).
-    """
-
-    n: int
-    window: tuple
-    numerator: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "window", tuple(self.window))
-        object.__setattr__(self, "numerator", poly_trim(self.numerator))
-
-    def value(self, d: int) -> int:
-        return _value(self.numerator, self.n, d)
-
-
-def hilbert_function(ideal: MonomialIdeal, bound: int | None = None) -> HilbertData:
-    """Hilbert function of S/I on the window 0..bound, with exact numerator.
-
-    The default bound is n plus the largest generator degree.
-    """
-    if bound is None:
-        maxdeg = max((g.degree for g in ideal.generators), default=0)
-        bound = ideal.n + maxdeg
-    if bound < 0:
-        raise InputError("window bound must be nonnegative")
-    num = series_numerator(ideal)
-    return HilbertData(ideal.n, window_from_numerator(num, ideal.n, bound), num)

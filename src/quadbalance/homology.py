@@ -3,22 +3,40 @@
 One engine serves all three.  A complex is given by facet bitmasks: a set
 F of positions is a face when ``within``, the facets in play, meets the
 mask of every member of F.  The face walk ``simplicial._faces`` lists the
-faces and ``_betti`` takes one reduced Betti number from the boundary
-ranks.  A simplicial complex has one bit per facet, and the link of a face
-F keeps the same masks, with ``within`` cut down to the facets containing
-F and the vertices of F dropped.  The CM test lists a link only when it
-can fail: a link with a vertex in all of its facets is a cone, acyclic
-over every field, and is skipped; any other link is keyed by its facet
-set (vertex masks of the facets containing F, F's bits cleared), and a
-key that passed once is not listed again.  Skipped links are exactly ones
-that pass, so the face count and the first failing witness do not move.
-Over Q every degree is probed mod p first: rank mod p never exceeds the
-rational rank, so a zero there is a zero over Q, and a nonzero probe is
-redone exactly on the same boundary rows.
+faces once, and every homology computed here is that of the link of a face
+F inside them: the complex itself is the link of the empty face.
 
-Degrees 0 and 1 need no elimination: over every field d_0 has rank 1 on a
-nonempty vertex set and d_1 has rank V - c, read off a union-find on the
-edges.  Mod p the higher maps are ranked from the top dimension down with
+The faces of lk F are the sets G with G u F a face and G n F empty, so the
+e-faces of lk F are the (e + |F|)-faces H of the complex that contain F,
+its star.  Each dimension of the complex is numbered once; the faces of
+dimension d through a vertex v are one bitmask, and the star of F in
+dimension d is the AND of these masks over v in F.  The boundary of lk F
+is the boundary of the complex restricted to the rows and the columns
+that contain F, up to signs: for H = G u F, a face H - s with s in F does
+not contain F, and H - s with s in G is (G - s) u F.  The entry of s in
+the boundary of H is (-1)^#{t in H : t < s}, the link's entry of s in
+the boundary of G times tau(s) = (-1)^#{f in F : f < s}.  With
+sigma(G) = product of tau(s) over s in G, tau(s) = sigma(G) sigma(G - s),
+so the restricted matrix is the link's boundary matrix scaled on both
+sides by the diagonal +-1 matrix sigma.  Ranks, and so Betti numbers,
+agree over every field; over GF(2) the two matrices are equal.
+
+A link is ranked, never listed.  The CM test skips a
+link with a vertex in all of its facets, a cone and acyclic over every
+field, and any link whose facet set (vertex masks of the facets containing
+F, F's bits cleared) passed once.  Skipped links are exactly ones that
+pass, so the face count and the first failing witness do not move.
+
+Mod 2 a boundary row is an int, bit i for the i-th face one dimension
+down, and elimination is XOR keyed by the top bit (``linalg.xor_rank``).
+Over Q every degree is probed mod 2 first: rank mod 2 never exceeds the
+rational rank (a minor that vanishes over Z vanishes mod 2), so betti mod 2
+bounds betti over Q from above and a zero there is a zero over Q.  A
+nonzero probe, from 2-torsion such as RP^2 or from homology over Q, is
+redone exactly on the restricted signed rows.  An odd p ranks the same
+signed rows with ``ModularEchelon``.
+
+Mod p, 2 included, the maps are ranked from the top dimension down with
 clearing (Chen-Kerber, "Persistent homology computation with a twist",
 2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Each row the
 echelon basis of d_{k+1} stores is a combination of boundaries, so a
@@ -28,7 +46,11 @@ before tau, and the row of d_k at tau can be dropped without changing the
 rank of d_k.  The rows pushed onto d_k are then f_k - rank d_{k+1}, of
 which betti_k reduce to zero.  The exact redo over Q keeps every row: a
 cycle mod p need not lift to a rational one that is nonzero at tau, so a
-pivot mod p proves no dependence over Q.
+pivot mod p proves no dependence over Q.  Degree 0 is never eliminated:
+d_0 has rank 1 on a nonempty vertex set.  Degree 1 is ranked mod 2 over
+every field: any set of rows of d_1 is a graph's edges, of rank V - c over
+every field for V vertices in c components, so the rows left after
+clearing over one field have the same rank mod 2.
 
 Betti numbers of S/I come from upper Koszul complexes (Miller-Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34): for a multidegree b,
@@ -39,101 +61,191 @@ in the ideal's own variables, with no polarization.  Only b in the lcm
 lattice of the generators contribute (Gasharov-Peeva-Welker): elsewhere
 some variable of supp b lies in every facet of K^b, a cone.  The facets of
 K^b are the sets {v : g_v < b_v} for the generators g dividing x^b, so
-K^b has the same bitmask form, one bit per such generator.  K^b has at
-most |supp b| vertices, and when it is the full simplex it is acyclic and
-skipped, so beta_{i,b} = 0 for i > |supp b|.  The projective dimension
-walks b by |supp b|, largest first, and stops once |supp b| cannot beat the
-best degree found; depth is then n - pd by Auslander-Buchsbaum.
+K^b has the same bitmask form, one bit per such generator, and is ranked
+as the link of its empty face.  K^b has at most |supp b| vertices, and
+when it is the full simplex it is acyclic and skipped, so beta_{i,b} = 0
+for i > |supp b|.  The projective dimension walks b by |supp b|, largest
+first, and stops once |supp b| cannot beat the best degree found; depth is
+then n - pd by Auslander-Buchsbaum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import and_, or_
 
 from .covers import _bits
 from .errors import BudgetExceededError, InputError
-from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
-from .linalg import rank_of_rows
+from .fields import GF, QQ
+from .linalg import rank_of_rows, xor_rank
 from .monomials import MonomialIdeal
 from .simplicial import SimplicialComplex, _facet_masks, _faces
 
-_PROBE = GF(DEFAULT_PRIME)
+_GF2 = GF(2)
 
 
-def _boundary_rows(faces_k, index_km1):
-    rows = []
-    for f in faces_k:
-        row = {}
-        for j in range(len(f)):
-            row[index_km1[f[:j] + f[j + 1 :]]] = -1 if j % 2 else 1
-        rows.append(row)
-    return rows
+def _tables(cache: dict, d: int) -> list:
+    """The tables of the listed complex in dimension d, each built on first
+    use by the functions below: [index, through, rows, signed]."""
+    tables = cache.get(d)
+    if tables is None:
+        tables = cache[d] = [None, None, None, None]
+    return tables
 
 
-def _betti(faces: dict, j: int, field, cache: dict) -> int:
-    """Reduced Betti number in degree j over the field, probed mod p first
-    over Q; ``cache`` keeps this complex's ranks between calls."""
-
-    def betti(f):
-        return len(faces.get(j, ())) - _rank(faces, f, j, cache) - _rank(faces, f, j + 1, cache)
-
-    if field == QQ and not betti(_PROBE):
-        return 0
-    return betti(field)
+def _index(faces: dict, cache: dict, d: int) -> dict:
+    """The number of each d-face."""
+    tables = _tables(cache, d)
+    if tables[0] is None:
+        tables[0] = {face: i for i, face in enumerate(faces[d])}
+    return tables[0]
 
 
-def _rank(faces: dict, field, d: int, cache: dict) -> int:
-    """Rank of the boundary map from the d-faces to the (d-1)-faces.
+def _through(faces: dict, cache: dict, d: int) -> dict:
+    """Each vertex's mask of the d-faces containing it."""
+    tables = _tables(cache, d)
+    if tables[1] is None:
+        through: dict = {}
+        for i, face in enumerate(faces[d]):
+            bit = 1 << i
+            for v in face:
+                through[v] = through.get(v, 0) | bit
+        tables[1] = through
+    return tables[1]
 
-    Degrees 0 and 1 come from the graph of vertices and edges, exactly over
-    every field.  Over GF(p) the maps are ranked from the top dimension
-    down, each with the rows at the pivots of the map above cleared; over Q
-    a map is ranked on all of its rows.  ``cache`` holds the ranks by
-    (field, d) and, by (field, None), the lowest map ranked mod p so far
-    with its pivots.
+
+def _rows(faces: dict, cache: dict, d: int) -> list:
+    """The boundary of each d-face as bits over the (d-1)-faces."""
+    tables = _tables(cache, d)
+    if tables[2] is None:
+        # combinations(face, d) lists the facets of a face
+        at = _index(faces, cache, d - 1).__getitem__
+        tables[2] = [sum(map((1).__lshift__, map(at, combinations(face, d)))) for face in faces[d]]
+    return tables[2]
+
+
+def _signed(link, e: int, kept) -> list:
+    """The signed boundary rows of the link's e-faces numbered in ``kept``:
+    the complex's rows {index: +-1}, cut down to the columns in the star."""
+    d = e + len(link.face)
+    tables = _tables(link.cache, d)
+    if tables[3] is None:
+        # the t-th facet listed drops vertex d - t of the face, with sign
+        # (-1)^(d - t)
+        at = _index(link.faces, link.cache, d - 1)
+        tables[3] = [
+            {at[facet]: -1 if (d - t) % 2 else 1 for t, facet in enumerate(combinations(face, d))}
+            for face in link.faces[d]
+        ]
+    rows = tables[3]
+    if not link.face:  # every column is in the star of the empty face
+        return [rows[i] for i in kept]
+    cols = link.star[e]
+    return [{c: x for c, x in rows[i].items() if cols >> c & 1} for i in kept]
+
+
+class _Link:
+    """lk F inside a listed complex, the complex itself when F is empty.
+
+    ``star[e + 1]`` masks the (|F| + e)-faces that contain F, which are the
+    e-faces of lk F, for e from -1 to the dimension of lk F.  ``mod`` maps
+    p to the state of ``_mod_ranks`` over GF(p), and ``exact`` a degree to
+    its rank over Q, as they are found.
     """
-    if (field, d) in cache:
-        return cache[field, d]
-    if d < 0 or not faces.get(d):
+
+    __slots__ = ("faces", "cache", "face", "star", "mod", "exact")
+
+    def __init__(self, faces: dict, cache: dict, face: tuple):
+        self.faces, self.cache, self.face = faces, cache, face
+        self.mod: dict = {}
+        self.exact: dict = {}
+        # F itself, the one (-1)-face of lk F
+        self.star = [1 << _index(faces, cache, len(face) - 1)[face] if face else 1]
+        for d in range(len(face), max(faces) + 1):
+            mask = (1 << len(faces[d])) - 1
+            if face:
+                through = _through(faces, cache, d)
+                mask = reduce(and_, (through.get(v, 0) for v in face), mask)
+                if not mask:
+                    break
+            self.star.append(mask)
+
+
+def _link(faces: dict, cache: dict, face: tuple = ()) -> _Link:
+    """lk F, kept in ``cache`` with the listed complex's tables."""
+    link = cache.get(face)
+    if link is None:
+        link = cache[face] = _Link(faces, cache, face)
+    return link
+
+
+def _betti(link: _Link, j: int, field) -> int:
+    """Reduced Betti number in degree j of the link over the field, probed
+    mod 2 first over Q."""
+    star = link.star
+    if not 0 <= j + 1 < len(star):
         return 0
-    if d < 2:
-        if "low" not in cache:
-            cache["low"] = _low_ranks(faces)
-        return cache["low"][d]
-    if not isinstance(field, PrimeField):
-        index = {face: i for i, face in enumerate(faces[d - 1])}
-        cache[field, d] = rank_of_rows(_boundary_rows(faces[d], index), field)
-        return cache[field, d]
-    e, cleared = cache.get((field, None), (max(faces) + 1, set()))
-    while e > d:
-        e -= 1
-        index = {face: i for i, face in enumerate(faces[e - 1])}
-        kept = [face for i, face in enumerate(faces[e]) if i not in cleared]
-        cleared = set()
-        cache[field, e] = rank_of_rows(_boundary_rows(kept, index), field, cleared)
-    cache[field, None] = (e, cleared)
-    return cache[field, d]
+    ranks = _mod_ranks(link, _GF2 if field == QQ else field, j)
+    betti = star[j + 1].bit_count() - ranks[j + 1] - ranks[j + 2]
+    if betti and field == QQ:
+        exact = [_rank(link.faces, QQ, e, link.cache, link.face) for e in (j, j + 1)]
+        betti = star[j + 1].bit_count() - sum(exact)
+    return betti
 
 
-def _low_ranks(faces: dict) -> tuple:
-    """(rank d_0, rank d_1) over every field, by a union-find on the edges:
-    d_0 has rank 1 once there is a vertex, and the edges of a spanning
-    forest form a basis of the row space of d_1, so its rank is V - c for
-    V vertices in c components."""
-    parent = {v: v for (v,) in faces.get(0, ())}
-    merged = 0
-    for u, v in faces.get(1, ()):
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            merged += 1
-    return int(bool(parent)), merged
+def _rank(faces: dict, field, e: int, cache: dict, face: tuple = ()) -> int:
+    """Rank of the boundary map of lk F from its e-faces to its (e-1)-faces.
+
+    Over GF(p) it is read from ``_mod_ranks``, and so is degree 0 or 1
+    over Q; over Q a map of degree 2 or more is ranked on all of its signed
+    rows, restricted to the star of F.
+    """
+    link = _link(faces, cache, face)
+    star = link.star
+    if not 0 <= e < len(star) - 1:
+        return 0
+    if field != QQ or e < 2:
+        return _mod_ranks(link, _GF2 if field == QQ else field, e)[e + 1]
+    if e not in link.exact:
+        link.exact[e] = rank_of_rows(_signed(link, e, _bits(star[e + 1])), QQ)
+    return link.exact[e]
+
+
+def _mod_ranks(link: _Link, field, e: int) -> list:
+    """Ranks over GF(p) of the link's boundary maps, ``ranks[k + 1]`` for
+    the map from the k-faces, for k from -1 up to one above the link's
+    dimension, correct for every k >= e.
+
+    The maps are ranked from the top dimension down, as far as asked, on
+    the complex's own rows restricted to the star, each with the rows at
+    the pivots of the map above cleared: mod 2 as bits, otherwise on
+    signed rows, except degree 1, which is ranked mod 2 over every field,
+    and degree 0, which has rank 1 on a nonempty vertex set.  The state
+    kept in ``link.mod`` is [ranks by degree + 1, the lowest degree ranked,
+    the pivots of its map as a mask].
+    """
+    star = link.star
+    state = link.mod.get(field.p)
+    if state is None:
+        ranks = [0] * (len(star) + 1)
+        ranks[1] = int(len(star) > 1)
+        state = link.mod[field.p] = [ranks, len(star) - 1, 0]
+    ranks, low, cleared = state
+    while low > max(e, 1):
+        low -= 1
+        kept = _bits(star[low + 1] & ~cleared)
+        # degree 0 is not eliminated, so degree 1 clears nothing
+        pivots = set() if low > 1 else None
+        if field.p == 2 or low < 2:
+            rows, cols = _rows(link.faces, link.cache, low + len(link.face)), star[low]
+            ranks[low + 1] = xor_rank([rows[i] & cols for i in kept], pivots)
+        else:
+            ranks[low + 1] = rank_of_rows(_signed(link, low, kept), field, pivots)
+        cleared = sum(map((1).__lshift__, pivots or ()))
+        state[1:] = low, cleared
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +257,8 @@ def reduced_homology_ranks(cx: SimplicialComplex, field=QQ) -> tuple:
     if cx.is_void():
         raise InputError("the void complex has no reduced homology")
     faces = _faces(_facet_masks(cx), (1 << len(cx.facets)) - 1)
-    cache: dict = {}
-    return tuple(_betti(faces, j, field, cache) for j in range(0, cx.dim + 1))
+    link = _link(faces, {})
+    return tuple(_betti(link, j, field) for j in range(0, cx.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -167,13 +279,15 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     homology below its own dimension.  Faces are visited by size, then
     lexicographically; returns the first failing witness.
 
-    Only links that can fail reach homology.  The link of F is a cone, and
-    acyclic over every field, when a vertex outside F lies in every facet
-    containing F.  Any other link is keyed by its facets, as vertex masks
-    with F's vertices cleared, and a key whose homology passed once is not
-    listed again; the vertex set alone would not do, since two links on the
-    same vertices can differ.  Both shortcuts pass only links that pass, so
-    ``faces_checked`` still counts every face and the first witness stays.
+    The faces are listed once, and each link is ranked inside the
+    complex's boundary maps, on its star.  Only links that can fail reach
+    homology.  The link of F is a cone, and acyclic over every field, when
+    a vertex outside F lies in every facet containing F.  Any other link is
+    keyed by its facets, as vertex masks with F's vertices cleared, and a
+    key whose homology passed once is not ranked again; the vertex set
+    alone would not do, since two links on the same vertices can differ.
+    Both shortcuts pass only links that pass, so ``faces_checked`` still
+    counts every face and the first witness stays.
     """
     if cx.is_void():
         raise InputError("the void complex is not a ring-theoretic object here")
@@ -185,28 +299,28 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     checked = 0
     listed = _faces(masks, every)
     top = max(listed)
+    cache: dict = {}
     # a face of dimension top - 1 or more has a link of dimension at most
     # 0, with no degree below its own to test; these faces come last
     for d in range(-1, top - 1):
         for face in listed[d]:
             checked += 1
-            # the link of F: the facets containing F, restricted to the
-            # vertices outside F
-            within = reduce(and_, (masks[v] for v in face), every)
-            lt = [m for v, m in enumerate(masks) if m & within and v not in face]
-            if any(m & within == within for m in lt):
-                continue  # a cone over that vertex
-            outside = ~sum(1 << v for v in face)
-            key = frozenset(members[i] & outside for i in _bits(within))
+            # the facets containing F, as vertex masks
+            within = reduce(and_, map(masks.__getitem__, face), every)
+            facets = [members[i] for i in _bits(within)]
+            inside = sum(map((1).__lshift__, face))
+            if reduce(and_, facets) ^ inside:
+                continue  # a cone over a vertex outside F in all of them
+            key = frozenset(map(inside.__xor__, facets))
             if key in passed:
                 continue
-            # the link of the empty face is the complex, listed above
-            link = _faces(lt, within) if face else listed
-            cache: dict = {}
-            for j in range(max(link)):
-                betti = _betti(link, j, field, cache)
+            link = _link(listed, cache, face)
+            # lk F has dimension len(link.star) - 2
+            for j in range(len(link.star) - 2):
+                betti = _betti(link, j, field)
                 if betti:
                     return CMCertificate(False, field.name, checked, (face, j, betti))
+            del cache[face]
             passed.add(key)
     checked += sum(len(faces) for d, faces in listed.items() if d >= top - 1)
     return CMCertificate(True, field.name, checked)
@@ -275,10 +389,9 @@ def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tup
     """
     totals = [1] + [0] * ideal.n
     for lt, divisors in _lattice_points(ideal, budget):
-        faces = _faces(lt, divisors)
-        cache: dict = {}
-        for j in range(-1, max(faces) + 1):
-            totals[j + 2] += _betti(faces, j, field, cache)
+        link = _link(_faces(lt, divisors), {})
+        for j in range(-1, len(link.star) - 1):
+            totals[j + 2] += _betti(link, j, field)
     while not totals[-1]:
         totals.pop()
     return tuple(totals)
@@ -293,10 +406,9 @@ def depth_and_pd(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
     for lt, divisors in points:
         if len(lt) <= pd:
             break
-        faces = _faces(lt, divisors)
-        cache: dict = {}
-        for j in range(max(faces), pd - 2, -1):
-            if _betti(faces, j, field, cache):
+        link = _link(_faces(lt, divisors), {})
+        for j in range(len(link.star) - 2, pd - 2, -1):
+            if _betti(link, j, field):
                 pd = j + 2
                 break
     return ideal.n - pd, pd

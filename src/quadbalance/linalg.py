@@ -4,6 +4,8 @@ Every matrix here has integer entries, given as sparse rows {column:
 entry}.  There is one eliminator over GF(p): ``ModularEchelon``, a basis
 that rows can be pushed onto and popped off, and ``modular_rank`` counts
 the pushes it accepts and can report the pivot columns of the basis.
+``xor_rank`` is the same elimination mod 2 on rows stored as int bitsets,
+for homology, whose boundary rows have entries +-1.
 Fraction-free (Bareiss) elimination is kept for exact ranks over the
 rationals only; homology and the regular-sequence sweep reach it only
 after a probe mod p, to confirm a nonzero Betti number or to rank subsets
@@ -156,6 +158,27 @@ def modular_rank(rows, p: int, pivots: set | None = None) -> int:
     if pivots is not None:
         pivots.update(echelon.rows)
     return rank
+
+
+def xor_rank(rows, pivots: set | None = None) -> int:
+    """Rank over GF(2) of rows given as int bitsets, bit c for column c.
+
+    A row is reduced at its top bit until that bit is no stored pivot, as in
+    ``ModularEchelon`` with every entry 1; ``pivots`` is filled as in
+    ``modular_rank``.
+    """
+    basis: dict = {}  # pivot column -> row
+    for v in rows:
+        while v:
+            top = v.bit_length() - 1
+            row = basis.get(top)
+            if row is None:
+                basis[top] = v
+                break
+            v ^= row
+    if pivots is not None:
+        pivots.update(basis)
+    return len(basis)
 
 
 def rank_of_rows(rows, field=QQ, pivots: set | None = None) -> int:

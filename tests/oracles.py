@@ -6,9 +6,10 @@ frozen into assertions.
 """
 
 import re
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, groupby
-from math import gcd
+from math import comb, gcd
 from operator import le, or_
 
 import sympy
@@ -155,6 +156,49 @@ def pivot_numerator(generators, memo=None):
 
     generators = frozenset(map(tuple, generators))
     return rec(generators) if generators else (1,)
+
+
+def window_from_numerator(numerator, n, bound):
+    """Values HF(0..bound) of the series numerator/(1-t)^n, from the
+    coefficient comb(n + k - 1, k) of t^k in (1-t)^(-n)."""
+
+    def expansion(k):
+        if k < 0:
+            return 0
+        return comb(n + k - 1, k) if n else int(k == 0)
+
+    return tuple(
+        sum(c * expansion(d - j) for j, c in enumerate(numerator)) for d in range(bound + 1)
+    )
+
+
+@dataclass(frozen=True)
+class HilbertData:
+    """A Hilbert function: an exact series numerator plus the value window
+    HF(0..D); the numerator and n determine HF in every degree."""
+
+    n: int
+    window: tuple
+    numerator: tuple
+
+    def value(self, d):
+        return window_from_numerator(self.numerator, self.n, d)[d] if d >= 0 else 0
+
+
+def hilbert_function(ideal, bound=None, numerator=None):
+    """Hilbert function of S/I on the window 0..bound, with its numerator.
+
+    ``ideal`` needs only ``n`` and generators with ``exponents``.  The
+    numerator is ``pivot_numerator`` of the generators unless given, as the
+    package's own when that is what a test checks.  The default bound is n
+    plus the largest generator degree.
+    """
+    exponents = [g.exponents for g in ideal.generators]
+    if bound is None:
+        bound = ideal.n + max((sum(e) for e in exponents), default=0)
+    if numerator is None:
+        numerator = pivot_numerator(exponents)
+    return HilbertData(ideal.n, window_from_numerator(numerator, ideal.n, bound), numerator)
 
 
 def sympy_rank(rows) -> int:

@@ -4,23 +4,20 @@ from quadbalance import (
     Monomial,
     MonomialIdeal,
     egh_for_quadratic,
-    hilbert_function,
     series_numerator,
 )
 from quadbalance import hilbert
-from quadbalance.hilbert import (
-    _numerator,
-    poly_mul,
-    window_from_numerator,
-)
+from quadbalance.hilbert import _numerator, poly_mul
 
 from quadbalance.monomials import _minimalize
 
 from oracles import (
     count_standard_monomials,
+    hilbert_function,
     pivot_numerator,
     random_exponents,
     random_quadratic_exponents,
+    window_from_numerator,
 )
 
 
@@ -69,7 +66,7 @@ def test_against_brute_force_enumeration():
         gens = random_exponents(rng, n, 5, 4)
         ideal = MonomialIdeal(n, tuple(Monomial(e) for e in gens))
         bound = rng.randint(0, 7)
-        window = hilbert_function(ideal, bound).window
+        window = hilbert_function(ideal, bound, series_numerator(ideal)).window
         for d in range(bound + 1):
             assert window[d] == count_standard_monomials(n, gens, d), (n, gens, d)
 

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -23,7 +25,6 @@ from quadbalance import (
 )
 from quadbalance import homology
 from quadbalance.homology import reduced_homology_ranks, total_betti_numbers
-from quadbalance.linalg import ModularEchelon
 
 from oracles import (
     brute_cohen_macaulay,
@@ -132,49 +133,119 @@ def test_homology_against_oracle():
 
 
 def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
-    # every build of boundary rows is ranked once; per field path (the
-    # probe mod p, then Q only where the probe is nonzero) each dimension
-    # is built at most once, and mod p a dimension's rows skip the faces at
-    # the pivots of the map above, so their count is f_d - rank d_{d+1}
-    built, ranked = [], []
-    original_rows, original_rank = homology._boundary_rows, homology.rank_of_rows
+    # the faces are listed once per complex, and each table of a dimension
+    # (face index, faces through each vertex, mod-2 and signed rows) is
+    # built once.  Per field path (the probe mod 2, then Q only where the
+    # probe is nonzero) each degree is ranked at most once.  Mod p a
+    # degree's rows skip the faces at the pivots of the map above, so their
+    # count is f_d - rank_p d_{d+1}; degree 1 is ranked mod 2 for every
+    # field, cleared by the pivots of the map above over that field
+    listed, built, ranked = [], [], []
+    faces, xor_rank, rank_of_rows = homology._faces, homology.xor_rank, homology.rank_of_rows
 
-    def rows(faces_k, index_km1):
-        built.append(len(faces_k))
-        return original_rows(faces_k, index_km1)
+    def listing(lt, within):
+        listed.append(within)
+        return faces(lt, within)
 
-    def rank(rows, field=QQ, pivots=None):
-        ranked.append((field.name, len(rows[0]) - 1, len(rows)))
-        return original_rank(rows, field, pivots)
+    def building(name, position):
+        # records a table of a dimension when it is about to be built
+        build = getattr(homology, name)
 
-    monkeypatch.setattr(homology, "_boundary_rows", rows)
-    monkeypatch.setattr(homology, "rank_of_rows", rank)
+        def wrapped(*args):
+            if name == "_signed":  # (link, e, kept)
+                cache, d = args[0].cache, args[1] + len(args[0].face)
+            else:  # (faces, cache, d)
+                cache, d = args[1:]
+            if d not in cache or cache[d][position] is None:
+                built.append((name, d))
+            return build(*args)
+
+        monkeypatch.setattr(homology, name, wrapped)
+
+    def degree(row):
+        # a restricted row of degree d has d + 1 entries
+        return (row.bit_count() if isinstance(row, int) else len(row)) - 1
+
+    def counting_xor(rows, pivots=None):
+        rank = xor_rank(rows, pivots)
+        ranked.append(("GF(2)", degree(rows[0]) if rows else None, len(rows), rank))
+        return rank
+
+    def counting_rank(rows, field=QQ, pivots=None):
+        rank = rank_of_rows(rows, field, pivots)
+        ranked.append((field.name, degree(rows[0]), len(rows), rank))
+        return rank
+
+    monkeypatch.setattr(homology, "_faces", listing)
+    for position, name in enumerate(("_index", "_through", "_rows", "_signed")):
+        building(name, position)
+    monkeypatch.setattr(homology, "xor_rank", counting_xor)
+    monkeypatch.setattr(homology, "rank_of_rows", counting_rank)
     rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
     cases = [
         (octahedron(), QQ, (0, 0, 1)),
         (rp2, QQ, (0, 0, 0)),
         (rp2, GF(2), (0, 1, 1)),
         (cross_polytope(4), GF(3), (0, 0, 0, 1)),
+        (cycle_complex(5), GF(3), (0, 1)),
     ]
     for cx, field, betti in cases:
+        listed.clear()
         built.clear()
         ranked.clear()
         assert reduced_homology_ranks(cx, field) == betti
-        assert len(built) == len(ranked) == len(set((f, d) for f, d, _ in ranked))
+        assert len(listed) == 1 and len(built) == len(set(built))
         facets = [tuple(sorted(f)) for f in cx.facets]
         f = f_vector(cx)
-        probe = homology._PROBE if field == QQ else field
+        probe = GF(2) if field == QQ else field
         mod_p = oracle_boundary_ranks(facets, probe.p)
-        for name, d, count in ranked:
-            assert d >= 2  # degrees 0 and 1 come from the union-find
-            if name == probe.name:
-                assert count == f[d + 1] - mod_p.get(d + 1, 0)
-            else:
-                assert name == "Q" and count == f[d + 1]
-        paths = {name for name, _, _ in ranked}
-        # the octahedron's probe of degree 2 is nonzero and is redone over Q
-        assert paths == ({"GF(32003)", "Q"} if cx == cases[0][0] else {probe.name})
-        assert {d for name, d, _ in ranked if name == probe.name} == set(range(2, cx.dim + 1))
+        mod_2 = oracle_boundary_ranks(facets, 2)
+        for name, d, count, rank in ranked:
+            if name == "Q":
+                assert d >= 2 and count == f[d + 1] and rank == oracle_boundary_ranks(facets)[d]
+                continue
+            if d is None:  # every row cleared
+                assert count == 0
+                continue
+            assert name == ("GF(2)" if d < 2 else probe.name)
+            assert count == f[d + 1] - mod_p.get(d + 1, 0) and rank == mod_p[d]
+            if d < 2:  # a graph's rank is the same over every field
+                assert rank == mod_2[d]
+        # every degree once per field path, each probed mod 2 over Q
+        paths = [(name if d is None or d >= 2 else probe.name, d) for name, d, _, _ in ranked]
+        assert len(paths) == len(set(paths))
+        # degree 0 has rank 1 on a nonempty vertex set, with no elimination
+        assert {d for name, d in paths if name == probe.name} == set(range(1, cx.dim + 1))
+        # the octahedron's probe of degree 2 is nonzero, and RP^2's of
+        # degrees 1 and 2 (2-torsion): each is redone over Q on all rows
+        # of degree 2.  Signed rows are built only for the degrees ranked
+        # over Q or an odd p
+        redone = {d for name, d, _, _ in ranked if name == "Q"}
+        assert redone == ({2} if field == QQ else set())
+        signed = {d for name, d in built if name == "_signed"}
+        assert signed == (set(range(2, cx.dim + 1)) if field != GF(2) else set())
+    # maps are ranked from the top down only as far as a degree asks, so
+    # projective dimension's top-down walk can stop after the top map
+    ranked.clear()
+    octahedron_faces = homology._faces(homology._facet_masks(octahedron()), (1 << 8) - 1)
+    assert homology._betti(homology._link(octahedron_faces, {}), 2, GF(2)) == 1
+    assert [(name, d) for name, d, _, _ in ranked] == [("GF(2)", 2)]
+    # the CM test lists the complex once and ranks its links on their
+    # stars, listing the boundary of each face at most once mod 2
+    boundaries = Counter()
+
+    def facets_of(face, size):
+        boundaries[size] += 1
+        return combinations(face, size)
+
+    monkeypatch.setattr(homology, "combinations", facets_of)
+    for cx in (octahedron(), rp2, cone(rp2), cross_polytope(5), cycle_complex(6)):
+        listed.clear()
+        boundaries.clear()
+        is_cohen_macaulay(cx, GF(2))
+        f = f_vector(cx)
+        assert boundaries and all(boundaries[d] <= f[d + 1] for d in boundaries)
+        assert len(listed) == 1
 
 
 def test_cohen_macaulay_examples():
@@ -251,6 +322,78 @@ def test_cohen_macaulay_against_link_oracle():
     assert brute_cohen_macaulay(rp2)[0] and not brute_cohen_macaulay(rp2, 2)[0]
 
 
+def test_cohen_macaulay_on_stars_against_link_oracle():
+    # every link is ranked inside the complex's own boundary rows, probed
+    # mod 2 over Q; the certificate, faces_checked and first witness
+    # included, against Reisner's criterion with each link rebuilt from
+    # the facets, on complexes with 2-torsion, cones, spheres, unused
+    # vertices and facets of mixed sizes
+    rng = random.Random(67)
+    rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
+    cases = [
+        rp2,
+        cone(rp2),
+        # RP^2 with an edge hanging off vertex 0 and an unused vertex 8
+        SimplicialComplex(9, frozenset(rp2.facets | {frozenset({0, 6})})),
+        SimplicialComplex(7, rp2.facets),
+        cycle_complex(4),
+        cycle_complex(6),
+        cone(cycle_complex(6)),
+        *(cross_polytope(k) for k in (1, 2, 3, 4)),
+        cone(cross_polytope(3)),
+    ]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        used = rng.sample(range(n), rng.randint(1, n))
+        facets = [frozenset(used[i] for i in f) for f in random_facets(rng, len(used), 7)]
+        cases.append(SimplicialComplex.from_faces(n, facets))
+        if rng.random() < 0.3:
+            cases.append(cone(cases[-1]))
+    verdicts = {}
+    for cx in cases:
+        facets = [tuple(sorted(f)) for f in cx.facets]
+        for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3)):
+            cert = is_cohen_macaulay(cx, field)
+            want = brute_cohen_macaulay(facets, p)
+            assert (cert.is_cm, cert.faces_checked, cert.witness) == want, (facets, field.name)
+            verdicts[cx, field.name] = cert.is_cm
+    assert verdicts[rp2, "Q"] and verdicts[rp2, "GF(3)"] and not verdicts[rp2, "GF(2)"]
+    assert not verdicts[cone(rp2), "GF(2)"] and verdicts[cone(rp2), "Q"]
+    assert {v for (cx, name), v in verdicts.items() if name == "Q"} == {True, False}
+
+
+def test_star_ranks_against_listed_link_oracle():
+    # the rank of each boundary map of lk F, restricted from the complex's
+    # own rows to the star of F, against the link listed from its facets
+    # with every row kept; degrees asked in ascending and in descending
+    # order, since mod p the maps are ranked top down with clearing
+    rng = random.Random(71)
+    complexes = [SimplicialComplex.from_faces(6, RP2_FACETS), cross_polytope(3)]
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        complexes.append(SimplicialComplex.from_faces(n, random_facets(rng, n, 6)))
+    ranked = 0
+    for cx in complexes:
+        listed = homology._faces(homology._facet_masks(cx), (1 << len(cx.facets)) - 1)
+        every = [face for d in sorted(listed) for face in listed[d]]
+        for face in [()] + rng.sample(every, min(6, len(every))):
+            link = [tuple(sorted(set(f) - set(face))) for f in cx.facets if set(face) <= f]
+            top = max(map(len, link)) - 1
+            dims = range(-1, top + 3)
+            for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3)):
+                want = oracle_boundary_ranks(link, p)
+                betti = oracle_reduced_betti(link, p, integer_rank)
+                for order in (dims, reversed(dims)):
+                    cache: dict = {}
+                    got = {e: homology._rank(listed, field, e, cache, face) for e in order}
+                    assert got == {e: want.get(e, 0) for e in dims}, (cx.facets, face, field.name)
+                    ranked += any(got.values())
+                inside = homology._link(listed, {}, face)
+                got = {j: homology._betti(inside, j, field) for j in range(-1, top + 1)}
+                assert got == betti, (cx.facets, face, field.name)
+    assert ranked >= 300
+
+
 def test_cross_polytope_links_reach_homology_once(monkeypatch):
     # the k-pair cross-polytope has 3^k faces, and the link of a face is
     # the cross-polytope on the pairs it misses: 2^k distinct links; over
@@ -276,33 +419,34 @@ def test_cross_polytope_links_reach_homology_once(monkeypatch):
 
 def test_cross_polytope_pushes_only_rows_that_can_be_independent(monkeypatch):
     # the link of a face missing s of the k pairs is the cross-polytope on
-    # those s pairs, an (s-1)-sphere.  Degrees 0 and 1 come from a
-    # union-find, so a link is ranked only when s >= 3, and no row of
-    # dimension 0 or 1 is pushed.  A sphere has one top cycle and no other
+    # those s pairs, an (s-1)-sphere, and it is ranked mod 2 inside the
+    # complex's boundary rows.  A link of dimension 0 (s = 1) tests no
+    # degree and is not ranked.  A sphere has one top cycle and no other
     # homology, and cleared rows are never pushed, so each ranked link has
-    # exactly one push that reduces to zero.
-    pushed, ranked = [], []
-    push, faces = ModularEchelon.push, homology._faces
+    # exactly one row that reduces to zero: the 42 links with s >= 3 in a
+    # degree of 2 or more, the 15 circles (s = 2) in degree 1.  Degree 0 is
+    # never eliminated, so every ranked link ranks its degree 1 once.
+    ranked = []
+    xor_rank = homology.xor_rank
 
-    def counting_push(self, vector):
-        accepted = push(self, vector)
-        pushed.append((len(vector) - 1, accepted))
-        return accepted
+    def counting(rows, pivots=None):
+        rank = xor_rank(rows, pivots)
+        ranked.append((rows[0].bit_count() - 1, len(rows) - rank))
+        return rank
 
-    def listing(lt, within):
-        listed = faces(lt, within)
-        ranked.append(max(listed) >= 2)
-        return listed
-
-    monkeypatch.setattr(ModularEchelon, "push", counting_push)
-    monkeypatch.setattr(homology, "_faces", listing)
+    monkeypatch.setattr(homology, "xor_rank", counting)
+    monkeypatch.setattr(homology, "rank_of_rows", None)  # no exact redo
     k = 6
     cert = is_cohen_macaulay(cross_polytope(k))
     assert cert.is_cm and cert.faces_checked == 3**k
-    assert min(d for d, _ in pushed) == 2
-    # the first listing is the complex itself, the link of the empty face
-    assert sum(ranked) == sum(comb(k, s) for s in range(3, k + 1)) == 42
-    assert sum(not accepted for _, accepted in pushed) == sum(ranked)
+    # the complex itself is the link of the empty face, s = k
+    links = sum(comb(k, s) for s in range(2, k + 1))
+    assert sum(d == 1 for d, _ in ranked) == links == 57
+    assert min(d for d, _ in ranked) == 1
+    spheres = sum(comb(k, s) for s in range(3, k + 1))
+    assert sum(zero for d, zero in ranked if d >= 2) == spheres == 42
+    assert sum(zero == 1 for d, zero in ranked if d >= 2) == 42
+    assert sum(zero for d, zero in ranked if d == 1) == comb(k, 2) == 15
 
 
 def test_cone_preserves_cohen_macaulayness():
