@@ -48,6 +48,56 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+# per subcommand: its help line and the options it takes after the common ones
+_COMMANDS = {
+    "analyze": ("f/h-vectors, height, flagness, CM check", ()),
+    "regseq": ("regular sequence of variable-times-form products", ("--seed", "--prime")),
+    "egh": ("powers-plus-lex ideal with the same Hilbert function", ("--budget", "--max-degree")),
+    "balance": ("balanced CM companion with the same h-vector", ("--max-degree",)),
+    "verify": ("recheck an emitted report from its JSON alone", ("--budget", "--max-degree")),
+}
+
+_EXTRA_OPTIONS = {
+    "--seed": dict(type=_int_in(*SEED_RANGE), default=0, help="sampling seed (default 0)"),
+    "--prime": dict(
+        default=None,
+        metavar="i,j,...",
+        help="1-based variables of the minimal prime to use "
+        "(default: lexicographically first smallest one)",
+    ),
+    "--budget": dict(
+        type=_int_in(0),
+        default=16,
+        metavar="N",
+        help="largest polarized support (the sum of the per-variable "
+        "maximal exponents) allowed for projective dimension (default 16)",
+    ),
+    "--max-degree": dict(
+        type=_int_in(0),
+        default=None,
+        metavar="D",
+        help="cap on lex-pick degrees (default: none; the construction "
+        "runs until series equality is certified)",
+    ),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, command: str):
+    p.add_argument("input", help='input JSON file, or "-" for stdin')
+    p.add_argument(
+        "--field",
+        default="q",
+        metavar="q|p:<prime>",
+        help="coefficient field (default: q, the rationals)",
+    )
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--json", action="store_true", help="canonical JSON to stdout (default)")
+    mode.add_argument("--pretty", action="store_true", help="human-readable summary instead")
+    p.add_argument("--out", metavar="FILE", help="also write canonical JSON here")
+    for name in _COMMANDS[command][1]:
+        p.add_argument(name, **_EXTRA_OPTIONS[name])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadbalance",
@@ -55,82 +105,54 @@ def _build_parser() -> argparse.ArgumentParser:
         "balanced companions of flag complexes, with exact certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, budget=False, max_degree=False):
-        p.add_argument("input", help='input JSON file, or "-" for stdin')
-        p.add_argument(
-            "--field",
-            default="q",
-            metavar="q|p:<prime>",
-            help="coefficient field (default: q, the rationals)",
-        )
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--json", action="store_true", help="canonical JSON to stdout (default)"
-        )
-        mode.add_argument(
-            "--pretty", action="store_true", help="human-readable summary instead"
-        )
-        p.add_argument("--out", metavar="FILE", help="also write canonical JSON here")
-        if budget:
-            p.add_argument(
-                "--budget",
-                type=_int_in(0),
-                default=16,
-                metavar="N",
-                help="largest polarized support (the sum of the per-variable "
-                "maximal exponents) allowed for projective dimension (default 16)",
-            )
-        if max_degree:
-            p.add_argument(
-                "--max-degree",
-                type=_int_in(0),
-                default=None,
-                metavar="D",
-                help="cap on lex-pick degrees (default: none; the construction "
-                "runs until series equality is certified)",
-            )
-
-    common(sub.add_parser("analyze", help="f/h-vectors, height, flagness, CM check"))
-
-    p = sub.add_parser("regseq", help="regular sequence of variable-times-form products")
-    common(p)
-    p.add_argument(
-        "--seed", type=_int_in(*SEED_RANGE), default=0, help="sampling seed (default 0)"
-    )
-    p.add_argument(
-        "--prime",
-        default=None,
-        metavar="i,j,...",
-        help="1-based variables of the minimal prime to use "
-        "(default: lexicographically first smallest one)",
-    )
-
-    common(
-        sub.add_parser("egh", help="powers-plus-lex ideal with the same Hilbert function"),
-        budget=True,
-        max_degree=True,
-    )
-    common(
-        sub.add_parser("balance", help="balanced CM companion with the same h-vector"),
-        max_degree=True,
-    )
-    common(
-        sub.add_parser("verify", help="recheck an emitted report from its JSON alone"),
-        budget=True,
-        max_degree=True,
-    )
+    for command, (summary, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(command, help=summary), command)
     return parser
 
 
+class _Refused(Exception):
+    """The one-subcommand parser met help or an error; the full parser answers."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    # Configured like the full parser's subparser, -h/--help included, so it
+    # reads every argument the same way; it only never prints or exits.
+    def print_help(self, file=None):
+        raise _Refused
+
+    def error(self, message):
+        raise _Refused
+
+
+def _parse_command(argv: list) -> argparse.Namespace:
+    """Parses argv, whose first item names a subcommand, with that subcommand's
+    options only; raises _Refused wherever the full parser would print help or
+    an error."""
+    parser = _CommandParser(prog=f"quadbalance {argv[0]}")
+    _add_options(parser, argv[0])
+    return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The full parser's Namespace for argv; help and errors raise its SystemExit."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _parse_command(argv)
+        except _Refused:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not {exc.encoding.upper()} text") from exc
 
 
 def _load(args):
@@ -289,9 +311,8 @@ def _emit(report: dict, args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,7 +13,7 @@ from quadbalance import (
     egh_for_quadratic,
     find_regular_sequence,
 )
-from quadbalance import reports
+from quadbalance import cli, reports
 from quadbalance.cli import main
 from quadbalance.jsonio import (
     MAX_VARIABLES,
@@ -752,6 +752,17 @@ def test_bad_json_reports_position(run, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+def test_non_utf8_input_exits_two(run, tmp_path, monkeypatch):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"n":1}')
+    for command in ("analyze", "regseq", "egh", "balance", "verify"):
+        code, out, err = run(command, str(path))
+        assert (code, out, err) == (2, "", f"error: cannot read {path}: not UTF-8 text\n")
+    # stdin decodes with the interpreter's own error handler, strict here
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()), "utf-8"))
+    assert run("analyze", "-") == (2, "", "error: cannot read -: not UTF-8 text\n")
+
+
 def test_unparseable_json_exits_two(run, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000)
@@ -836,3 +847,88 @@ def test_argparse_errors_exit_two(run, capsys):
     capsys.readouterr()
     assert main(["analyze", "a.json", "--json", "--pretty"]) == 2
     capsys.readouterr()
+
+
+def _argv_id(argv):
+    text = " ".join(argv) or "(none)"
+    return text if len(text) <= 40 else f"{text[:30]}...({len(text)} chars)"
+
+
+ACCEPTED_ARGV = [
+    ["analyze", "x.json"],
+    ["analyze", "-", "--field", "p:3", "--json", "--out", "r.json"],
+    ["analyze", "--field=q", "--pretty", "--out=r.json", "x.json"],
+    ["analyze", "--fi", "p:2", "--pre", "--o", "r.json", "x.json"],
+    ["regseq", "x.json", "--seed", "7", "--prime", "1,2"],
+    ["regseq", "--seed=0", "--prime=3", "-"],
+    ["regseq", "x.json", "--se", str(2**64), "--pri", "2,1", "--json"],
+    ["egh", "x.json", "--budget", "12", "--max-degree", "5"],
+    ["egh", "--bud", "12", "--max", "0", "--", "x.json"],
+    ["egh", "-", "--budget=0", "--max-degree=9", "--out", "-"],
+    ["balance", "x.json", "--max-degree=3", "--field", "p:32003"],
+    ["balance", "--", "x.json"],
+    ["balance", "--m", "4", "--pretty", "-"],
+    ["verify", "x.json", "--budget", "20", "--max-degree", "2", "--pretty"],
+    ["verify", "--json", "--", "-"],
+    ["verify", "--b=3", "--ma=1", "--out=r.json", "--field=q", "x.json"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED_ARGV, ids=_argv_id)
+def test_command_parser_matches_full_parser(argv):
+    assert cli._parse_command(argv) == cli._build_parser().parse_args(argv)
+
+
+REFUSED_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["frobnicate", "x.json"],
+    ["--field", "q", "analyze", "x.json"],
+    *([command, "-h"] for command in ("analyze", "regseq", "egh", "balance", "verify")),
+    *([command, "x.json", "--he"] for command in ("analyze", "regseq", "egh", "balance", "verify")),
+    ["analyze", "-h x"],
+    ["analyze", "x.json", "-hx"],
+    ["analyze"],
+    ["analyze", "x.json", "extra"],
+    ["analyze", "x.json", "--json", "--pretty"],
+    ["analyze", "x.json", "--bogus"],
+    ["analyze", "x.json", "--budget", "3"],
+    ["analyze", "x.json", "--out"],
+    ["regseq", "x.json", "--pr", "1"],
+    ["regseq", "x.json", "--seed", "9" * 5000],
+    ["regseq", "x.json", "--seed", str(2**64 + 1)],
+    ["egh", "x.json", "--budget", "-1"],
+    ["balance", "x.json", "--max-degree", "two"],
+    ["verify", "x.json", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGV, ids=_argv_id)
+def test_help_and_errors_come_from_full_parser(argv, capsys):
+    if argv and argv[0] in cli._COMMANDS:
+        with pytest.raises(cli._Refused):
+            cli._parse_command(argv)
+        assert capsys.readouterr() == ("", "")
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    expected = (int(exc.value.code or 0), *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == expected
+
+
+def test_console_script_reads_sys_argv(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(TRIANGLE_OBJ))
+    argv = ["egh", str(path), "--budget", "12"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    built = []
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or full())
+    monkeypatch.setattr(sys, "argv", ["quadbalance", *argv])
+    assert main() == 0 and capsys.readouterr().out == expected
+    assert built == []  # the one-subcommand parser alone
+    monkeypatch.setattr(sys, "argv", ["quadbalance", "egh", "-h"])
+    assert main() == 0 and capsys.readouterr().out.startswith("usage: quadbalance egh")
+    assert built == [1]
