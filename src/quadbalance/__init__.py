@@ -35,16 +35,10 @@ from .monomials import (
 )
 from .regseq import (
     DegreeTwoDecomposition,
-    MatchingInstance,
     RegularSequenceCertificate,
-    TransversalWitness,
-    build_matching_instance,
     certify_transversal_ranks,
     decompose_degree_two,
-    find_matching,
     find_regular_sequence,
-    is_regular_sequence_of_products,
-    monomial_as_product,
     sample_forms,
 )
 from .reports import (
@@ -78,7 +72,6 @@ __all__ = [
     "InputError",
     "LinearForm",
     "LppResult",
-    "MatchingInstance",
     "Monomial",
     "MonomialIdeal",
     "NotCohenMacaulayError",
@@ -87,12 +80,10 @@ __all__ = [
     "RegularSequenceCertificate",
     "RegularSequenceNotFoundError",
     "SimplicialComplex",
-    "TransversalWitness",
     "UnattainableTargetError",
     "analyze_report",
     "balance",
     "balance_report",
-    "build_matching_instance",
     "canonical_json",
     "certify_transversal_ranks",
     "check_balanced",
@@ -103,7 +94,6 @@ __all__ = [
     "egh_for_quadratic",
     "egh_report",
     "f_vector",
-    "find_matching",
     "find_regular_sequence",
     "format_monomial",
     "h_vector",
@@ -111,10 +101,8 @@ __all__ = [
     "independence_complex",
     "is_cohen_macaulay",
     "is_flag",
-    "is_regular_sequence_of_products",
     "minimal_non_faces",
     "minimal_primes",
-    "monomial_as_product",
     "parse_field_spec",
     "parse_monomial",
     "polarize",

@@ -30,7 +30,8 @@ class RegularSequenceNotFoundError(RuntimeError):
     """All sampling attempts and the deterministic fallback were exhausted.
 
     Over Q this is not expected for genuine inputs: every attempt fails
-    with probability at most 1/2, and the bipartite matchings show that
-    suitable forms exist.  Over a small prime field it can happen, because
-    the sampled and structured coefficients may collapse mod p.
+    with probability at most 1/2, and the lemma in the ``regseq`` module
+    docstring shows that suitable forms exist.  Over a small prime field it
+    can happen, because the sampled and structured coefficients may collapse
+    mod p.
     """

@@ -190,19 +190,18 @@ def _betti(link: _Link, j: int, field) -> int:
     ranks = _mod_ranks(link, _GF2 if field == QQ else field, j)
     betti = star[j + 1].bit_count() - ranks[j + 1] - ranks[j + 2]
     if betti and field == QQ:
-        exact = [_rank(link.faces, QQ, e, link.cache, link.face) for e in (j, j + 1)]
+        exact = [_rank(link, QQ, e) for e in (j, j + 1)]
         betti = star[j + 1].bit_count() - sum(exact)
     return betti
 
 
-def _rank(faces: dict, field, e: int, cache: dict, face: tuple = ()) -> int:
+def _rank(link: _Link, field, e: int) -> int:
     """Rank of the boundary map of lk F from its e-faces to its (e-1)-faces.
 
     Over GF(p) it is read from ``_mod_ranks``, and so is degree 0 or 1
     over Q; over Q a map of degree 2 or more is ranked on all of its signed
     rows, restricted to the star of F.
     """
-    link = _link(faces, cache, face)
     star = link.star
     if not 0 <= e < len(star) - 1:
         return 0
@@ -250,15 +249,6 @@ def _mod_ranks(link: _Link, field, e: int) -> list:
 
 # ---------------------------------------------------------------------------
 # simplicial complexes and their links
-
-
-def reduced_homology_ranks(cx: SimplicialComplex, field=QQ) -> tuple:
-    """(betti_0, ..., betti_dim) over the given field; () for the complex {∅}."""
-    if cx.is_void():
-        raise InputError("the void complex has no reduced homology")
-    faces = _faces(_facet_masks(cx), (1 << len(cx.facets)) - 1)
-    link = _link(faces, {})
-    return tuple(_betti(link, j, field) for j in range(0, cx.dim + 1))
 
 
 @dataclass(frozen=True)

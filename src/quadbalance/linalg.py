@@ -41,9 +41,6 @@ class LinearForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
-    def support(self) -> tuple:
-        return tuple(j for j, c in enumerate(self.coefficients) if c != 0)
-
     @staticmethod
     def variable(j: int, n: int) -> "LinearForm":
         return LinearForm(tuple(1 if i == j else 0 for i in range(n)))
@@ -189,12 +186,3 @@ def rank_of_rows(rows, field=QQ, pivots: set | None = None) -> int:
         return modular_rank(rows, field.p, pivots)
     return bareiss_rank(rows)
 
-
-def rank_of_forms(forms, field=QQ) -> int:
-    """Rank of the coefficient matrix of a family of linear forms."""
-    forms = list(forms)
-    if not forms:
-        return 0
-    if len({f.n for f in forms}) > 1:
-        raise InputError("forms live in different ambient rings")
-    return rank_of_rows([dict(enumerate(f.coefficients)) for f in forms], field)

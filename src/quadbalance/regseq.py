@@ -13,29 +13,33 @@ by one, exactly, only when the sweep meets a dependency.
 
 Candidate forms are sampled with small random integer coefficients; a
 failure survives a single sample with probability at most 1/2 at the default
-coefficient range, and every sample is verified exactly, never trusted.  If
-sampling is exhausted, a deterministic fallback first certifies solvability
-by finding a perfect matching for every subset (Hall's condition holds
-whenever the ideal really has height g) and then walks a structured family
-of integer coefficient vectors, again verifying each candidate exactly.
+coefficient range, and every sample is verified exactly, never trusted.
+
+Suitable forms exist for every minimal prime P of size g = height, so for a
+prime given with ``--prime`` too.  Let A be the positions that take their
+forms; position j may then use the variables of spaces[j] for j in A and
+only x_{p_j} otherwise, and each perfect matching of positions to distinct
+variables is a term of the choice's determinant, as a polynomial in the
+coefficients, that no other term cancels.  So generic forms pass every
+subset once Hall's condition holds for every A.  Suppose some A violates it
+through a set B of positions whose neighbours N(B) are fewer than |B|.  Then
+(P - {p_j : j in B n A}) u U_{j in B n A} spaces[j] still covers every
+generator, because each generator sits at its smallest prime position: one
+at j outside B n A is divisible by x_{p_j}, and one at j in B n A is x_{p_j}
+times a variable of spaces[j].  Its size is at most
+g - |B n A| + |N(B)| - |B - A| < g, since N(B) holds the x_{p_j} of B - A,
+which contradicts height g.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import product as iter_product
 
 from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import BudgetExceededError, InputError, RegularSequenceNotFoundError
 from .fields import DEFAULT_PRIME, QQ, PrimeField
-from .linalg import (
-    LinearForm,
-    ModularEchelon,
-    ProductOfLinearForms,
-    rank_of_forms,
-    rank_of_rows,
-)
+from .linalg import LinearForm, ModularEchelon, ProductOfLinearForms, rank_of_rows
 from .monomials import Monomial, MonomialIdeal, _require_quadratic
 
 MAX_PRIME_SIZE = 20
@@ -58,26 +62,6 @@ class DegreeTwoDecomposition:
     @property
     def g(self) -> int:
         return len(self.prime)
-
-
-@dataclass(frozen=True)
-class MatchingInstance:
-    """Bipartite instance for one subset of positions.
-
-    Position j may use any variable of ``spaces[j]`` when j is active, and
-    only its own prime variable otherwise.  ``matching[j]`` is the assigned
-    variable on success; ``deficient`` is a set of positions whose combined
-    neighborhood is too small (a Hall violation) on failure.
-    """
-
-    active: tuple
-    neighbors: tuple
-    matching: tuple | None = None
-    deficient: tuple | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.matching is not None
 
 
 @dataclass(frozen=True)
@@ -141,47 +125,6 @@ def decompose_degree_two(ideal: MonomialIdeal, prime) -> DegreeTwoDecomposition:
                 f"x{prime[j] + 1} divides no generator; the prime is not minimal"
             )
     return DegreeTwoDecomposition(ideal, prime, tuple(tuple(sorted(s)) for s in spaces))
-
-
-def build_matching_instance(dec: DegreeTwoDecomposition, active) -> MatchingInstance:
-    active = tuple(sorted(set(active)))
-    for j in active:
-        if not 0 <= j < dec.g:
-            raise InputError(f"position {j} out of range 0..{dec.g - 1}")
-    aset = set(active)
-    neighbors = tuple(
-        dec.spaces[j] if j in aset else (dec.prime[j],) for j in range(dec.g)
-    )
-    return MatchingInstance(active, neighbors)
-
-
-def find_matching(inst: MatchingInstance) -> MatchingInstance:
-    """Augmenting-path maximum matching; failure carries a deficient set."""
-    g = len(inst.neighbors)
-    match_var: dict = {}
-
-    def augment(j: int, banned: set) -> bool:
-        for v in inst.neighbors[j]:
-            if v in banned:
-                continue
-            banned.add(v)
-            if v not in match_var or augment(match_var[v], banned):
-                match_var[v] = j
-                return True
-        return False
-
-    for j in range(g):
-        if not augment(j, set()):
-            block = {j}
-            while True:
-                reachable = {v for i in block for v in inst.neighbors[i]}
-                grown = block | {match_var[v] for v in reachable if v in match_var}
-                if grown == block:
-                    break
-                block = grown
-            return replace(inst, deficient=tuple(sorted(block)))
-    assigned = {j: v for v, j in match_var.items()}
-    return replace(inst, matching=tuple(assigned[j] for j in range(g)))
 
 
 def default_coefficient_range(g: int) -> int:
@@ -292,48 +235,6 @@ def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertific
     return RegularSequenceCertificate(prime, forms, field.name, checked)
 
 
-def is_regular_sequence_of_products(products, field=QQ):
-    """Transversal criterion: every choice of one factor per product must
-    have full rank.  Returns (True, None) or (False, witness) where the
-    witness records the first rank-deficient choice.
-
-    The vanishing locus of the products is the union over all choices of
-    the chosen forms' common zero set, so the products have height equal to
-    the number of products exactly when every choice is independent.
-    """
-    products = tuple(products)
-    r = len(products)
-    if r == 0:
-        return True, None
-    if len({p.factors[0].n for p in products}) > 1:
-        raise InputError("products live in different ambient rings")
-    for choice in iter_product(*(range(len(p.factors)) for p in products)):
-        chosen = tuple(p.factors[c] for p, c in zip(products, choice))
-        rank = rank_of_forms(chosen, field)
-        if rank != r:
-            return False, TransversalWitness(choice, chosen, rank)
-    return True, None
-
-
-@dataclass(frozen=True)
-class TransversalWitness:
-    """A factor choice whose forms fail to reach full rank."""
-
-    choice: tuple
-    forms: tuple
-    rank: int
-
-
-def monomial_as_product(m: Monomial) -> ProductOfLinearForms:
-    """View a monomial as the product of its variables, with multiplicity."""
-    if m.degree == 0:
-        raise InputError("the constant monomial is not a product of linear forms")
-    factors = []
-    for j, e in enumerate(m.exponents):
-        factors.extend([LinearForm.variable(j, m.n)] * e)
-    return ProductOfLinearForms(tuple(factors))
-
-
 def product_outside_ideal(ideal: MonomialIdeal, prime, forms, field):
     """The first (p, v) with x_p * x_v outside the ideal, where x_v occurs in
     the form multiplying x_p; None when every product lies in the ideal."""
@@ -379,18 +280,10 @@ def find_regular_sequence(
     dec = decompose_degree_two(ideal, sorted(chosen))
 
     def candidates():
-        # seeded samples, then the fallback: matchings certify that every
-        # subset admits an independent choice, then the structured family
-        # puts t^((j+1)(v+1)) on variable v at position j
+        # seeded samples, then the fallback: the structured family puts
+        # t^((j+1)(v+1)) on variable v at position j
         for k in range(_SAMPLES):
             yield sample_forms(dec, seed + k), seed + k
-        for subset in _subsets_lex(dec.g):
-            inst = find_matching(build_matching_instance(dec, subset))
-            if not inst.ok:
-                raise RegularSequenceNotFoundError(
-                    f"positions {inst.deficient} violate the matching condition; "
-                    "the ideal cannot have height g, input is inconsistent"
-                )
         for t in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
             yield _forms(dec, lambda j, v: t ** ((j + 1) * (v + 1))), None
 

