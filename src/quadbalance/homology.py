@@ -150,14 +150,14 @@ class _Link:
     """lk F inside a listed complex, the complex itself when F is empty.
 
     ``star[e + 1]`` masks the (|F| + e)-faces that contain F, which are the
-    e-faces of lk F, for e from -1 to the dimension of lk F.  ``mod`` maps
-    p to the state of ``_mod_ranks`` over GF(p), and ``exact`` a degree to
-    its rank over Q, as they are found.
+    e-faces of lk F, for e from -1 to the dimension of lk F; ``cache`` holds
+    the listed complex's tables.  ``mod`` maps p to the state of
+    ``_mod_ranks`` over GF(p), and ``exact`` a degree to its rank over Q.
     """
 
     __slots__ = ("faces", "cache", "face", "star", "mod", "exact")
 
-    def __init__(self, faces: dict, cache: dict, face: tuple):
+    def __init__(self, faces: dict, cache: dict, face: tuple = ()):
         self.faces, self.cache, self.face = faces, cache, face
         self.mod: dict = {}
         self.exact: dict = {}
@@ -171,14 +171,6 @@ class _Link:
                 if not mask:
                     break
             self.star.append(mask)
-
-
-def _link(faces: dict, cache: dict, face: tuple = ()) -> _Link:
-    """lk F, kept in ``cache`` with the listed complex's tables."""
-    link = cache.get(face)
-    if link is None:
-        link = cache[face] = _Link(faces, cache, face)
-    return link
 
 
 def _betti(link: _Link, j: int, field) -> int:
@@ -269,9 +261,9 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     homology below its own dimension.  Faces are visited by size, then
     lexicographically; returns the first failing witness.
 
-    The faces are listed once, and each link is ranked inside the
-    complex's boundary maps, on its star.  Only links that can fail reach
-    homology.  The link of F is a cone, and acyclic over every field, when
+    The complex's one face listing is read, and each link is ranked
+    inside the complex's boundary maps, on its star.  Only links that can
+    fail reach homology.  The link of F is a cone, and acyclic over every field, when
     a vertex outside F lies in every facet containing F.  Any other link is
     keyed by its facets, as vertex masks with F's vertices cleared, and a
     key whose homology passed once is not ranked again; the vertex set
@@ -287,7 +279,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     members = [sum(1 << v for v in facet) for facet in cx.facets]
     passed = set()
     checked = 0
-    listed = _faces(masks, every)
+    listed = cx._listed
     top = max(listed)
     cache: dict = {}
     # a face of dimension top - 1 or more has a link of dimension at most
@@ -304,13 +296,12 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
             key = frozenset(map(inside.__xor__, facets))
             if key in passed:
                 continue
-            link = _link(listed, cache, face)
+            link = _Link(listed, cache, face)
             # lk F has dimension len(link.star) - 2
             for j in range(len(link.star) - 2):
                 betti = _betti(link, j, field)
                 if betti:
                     return CMCertificate(False, field.name, checked, (face, j, betti))
-            del cache[face]
             passed.add(key)
     checked += sum(len(faces) for d, faces in listed.items() if d >= top - 1)
     return CMCertificate(True, field.name, checked)
@@ -379,7 +370,7 @@ def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tup
     """
     totals = [1] + [0] * ideal.n
     for lt, divisors in _lattice_points(ideal, budget):
-        link = _link(_faces(lt, divisors), {})
+        link = _Link(_faces(lt, divisors), {})
         for j in range(-1, len(link.star) - 1):
             totals[j + 2] += _betti(link, j, field)
     while not totals[-1]:
@@ -396,7 +387,7 @@ def depth_and_pd(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
     for lt, divisors in points:
         if len(lt) <= pd:
             break
-        link = _link(_faces(lt, divisors), {})
+        link = _Link(_faces(lt, divisors), {})
         for j in range(len(link.star) - 2, pd - 2, -1):
             if _betti(link, j, field):
                 pd = j + 2

@@ -368,8 +368,8 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
     cm_source, cm_result = (_get(_get(obj, key), "cm") for key in ("cm_source", "cm_result"))
 
     # one CM test per complex (equal n_vertices and facets) in this call:
-    # the cm checks and the reproduction's balance share the certificates,
-    # and the stated result reuses the rebuilt one's only when they are equal
+    # the cm_source check and the reproduction's balance share the source's
+    # certificate; only the cm_result check tests the stated result
     certify = cache(is_cohen_macaulay)
 
     checker.run("flag", lambda: (is_flag(cx), "input complex is not flag"))

@@ -10,6 +10,7 @@ size-1 minimal non-face.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .covers import _minimal_transversals, minimal_primes
@@ -51,10 +52,14 @@ class SimplicialComplex:
             raise InputError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
+    @cached_property
+    def _listed(self) -> dict:
+        """Faces by dimension, listed once per instance; no reader changes it."""
+        return _faces(_facet_masks(self), (1 << len(self.facets)) - 1)
+
     def faces(self) -> set:
         """All faces, including the empty face when the complex is nonvoid."""
-        by_dim = _faces(_facet_masks(self), (1 << len(self.facets)) - 1)
-        return {frozenset(f) for faces in by_dim.values() for f in faces}
+        return {frozenset(f) for faces in self._listed.values() for f in faces}
 
     def has_face(self, face) -> bool:
         face = frozenset(face)
@@ -104,8 +109,7 @@ def f_vector(cx: SimplicialComplex) -> tuple:
     """(f_-1, f_0, ..., f_dim); f_-1 = 1 counts the empty face."""
     if cx.is_void():
         raise InputError("the void complex has no f-vector")
-    by_dim = _faces(_facet_masks(cx), (1 << len(cx.facets)) - 1)
-    return tuple(len(by_dim[d]) for d in range(-1, cx.dim + 1))
+    return tuple(len(cx._listed[d]) for d in range(-1, cx.dim + 1))
 
 
 def h_vector(cx: SimplicialComplex) -> tuple:

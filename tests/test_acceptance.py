@@ -144,7 +144,9 @@ def test_criterion_3_balanced_companions_for_all_small_graphs():
                 failures.append(("h", k, edges))
             if check_balanced(rep.result, rep.coloring) != rep.coloring:
                 failures.append(("coloring", k, edges))
-            if not rep.cm_result.is_cm:
+            # the result's certificate is stated by the theorem; the link
+            # test must agree with it, face count included
+            if not rep.cm_result.is_cm or is_cohen_macaulay(rep.result) != rep.cm_result:
                 failures.append(("cm", k, edges))
     elapsed = time.perf_counter() - start
     _line(3, not failures and elapsed < 600,

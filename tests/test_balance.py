@@ -5,6 +5,7 @@ import pytest
 
 from quadbalance import (
     GF,
+    QQ,
     InputError,
     NotCohenMacaulayError,
     SimplicialComplex,
@@ -179,3 +180,41 @@ def test_companion_can_leave_flag_territory():
     assert check_balanced(companion, tuple(coloring)) is not None
     with pytest.raises(InputError, match="not a flag complex"):
         balance(companion)
+
+
+def whiskered(m, edges):
+    """The independence complex of a graph on 0..m-1 with a pendant edge
+    from each vertex i to m + i: a CM flag complex."""
+    return independence_complex(2 * m, list(edges) + [(i, m + i) for i in range(m)])
+
+
+def test_result_certificate_matches_the_link_test():
+    # the result's certificate comes from the theorem, not from a test run:
+    # it must be the very certificate the exhaustive link test gives, field
+    # name and face count (empty face included) alike, over every field
+    rng = random.Random(83)
+    cases = []
+    for m in range(2, 6):
+        pairs = list(combinations(range(m), 2))
+        for _ in range(3):
+            cases.append(whiskered(m, [p for p in pairs if rng.random() < 0.5]))
+    for k in range(1, 5):
+        cases.append(independence_complex(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))
+    random_cm = 0
+    while random_cm < 25:
+        n = rng.randint(1, 7)
+        edges = [p for p in combinations(range(n), 2) if rng.random() < 0.45]
+        cx = independence_complex(n, edges)
+        if is_cohen_macaulay(cx, GF(3)).is_cm:
+            cases.append(cx)
+            random_cm += 1
+    moved = 0
+    for cx in cases:
+        for field in (QQ, GF(2), GF(3)):
+            rep = balance(cx, field)
+            assert rep.cm_result == is_cohen_macaulay(rep.result, field), (cx, field.name)
+            assert rep.cm_result.faces_checked == sum(f_vector(rep.result))
+            moved += rep.cm_result != rep.cm_source
+    # companions that drop a dimension change the face count, so the
+    # source's certificate cannot stand in for the result's
+    assert moved >= 10

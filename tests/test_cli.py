@@ -11,6 +11,7 @@ from quadbalance import (
     MonomialIdeal,
     canonical_json,
     egh_for_quadratic,
+    f_vector,
     find_regular_sequence,
 )
 from quadbalance import cli, regseq, reports
@@ -462,8 +463,34 @@ def test_verify_balance_tests_a_replaced_result(run, tmp_path, cm_tests):
     failures = parse(vout)["failures"]
     detail = "result complex is not Cohen-Macaulay over the stated field"
     assert {"check": "cm_result", "detail": detail} in failures
-    # the stated result is tested itself, not read off the rebuilt one
-    assert complex_from_obj(two_edges) in cm_tests and len(cm_tests) == 3
+    # the stated result is tested itself; the reproduction tests only the
+    # source, which the cm_source check already did
+    assert complex_from_obj(two_edges) in cm_tests and len(cm_tests) == 2
+
+
+@pytest.mark.parametrize("data", [OCTA_OBJ, C5_OBJ], ids=["octahedron", "c5"])
+def test_balance_tests_only_its_source(run, cm_tests, data):
+    # the result is Cohen-Macaulay by construction: its certificate counts
+    # every face, with no link test run on it
+    code, out, _ = run("balance", data=data)
+    assert code == 0
+    rep = parse(out)
+    assert cm_tests == [complex_from_obj(rep["complex"])]
+    faces = sum(f_vector(complex_from_obj(rep["result"])))
+    assert rep["cm_result"] == {"cm": True, "faces_checked": faces}
+
+
+def test_balance_max_degree_below_companion_names_the_cap(run):
+    # C5 is CM; its companion needs degree-2 picks, so a cap of 1 stops
+    # the lex walk, which says nothing about the input
+    code, out, err = run("balance", "--max-degree", "1", data=C5_OBJ)
+    assert code == 1 and out == ""
+    assert err == (
+        "negative: no powers-plus-lex quotient matched the h-vector (1, 3, 1) "
+        "within degree 1\n"
+    )
+    assert "Cohen-Macaulay" not in err
+    assert run("balance", "--max-degree", "2", data=C5_OBJ)[0] == 0
 
 
 def test_verify_balance_rejects_forged_cm_flag(run, tmp_path, cm_tests):

@@ -17,13 +17,14 @@ from quadbalance import (
     depth_and_pd,
     egh_for_quadratic,
     f_vector,
+    h_vector,
     height,
     independence_complex,
     is_cohen_macaulay,
     polarize,
     stanley_reisner,
 )
-from quadbalance import homology
+from quadbalance import homology, simplicial
 from quadbalance.homology import total_betti_numbers
 
 from oracles import (
@@ -117,12 +118,12 @@ def test_homology_against_oracle():
     verdicts = set()
     for cx in cases:
         facets = [tuple(sorted(f)) for f in cx.facets]
-        faces = homology._faces(homology._facet_masks(cx), (1 << len(facets)) - 1)
+        faces = cx._listed
         dims = range(-1, cx.dim + 3)
         for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3), (GF(32003), 32003)):
             want = oracle_boundary_ranks(facets, p)
             for order in (dims, reversed(dims)):
-                link = homology._link(faces, {})
+                link = homology._Link(faces, {})
                 got = {d: homology._rank(link, field, d) for d in order}
                 assert got == {d: want.get(d, 0) for d in dims}, (facets, field.name)
             betti = oracle_reduced_betti(facets, p, integer_rank)
@@ -134,7 +135,8 @@ def test_homology_against_oracle():
 
 
 def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
-    # the faces are listed once per complex, and each table of a dimension
+    # the faces are listed once per complex instance, and every later
+    # reader of that instance lists nothing; each table of a dimension
     # (face index, faces through each vertex, mod-2 and signed rows) is
     # built once.  Per field path (the probe mod 2, then Q only where the
     # probe is nonzero) each degree is ranked at most once.  Mod p a
@@ -177,7 +179,7 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
         ranked.append((field.name, degree(rows[0]), len(rows), rank))
         return rank
 
-    monkeypatch.setattr(homology, "_faces", listing)
+    monkeypatch.setattr(simplicial, "_faces", listing)
     for position, name in enumerate(("_index", "_through", "_rows", "_signed")):
         building(name, position)
     monkeypatch.setattr(homology, "xor_rank", counting_xor)
@@ -190,12 +192,15 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
         (cross_polytope(4), GF(3), (0, 0, 0, 1)),
         (cycle_complex(5), GF(3), (0, 1)),
     ]
+    seen = []
     for cx, field, betti in cases:
         listed.clear()
         built.clear()
         ranked.clear()
         assert reduced_homology_ranks(cx, field) == betti
-        assert len(listed) == 1 and len(built) == len(set(built))
+        fresh = not any(cx is other for other in seen)
+        seen.append(cx)
+        assert len(listed) == fresh and len(built) == len(set(built))
         facets = [tuple(sorted(f)) for f in cx.facets]
         f = f_vector(cx)
         probe = GF(2) if field == QQ else field
@@ -228,8 +233,7 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
     # maps are ranked from the top down only as far as a degree asks, so
     # projective dimension's top-down walk can stop after the top map
     ranked.clear()
-    octahedron_faces = homology._faces(homology._facet_masks(octahedron()), (1 << 8) - 1)
-    assert homology._betti(homology._link(octahedron_faces, {}), 2, GF(2)) == 1
+    assert homology._betti(homology._Link(octahedron()._listed, {}), 2, GF(2)) == 1
     assert [(name, d) for name, d, _, _ in ranked] == [("GF(2)", 2)]
     # the CM test lists the complex once and ranks its links on their
     # stars, listing the boundary of each face at most once mod 2
@@ -240,12 +244,18 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
         return combinations(face, size)
 
     monkeypatch.setattr(homology, "combinations", facets_of)
+    rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
     for cx in (octahedron(), rp2, cone(rp2), cross_polytope(5), cycle_complex(6)):
         listed.clear()
         boundaries.clear()
         is_cohen_macaulay(cx, GF(2))
         f = f_vector(cx)
         assert boundaries and all(boundaries[d] <= f[d + 1] for d in boundaries)
+        assert len(listed) == 1
+        # a second call on the same instance, or any other reader, lists nothing
+        is_cohen_macaulay(cx, QQ)
+        cx.faces()
+        h_vector(cx)
         assert len(listed) == 1
 
 
@@ -272,6 +282,30 @@ def test_cohen_macaulay_depends_on_field():
 
 def cone(cx):
     return SimplicialComplex(cx.n_vertices + 1, frozenset(f | {cx.n_vertices} for f in cx.facets))
+
+
+def test_passing_certificate_counts_every_face():
+    # a passing link test counts every face, the empty face included, so
+    # its face count is the sum of the f-vector; ``balance`` states its
+    # result's certificate on that count without running the test
+    rng = random.Random(67)
+    passed = failed = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+        for cx in (
+            SimplicialComplex.from_faces(n, random_facets(rng, n, 5)),
+            independence_complex(n, edges),
+        ):
+            for field in (QQ, GF(2), GF(3)):
+                cert = is_cohen_macaulay(cx, field)
+                if cert.is_cm:
+                    assert cert.faces_checked == sum(f_vector(cx)), (cx, field.name)
+                    passed += 1
+                else:
+                    assert cert.faces_checked < sum(f_vector(cx))
+                    failed += 1
+    assert passed >= 60 and failed >= 60
 
 
 def test_cohen_macaulay_against_link_oracle():
@@ -375,7 +409,7 @@ def test_star_ranks_against_listed_link_oracle():
         complexes.append(SimplicialComplex.from_faces(n, random_facets(rng, n, 6)))
     ranked = 0
     for cx in complexes:
-        listed = homology._faces(homology._facet_masks(cx), (1 << len(cx.facets)) - 1)
+        listed = cx._listed
         every = [face for d in sorted(listed) for face in listed[d]]
         for face in [()] + rng.sample(every, min(6, len(every))):
             link = [tuple(sorted(set(f) - set(face))) for f in cx.facets if set(face) <= f]
@@ -385,11 +419,11 @@ def test_star_ranks_against_listed_link_oracle():
                 want = oracle_boundary_ranks(link, p)
                 betti = oracle_reduced_betti(link, p, integer_rank)
                 for order in (dims, reversed(dims)):
-                    lk = homology._link(listed, {}, face)
+                    lk = homology._Link(listed, {}, face)
                     got = {e: homology._rank(lk, field, e) for e in order}
                     assert got == {e: want.get(e, 0) for e in dims}, (cx.facets, face, field.name)
                     ranked += any(got.values())
-                inside = homology._link(listed, {}, face)
+                inside = homology._Link(listed, {}, face)
                 got = {j: homology._betti(inside, j, field) for j in range(-1, top + 1)}
                 assert got == betti, (cx.facets, face, field.name)
     assert ranked >= 300
@@ -400,22 +434,28 @@ def test_cross_polytope_links_reach_homology_once(monkeypatch):
     # the cross-polytope on the pairs it misses: 2^k distinct links; over
     # its cone, a face without the apex has a cone for its link, and the
     # faces with the apex have the same 2^k links as before
-    listed = []
-    original = homology._faces
+    listed, ranked = [], []
+    original, link = simplicial._faces, homology._Link
 
     def counting(lt, within):
         listed.append(within)
         return original(lt, within)
 
-    monkeypatch.setattr(homology, "_faces", counting)
+    def linking(*args):
+        ranked.append(args)
+        return link(*args)
+
+    monkeypatch.setattr(simplicial, "_faces", counting)
+    monkeypatch.setattr(homology, "_Link", linking)
     k = 6
     cross = cross_polytope(k)
     for cx, faces in ((cross, 3**k), (cone(cross), 2 * 3**k)):
         listed.clear()
+        ranked.clear()
         cert = is_cohen_macaulay(cx)
         assert cert.is_cm and cert.faces_checked == faces
-        # the first listing is the complex's own faces, the rest are links
-        assert len(listed) - 1 <= 2**k
+        # the complex's own faces are listed once, and no link is listed
+        assert len(listed) == 1 and 0 < len(ranked) <= 2**k
 
 
 def test_cross_polytope_pushes_only_rows_that_can_be_independent(monkeypatch):
