@@ -27,7 +27,6 @@ from .lpp import (
     egh_for_quadratic,
 )
 from .monomials import (
-    Monomial,
     MonomialIdeal,
     format_monomial,
     parse_monomial,
@@ -72,7 +71,6 @@ __all__ = [
     "InputError",
     "LinearForm",
     "LppResult",
-    "Monomial",
     "MonomialIdeal",
     "NotCohenMacaulayError",
     "ProductOfLinearForms",

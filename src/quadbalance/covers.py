@@ -20,7 +20,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import InputError
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, support
 
 
 def _supports(ideal: MonomialIdeal) -> list:
@@ -28,7 +28,7 @@ def _supports(ideal: MonomialIdeal) -> list:
         raise InputError("the zero ideal has no associated support hypergraph")
     if not ideal.is_proper():
         raise InputError("the unit ideal has no minimal primes")
-    return [g.support() for g in ideal.generators]
+    return list(map(support, ideal.generators))
 
 
 def _bits(mask: int):

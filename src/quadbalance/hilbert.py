@@ -149,7 +149,7 @@ def _split(gens: frozenset, v: int) -> tuple:
 
 def series_numerator(ideal: MonomialIdeal) -> tuple:
     """Numerator of the Hilbert series of S/I over (1-t)^n."""
-    return _numerator(frozenset(g.exponents for g in ideal.generators))
+    return _numerator(frozenset(ideal.generators))
 
 
 def expansion_coefficient(n: int, k: int) -> int:

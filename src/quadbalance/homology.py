@@ -321,7 +321,7 @@ def _lattice_points(ideal: MonomialIdeal, budget: int) -> list:
     """
     if not ideal.is_proper():
         raise InputError("Betti numbers of the zero module are not defined here")
-    exps = [g.exponents for g in ideal.generators]
+    exps = ideal.generators
     tops = [max(column) for column in zip(*exps)]
     # the budget bounds the polarized support, the sum of the per-variable
     # maximal exponents, so the exit code and the null pd of a report do

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 from .covers import height
 from .errors import InputError, UnattainableTargetError
 from .hilbert import _value, series_numerator
-from .monomials import Monomial, MonomialIdeal, _ideal_from_minimal, _require_quadratic
+from .monomials import MonomialIdeal, _ideal_from_minimal, _require_quadratic, support
 
 # egh's refusal of a zero source, which verify shares
 _ZERO_SOURCE = "the zero ideal needs no realization"
@@ -141,9 +142,9 @@ def _assemble(n: int, squares, picks) -> MonomialIdeal:
     """
     pure = set()
     for m in picks:
-        support = m.support()
-        if len(support) == 1:
-            pure.update(support)
+        variables = support(m)
+        if len(variables) == 1:
+            pure.update(variables)
     kept = [p for i, p in enumerate(squares) if i not in pure]
     return _ideal_from_minimal(n, kept + list(picks))
 
@@ -163,7 +164,7 @@ def construct_lex_plus_powers(
         raise InputError(f"need 0 <= g <= n squares, got g = {g} for n = {n}")
     if _value(numerator, n, 0) != 1:
         raise UnattainableTargetError("a proper monomial quotient has HF(0) = 1", degree=0)
-    squares = [Monomial((0,) * i + (2,) + (0,) * (n - i - 1)) for i in range(g)]
+    squares = [(0,) * i + (2,) + (0,) * (n - i - 1) for i in range(g)]
     partial = MonomialIdeal(n, tuple(squares))
     if series_numerator(partial) == numerator:
         return LppResult(partial, {}, True, 0)
@@ -202,7 +203,7 @@ def construct_lex_plus_powers(
             for i in range(k):
                 if i:
                     exps = counter.predecessor(exps)
-                picks.append(Monomial(exps))
+                picks.append(exps)
             boundary = exps
             picked_by_degree[d] = k
             top = d
@@ -215,8 +216,8 @@ def construct_lex_plus_powers(
 def missing_square(generators, n: int, g: int):
     """The first i < g whose square x_i^2 no generator divides, or None."""
     for i in range(g):
-        square = Monomial(tuple(2 if j == i else 0 for j in range(n)))
-        if not any(m.divides(square) for m in generators):
+        square = tuple(2 if j == i else 0 for j in range(n))
+        if not any(all(map(le, m, square)) for m in generators):
             return i
     return None
 

@@ -1,9 +1,10 @@
 """Monomials and monomial ideals.
 
-Variables are indexed 0..n-1 internally; the text syntax ``x3^2*x5`` is
-1-based, with ``^1`` optional and ``1`` denoting the constant monomial.
-A MonomialIdeal always stores its unique minimal generating set, sorted in
-descending lexicographic order (x1 > x2 > ... > xn).
+A monomial is its exponent vector, a tuple of nonnegative ints with one
+entry per variable.  Variables are indexed 0..n-1 internally; the text
+syntax ``x3^2*x5`` is 1-based, with ``^1`` optional and ``1`` denoting the
+constant monomial.  A MonomialIdeal always stores its unique minimal
+generating set, sorted in descending lexicographic order (x1 > x2 > ... > xn).
 """
 
 from __future__ import annotations
@@ -23,48 +24,13 @@ _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 _MONOMIAL_RE = re.compile(r"\s*x\d+(?:\^\d+)?\s*(?:\*\s*x\d+(?:\^\d+)?\s*)*")
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A monomial, stored as its exponent vector."""
-
-    exponents: tuple
-
-    def __post_init__(self):
-        # map and min run in C: a long vector is converted and checked
-        # without a Python step per entry
-        exps = tuple(map(int, self.exponents))
-        if not exps:
-            raise InputError("zero-length exponent vector is disallowed")
-        if min(exps) < 0:
-            raise InputError("negative exponent")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
-    def is_squarefree(self) -> bool:
-        return max(self.exponents) <= 1
-
-    def support(self) -> frozenset:
-        return frozenset(compress(count(), self.exponents))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __str__(self):
-        return format_monomial(self)
+def support(exponents) -> frozenset:
+    """The indices of the variables dividing the monomial."""
+    return frozenset(compress(count(), exponents))
 
 
-def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse ``x3^2*x5`` (1-based) into a Monomial in n variables.
+def parse_monomial(text: str, n: int) -> tuple:
+    """Parse ``x3^2*x5`` (1-based) into its exponent tuple in n variables.
 
     A well-formed product is checked by one regex and read by one findall;
     a malformed one is read factor by factor, to name the first bad factor
@@ -81,11 +47,11 @@ def parse_monomial(text: str, n: int) -> Monomial:
                     break
                 exps[i - 1] += int(e or 1)
             else:
-                return Monomial(tuple(exps))
+                return tuple(exps)
         elif text.strip() == "1":
             if n < 1:
                 raise InputError("constant monomial needs an ambient ring with n >= 1")
-            return Monomial((0,) * n)
+            return (0,) * n
         _raise_bad_factor(text, n)
     except InputError:
         raise
@@ -108,8 +74,9 @@ def _raise_bad_factor(text: str, n: int):
     raise AssertionError(f"{text!r} has no bad factor")
 
 
-def format_monomial(m: Monomial) -> str:
-    factors = [f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(m.exponents, 1) if e]
+def format_monomial(exponents) -> str:
+    """The text syntax of an exponent tuple: ``x3^2*x5`` (1-based), or ``1``."""
+    factors = [f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(exponents, 1) if e]
     return "*".join(factors) or "1"
 
 
@@ -191,15 +158,14 @@ def _ideal_from_minimal(n: int, monomials) -> "MonomialIdeal":
     """
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "n", n)
-    object.__setattr__(
-        ideal, "generators", tuple(sorted(monomials, key=lambda m: m.exponents, reverse=True))
-    )
+    object.__setattr__(ideal, "generators", tuple(sorted(monomials, reverse=True)))
     return ideal
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal in K[x1..xn], held by its minimal generating set."""
+    """A monomial ideal in K[x1..xn], held by its minimal generating set of
+    exponent tuples."""
 
     n: int
     generators: tuple = field(default=())
@@ -207,16 +173,25 @@ class MonomialIdeal:
     def __post_init__(self):
         if self.n < 0:
             raise InputError("ambient variable count must be nonnegative")
-        gens = tuple(self.generators)
-        for g in gens:
-            if not isinstance(g, Monomial):
-                raise InputError("generators must be Monomial instances")
-            if g.n != self.n:
-                raise InputError(f"generator {g} has {g.n} variables, ambient has {self.n}")
-        by_exponents = {g.exponents: g for g in gens}
-        object.__setattr__(
-            self, "generators", tuple(by_exponents[e] for e in _minimalize(by_exponents))
-        )
+        gens = []
+        for g in self.generators:
+            # map and min run in C: a long vector is converted and checked
+            # without a Python step per entry
+            try:
+                exps = tuple(map(int, g))
+            except (TypeError, ValueError):
+                raise InputError(f"generator {g!r} is not a vector of integer exponents") from None
+            if not exps:
+                raise InputError("zero-length exponent vector is disallowed")
+            if min(exps) < 0:
+                raise InputError("negative exponent")
+            if len(exps) != self.n:
+                raise InputError(
+                    f"generator {format_monomial(exps)} has {len(exps)} variables, "
+                    f"ambient has {self.n}"
+                )
+            gens.append(exps)
+        object.__setattr__(self, "generators", _minimalize(gens))
 
     @classmethod
     def from_strings(cls, n: int, gens) -> "MonomialIdeal":
@@ -226,26 +201,26 @@ class MonomialIdeal:
         return not self.generators
 
     def is_unit(self) -> bool:
-        return any(g.is_constant() for g in self.generators)
+        return (0,) * self.n in self.generators
 
     def is_proper(self) -> bool:
         return not self.is_unit()
 
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree() for g in self.generators)
+        return all(max(g) <= 1 for g in self.generators)
 
     def generated_in_degree(self, d: int) -> bool:
-        return all(g.degree == d for g in self.generators)
+        return all(sum(g) == d for g in self.generators)
 
     @cached_property
     def _indexes(self) -> list:
-        return [index for _, index in _blocks([g.exponents for g in self.generators])]
+        return [index for _, index in _blocks(self.generators)]
 
-    def contains(self, m: Monomial) -> bool:
+    def contains(self, exponents) -> bool:
         """Membership test: a monomial lies in the ideal iff some generator divides it."""
-        if m.n != self.n:
+        if len(exponents) != self.n:
             raise InputError("ambient variable counts differ")
-        return any(index.divisors(m.exponents) for index in self._indexes)
+        return any(index.divisors(exponents) for index in self._indexes)
 
     def generator_strings(self) -> list:
         return [format_monomial(g) for g in self.generators]
@@ -263,7 +238,7 @@ def _require_quadratic(ideal: MonomialIdeal, zero_message: str):
     if not ideal.is_proper():
         raise InputError("the unit ideal is out of scope")
     if not ideal.generated_in_degree(2):
-        bad = [str(g) for g in ideal.generators if g.degree != 2]
+        bad = [format_monomial(g) for g in ideal.generators if sum(g) != 2]
         raise InputError(f"generators must have degree 2; offending: {', '.join(bad)}")
 
 
@@ -279,7 +254,7 @@ def polarize(ideal: MonomialIdeal):
     n = ideal.n
     width = [1] * n
     for g in ideal.generators:
-        for j, e in enumerate(g.exponents):
+        for j, e in enumerate(g):
             if e > width[j]:
                 width[j] = e
     offsets = []
@@ -291,8 +266,8 @@ def polarize(ideal: MonomialIdeal):
     new_gens = []
     for g in ideal.generators:
         exps = [0] * total
-        for j, e in enumerate(g.exponents):
+        for j, e in enumerate(g):
             for k in range(e):
                 exps[offsets[j] + k] = 1
-        new_gens.append(Monomial(tuple(exps)))
+        new_gens.append(tuple(exps))
     return MonomialIdeal(total, tuple(new_gens)), classes

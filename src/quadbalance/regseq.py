@@ -40,7 +40,7 @@ from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import BudgetExceededError, InputError, RegularSequenceNotFoundError
 from .fields import DEFAULT_PRIME, QQ, PrimeField
 from .linalg import LinearForm, ModularEchelon, ProductOfLinearForms, rank_of_rows
-from .monomials import Monomial, MonomialIdeal, _require_quadratic
+from .monomials import MonomialIdeal, _require_quadratic, format_monomial, support
 
 MAX_PRIME_SIZE = 20
 # seeded samples find_regular_sequence tries before its deterministic fallback
@@ -111,11 +111,11 @@ def decompose_degree_two(ideal: MonomialIdeal, prime) -> DegreeTwoDecomposition:
     spaces = [set() for _ in prime]
     pos = {p: j for j, p in enumerate(prime)}
     for gmon in ideal.generators:
-        divisors = sorted(gmon.support() & pset)
+        divisors = sorted(support(gmon) & pset)
         if not divisors:
-            raise InputError(f"prime misses the generator {gmon}")
+            raise InputError(f"prime misses the generator {format_monomial(gmon)}")
         p = divisors[0]
-        exps = list(gmon.exponents)
+        exps = list(gmon)
         exps[p] -= 1
         cofactor = [j for j, e in enumerate(exps) if e]
         spaces[pos[p]].add(cofactor[0] if cofactor else p)
@@ -245,7 +245,7 @@ def product_outside_ideal(ideal: MonomialIdeal, prime, forms, field):
             exps = [0] * ideal.n
             exps[p] += 1
             exps[v] += 1
-            if not ideal.contains(Monomial(tuple(exps))):
+            if not ideal.contains(tuple(exps)):
                 return p, v
     return None
 

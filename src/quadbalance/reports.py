@@ -330,7 +330,7 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
             # reproduction check below re-derives the whole construction,
             # whose own termination argument certifies the series
             return True, ""
-        stated = [m.exponents for m in gens]
+        stated = gens
         # The pivot recursion spends a node per power of a variable, so a
         # stated generator of degree D costs about D^2; bound D by the
         # companion first.  Clements-Lindstrom: an ideal containing the
@@ -339,7 +339,7 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
         # function, so a minimal generator above the companion's top degree
         # proves the series differ.
         rep = companion()
-        top = max(m.degree for m in rep.ideal.generators)
+        top = max(map(sum, rep.ideal.generators))
         if any(sum(e) > top for e in stated):
             stated = _minimalize(stated)
             deepest = max(map(sum, stated))
@@ -406,7 +406,7 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
         artinian = ideal_from_obj(art_obj)
         # polarizing allocates an entry per new variable and generator, at
         # least the polarized support: refuse one the result cannot hold
-        support = sum(map(max, zip(*(m.exponents for m in artinian.generators))))
+        support = sum(map(max, zip(*artinian.generators)))
         if support > result.n_vertices:
             return False, (
                 f"the Artinian ideal's polarized support {support} exceeds "

@@ -15,7 +15,7 @@ from math import comb
 
 from .covers import _minimal_transversals, minimal_primes
 from .errors import InputError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,11 @@ def stanley_reisner(cx: SimplicialComplex) -> MonomialIdeal:
     for nf in minimal_non_faces(cx):
         if not nf:
             # void complex: even the empty set is not a face
-            return MonomialIdeal(max(n, 1), (Monomial((0,) * max(n, 1)),))
+            return MonomialIdeal(max(n, 1), ((0,) * max(n, 1),))
         exps = [0] * n
         for j in nf:
             exps[j] = 1
-        gens.append(Monomial(tuple(exps)))
+        gens.append(tuple(exps))
     return MonomialIdeal(n, tuple(gens))
 
 

@@ -190,12 +190,12 @@ class HilbertData:
 def hilbert_function(ideal, bound=None, numerator=None):
     """Hilbert function of S/I on the window 0..bound, with its numerator.
 
-    ``ideal`` needs only ``n`` and generators with ``exponents``.  The
+    ``ideal`` needs only ``n`` and ``generators``, exponent tuples.  The
     numerator is ``pivot_numerator`` of the generators unless given, as the
     package's own when that is what a test checks.  The default bound is n
     plus the largest generator degree.
     """
-    exponents = [g.exponents for g in ideal.generators]
+    exponents = list(ideal.generators)
     if bound is None:
         bound = ideal.n + max((sum(e) for e in exponents), default=0)
     if numerator is None:

@@ -10,7 +10,6 @@ import time
 from itertools import combinations
 
 from quadbalance import (
-    Monomial,
     MonomialIdeal,
     SimplicialComplex,
     balance,
@@ -52,7 +51,7 @@ def _line(num, ok, message, start):
 
 def random_quadratic_ideal(rng, n, max_gens, allow_squares=True):
     exps = random_quadratic_exponents(rng, n, max_gens, allow_squares)
-    return MonomialIdeal(n, tuple(Monomial(e) for e in exps))
+    return MonomialIdeal(n, tuple(exps))
 
 
 def test_criterion_1_no_regular_pair_in_the_cubic_example():
@@ -63,7 +62,7 @@ def test_criterion_1_no_regular_pair_in_the_cubic_example():
     witnesses = 0
     for i, j in combinations(range(3), 2):
         ok, witness = is_regular_sequence_of_products(
-            (monomial_as_product(gens[i].exponents), monomial_as_product(gens[j].exponents))
+            (monomial_as_product(gens[i]), monomial_as_product(gens[j]))
         )
         if ok or witness is None or witness.rank >= 2:
             failures.append((i, j))
@@ -97,7 +96,7 @@ def test_criterion_2_regular_sequence_and_realization_suite():
                     exps = [0] * n
                     exps[p] += 1
                     exps[v] += 1
-                    if not ideal.contains(Monomial(tuple(exps))):
+                    if not ideal.contains(tuple(exps)):
                         failures.append(("membership", ideal))
         rep = egh_for_quadratic(ideal)
         if not rep.result.series_equal:
@@ -109,12 +108,12 @@ def test_criterion_2_regular_sequence_and_realization_suite():
             # The independent series recheck is quadratic in the generator
             # count; the few companions past this size get a windowed
             # recount of standard monomials instead.
-            want = standard_monomial_counts(n, [m.exponents for m in ideal.generators], 8)
-            got = standard_monomial_counts(n, [m.exponents for m in rep.ideal.generators], 8)
+            want = standard_monomial_counts(n, list(ideal.generators), 8)
+            got = standard_monomial_counts(n, list(rep.ideal.generators), 8)
             if want != got:
                 failures.append(("window", ideal))
         for i in range(rep.g):
-            square = Monomial(tuple(2 if j == i else 0 for j in range(n)))
+            square = tuple(2 if j == i else 0 for j in range(n))
             if not rep.ideal.contains(square):
                 failures.append(("squares", ideal))
     elapsed = time.perf_counter() - start
@@ -192,10 +191,10 @@ def test_criterion_5_oracle_equivalence():
             for _ in range(rng.randint(1, 4)):
                 exps[rng.randrange(n)] += 1
             gens.add(tuple(exps))
-        ideal = MonomialIdeal(n, tuple(Monomial(e) for e in sorted(gens)))
+        ideal = MonomialIdeal(n, tuple(sorted(gens)))
         data = hilbert_function(ideal, bound=8, numerator=series_numerator(ideal))
         want = tuple(
-            count_standard_monomials(n, [g.exponents for g in ideal.generators], d)
+            count_standard_monomials(n, list(ideal.generators), d)
             for d in range(9)
         )
         if data.window != want:

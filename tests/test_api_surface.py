@@ -3,8 +3,9 @@
 Every public top-level function or class of ``src/quadbalance`` must be
 named somewhere in the package beyond its own definition and its
 re-export from ``__init__``, or be traced by name in BENCHMARK.json, so a
-helper that only the tests reach belongs in ``tests/oracles.py``.  The
-source is read with ``ast``, not imported.
+helper that only the tests reach belongs in ``tests/oracles.py``.  Every
+name a module other than ``__init__`` imports must be read in that module.
+The source is read with ``ast``, not imported.
 """
 
 import ast
@@ -97,3 +98,25 @@ def test_all_resolves():
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 assert alias.name in bound(trees[node.module]), f"{node.module}.{alias.name}"
+
+
+def test_every_import_is_read():
+    unread = []
+    for module, tree in modules().items():
+        if module == "__init__":
+            continue
+        reads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unread += [
+                    f"{module}: {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name).split(".")[0] not in reads
+                ]
+    assert not unread, unread

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from quadbalance import InputError, Monomial, MonomialIdeal, height, minimal_primes
+from quadbalance import InputError, MonomialIdeal, height, minimal_primes
 from quadbalance.covers import is_minimal_prime, smallest_minimal_prime
+from quadbalance.monomials import support
 
 from oracles import brute_minimal_covers, random_exponents, random_quadratic_exponents
 
@@ -57,15 +58,10 @@ def test_primes_are_antichain_and_match_brute_force():
         for _ in range(rng.randint(1, 7)):
             size = rng.randint(1, n)
             gens.add(frozenset(rng.sample(range(n), size)))
-        ideal = MonomialIdeal(
-            n,
-            tuple(
-                Monomial(tuple(1 if j in g else 0 for j in range(n))) for g in gens
-            ),
-        )
+        ideal = MonomialIdeal(n, tuple(tuple(int(j in g) for j in range(n)) for g in gens))
         primes = minimal_primes(ideal)
         # supports of the *minimal* generators, matching what the ideal keeps
-        expected = brute_minimal_covers([g.support() for g in ideal.generators])
+        expected = brute_minimal_covers(list(map(support, ideal.generators)))
         assert set(primes) == set(expected)
         for a in primes:
             for b in primes:
@@ -92,14 +88,14 @@ def _random_hypergraph_ideal(rng, kind):
         exps = [tuple(int(v in e) for v in range(n)) for e in edges]
     else:
         exps = random_exponents(rng, n, 9, 4)
-    return MonomialIdeal(n, tuple(Monomial(e) for e in exps))
+    return MonomialIdeal(n, tuple(exps))
 
 
 def test_smallest_prime_and_minimality_against_brute_force():
     rng = random.Random(23)
     for i in range(2000):
         ideal = _random_hypergraph_ideal(rng, ("quadratic", "squarefree", "powers")[i % 3])
-        covers = brute_minimal_covers([g.support() for g in ideal.generators])
+        covers = brute_minimal_covers(list(map(support, ideal.generators)))
         assert smallest_minimal_prime(ideal) == covers[0]
         assert height(ideal) == len(covers[0])
         n = ideal.n

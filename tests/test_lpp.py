@@ -4,7 +4,6 @@ import pytest
 
 from quadbalance import (
     InputError,
-    Monomial,
     MonomialIdeal,
     UnattainableTargetError,
     construct_lex_plus_powers,
@@ -54,10 +53,10 @@ def test_companion_degrees_are_lex_segments():
     for _ in range(40):
         n = rng.randint(2, 5)
         gens = random_quadratic_exponents(rng, n, 6)
-        rep = egh_for_quadratic(MonomialIdeal(n, tuple(Monomial(e) for e in gens)))
+        rep = egh_for_quadratic(MonomialIdeal(n, tuple(gens)))
         for d in range(rep.result.top_degree + 2):
             inside = [
-                rep.ideal.contains(Monomial(e))
+                rep.ideal.contains(e)
                 for e in quotient_exponents(n, (2,) * rep.g, d)
             ]
             assert inside == sorted(inside, reverse=True)
@@ -162,13 +161,13 @@ def test_egh_on_random_quadratic_ideals():
     for _ in range(80):
         n = rng.randint(2, 6)
         gens = random_quadratic_exponents(rng, n, 9)
-        ideal = MonomialIdeal(n, tuple(Monomial(e) for e in gens))
+        ideal = MonomialIdeal(n, tuple(gens))
         rep = egh_for_quadratic(ideal)
         assert rep.g == height(ideal)
         assert rep.result.series_equal
         assert series_numerator(ideal) == series_numerator(rep.ideal)
         for i in range(rep.g):
-            square = Monomial(tuple(2 if j == i else 0 for j in range(n)))
+            square = tuple(2 if j == i else 0 for j in range(n))
             assert rep.ideal.contains(square)
 
 
