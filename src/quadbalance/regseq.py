@@ -6,10 +6,25 @@ summands x_{p_j} * V_j, where V_j is spanned by the cofactor variables of the
 generators assigned to position j.  A tuple of forms l_j in V_j yields a
 regular sequence (x_{p_1} l_1, ..., x_{p_g} l_g) exactly when every mixed
 choice -- prime variables on a subset of positions, the forms elsewhere --
-spans dimension g.  That condition is checked exhaustively over all 2^g
-subsets, which is the certificate: one depth-first sweep mod p covers them
-all (full rank mod p implies full rank over Q), and subsets are ranked one
-by one, exactly, only when the sweep meets a dependency.
+spans dimension g.  That condition on all 2^g subsets is the certificate.
+
+It is first proved at once by peeling.  Call a column allowed for position j
+if it is x_{p_j} or a non-prime variable.  Repeatedly remove a position j
+with an allowed column c_j where l_j is nonzero and no other remaining form
+is: the singleton-column pass of sparse LU preordering (Duff, Erisman and
+Reid, *Direct Methods for Sparse Matrices*).  Removing a position never
+takes a singleton column away from another, so the greedy order finds one
+whenever one exists.  If every position is removed, each form vanishes on
+the columns of the positions removed before it.  For any subset A, the
+forms l_j with j outside A, restricted to the columns c_k with k outside A,
+then form a triangular matrix with a nonzero diagonal; none of those
+columns is an x_{p_i} with i in A, so the forms stay independent after the
+unit rows of A are projected out, and the choice has rank g.  "Nonzero" is
+taken in the field, so the argument holds over Q and over GF(p) alike.
+
+Forms that do not peel are swept: one depth-first sweep mod p covers all
+2^g choices (full rank mod p implies full rank over Q), and subsets are
+ranked one by one, exactly, only when the sweep meets a dependency.
 
 Candidate forms are sampled with small random integer coefficients; a
 failure survives a single sample with probability at most 1/2 at the default
@@ -34,6 +49,7 @@ which contradicts height g.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .covers import is_minimal_prime, smallest_minimal_prime
@@ -66,7 +82,7 @@ class DegreeTwoDecomposition:
 
 @dataclass(frozen=True)
 class RegularSequenceCertificate:
-    """Forms and the exhaustive transversal-rank check outcome.
+    """Forms and the outcome of the transversal-rank check on all 2^g subsets.
 
     ``failing_subset`` is None when all 2^g subsets passed; the certificate
     then witnesses that (x_{p_j} l_j) is a regular sequence.
@@ -194,19 +210,45 @@ def _independent_mod_p(prime, forms, p: int) -> bool:
     return walk(0)
 
 
+def _peels(prime, forms, field) -> bool:
+    """Whether the positions peel into a triangular order, which proves
+    every mixed choice at once (see the module docstring)."""
+    primes = set(prime)
+    supports = [
+        {v for v, c in enumerate(form.coefficients) if not field.is_zero(c)}
+        for form in forms
+    ]
+    # how many remaining forms are nonzero at each column
+    count = Counter(v for support in supports for v in support)
+    left = set(range(len(prime)))
+    while left:
+        for j in left:
+            if any(count[v] == 1 and (v == prime[j] or v not in primes) for v in supports[j]):
+                break
+        else:
+            return False
+        left.remove(j)
+        count.subtract(supports[j])
+    return True
+
+
 def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertificate:
-    """Exhaustively check every mixed choice of prime variables and forms.
+    """Check every mixed choice of prime variables and forms.
 
     For a subset A of positions the prime variables there are unit vectors,
     so the full-rank condition reduces to the forms outside A keeping rank
-    g - |A| after the prime columns of A are deleted.  Stops at the
-    lexicographically first failing subset.
+    g - |A| after the prime columns of A are deleted.
 
-    All 2^g choices are first swept together mod p (the field's own p, or
-    ``DEFAULT_PRIME`` over Q, where full rank mod p implies full rank).
-    Only when the sweep meets a dependency are the subsets ranked one by
-    one in the field itself, to find the first failing one, or over Q to
-    overrule a dependency that holds only mod p.
+    Peeling (see the module docstring) first tries to prove all 2^g choices
+    at once: repeatedly remove a position with an allowed column, its own
+    prime variable or a non-prime one, where its form is the only remaining
+    nonzero one.  If every position is removed, the removal order is
+    triangular and every choice has rank g.  Otherwise all 2^g choices are
+    swept together mod p (the field's own p, or ``DEFAULT_PRIME`` over Q,
+    where full rank mod p implies full rank).  Only when the sweep meets a
+    dependency are the subsets ranked one by one in the field itself, to
+    find the lexicographically first failing one, or over Q to overrule a
+    dependency that holds only mod p.
     """
     prime = tuple(prime)
     forms = tuple(forms)
@@ -216,7 +258,7 @@ def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertific
     if g > MAX_PRIME_SIZE:
         raise BudgetExceededError(f"2^{g} subsets exceed the hard cap g <= {MAX_PRIME_SIZE}")
     p = field.p if isinstance(field, PrimeField) else DEFAULT_PRIME
-    if _independent_mod_p(prime, forms, p):
+    if _peels(prime, forms, field) or _independent_mod_p(prime, forms, p):
         return RegularSequenceCertificate(prime, forms, field.name, 1 << g)
     checked = 0
     for subset in _subsets_lex(g):

@@ -206,6 +206,48 @@ def test_regseq_large_height_fails_fast(run):
         assert time.perf_counter() - start < 1
 
 
+def test_verify_keeps_the_cap_on_a_forged_large_report(run, tmp_path):
+    # a 21-edge matching with one-variable forms would peel, so the cap on
+    # g must be checked before any certificate is tried
+    report = {
+        "kind": "regseq",
+        "field": "q",
+        "ideal": {"n": 42, "generators": _matching(21)},
+        "seed": 0,
+        "prime": [2 * i + 1 for i in range(21)],
+        "forms": [
+            {"times_variable": 2 * i + 1, "coefficients": {f"x{2 * i + 2}": 1}}
+            for i in range(21)
+        ],
+        "subsets_checked": 1 << 21,
+        "attempts": 1,
+    }
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run("verify", str(path))
+    assert code == 1
+    verdict = parse(out)
+    assert verdict["ok"] is False
+    cap = "2^21 subsets exceed the hard cap g <= 20"
+    assert verdict["failures"] == [
+        {"check": "ranks", "detail": cap},
+        {"check": "reproduction", "detail": cap},
+    ]
+
+
+def test_regseq_family_at_the_cap_round_trips(run, tmp_path):
+    # I = (x_i^2, x_i*x_j : i <= 20, j in three extra variables) peels
+    # through its squares, so search and verify skip the 2^20 sweep
+    gens = [f"x{i}^2" for i in range(1, 21)]
+    gens += [f"x{i}*x{j}" for i in range(1, 21) for j in (21, 22, 23)]
+    report = tmp_path / "family20.json"
+    code, _, err = run("regseq", "--out", str(report), data={"n": 23, "generators": gens})
+    assert code == 0, err
+    assert parse(report.read_text())["subsets_checked"] == 1 << 20
+    code, out, err = run("verify", str(report))
+    assert code == 0 and parse(out)["ok"] is True, err
+
+
 def test_egh_triangle(run):
     code, out, _ = run("egh", data=TRIANGLE_OBJ)
     assert code == 0

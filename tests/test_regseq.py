@@ -20,6 +20,7 @@ from quadbalance import (
 )
 from quadbalance import regseq
 from quadbalance.fields import DEFAULT_PRIME
+from quadbalance.reports import regseq_report, verify_report
 
 from oracles import (
     is_regular_sequence_of_products,
@@ -41,6 +42,20 @@ def quadratic_ideal(rng, n, max_gens, allow_squares=True):
 def factors(cert):
     """The certificate's products as coefficient tuples, one per factor."""
     return [[f.coefficients for f in p.factors] for p in cert.products()]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The arguments of every mod-p sweep that certify_transversal_ranks runs."""
+    calls = []
+    sweep = regseq._independent_mod_p
+
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(regseq, "_independent_mod_p", counting)
+    return calls
 
 
 def neighbors(dec, active):
@@ -327,11 +342,61 @@ def test_certify_against_subset_oracle(p):
     assert 60 <= failed <= 240, failed
 
 
-def test_certify_overrules_modular_dependency():
-    # the first form vanishes modulo the prime the Q sweep works in, but it
-    # is independent over Q; the certificate must still pass every subset
-    forms = (LinearForm((0, 0, DEFAULT_PRIME, 0)), LinearForm((0, 0, 0, 1)))
+def test_certify_overrules_modular_dependency(sweeps):
+    # the forms agree modulo the prime the Q sweep works in, but they are
+    # independent over Q; they share both free columns, so they do not peel,
+    # and the certificate must still pass every subset through the Q redo
+    forms = (LinearForm((0, 0, 1, 1)), LinearForm((0, 0, 1, 1 + DEFAULT_PRIME)))
     cert = certify_transversal_ranks((0, 1), forms, QQ)
     assert cert.ok and cert.subsets_checked == 4
+    assert len(sweeps) == 1
     bad = certify_transversal_ranks((0, 1), forms, GF(DEFAULT_PRIME))
     assert bad.failing_subset == () and bad.subsets_checked == 1
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_peeling_against_subset_oracle(p, sweeps):
+    # sparse forms with coefficients that vanish in GF(2) or GF(3), so that
+    # both peeled and swept certificates are common
+    field = QQ if p is None else GF(p)
+    rng = random.Random(89 + (p or 0))
+    peeled = 0
+    for _ in range(400):
+        g = rng.randint(1, 6)
+        n = g + rng.randint(0, 3)
+        prime = tuple(sorted(rng.sample(range(n), g)))
+        forms = [tuple(rng.choice((0, 0, 0, 1, 2, 3, -1)) for _ in range(n)) for _ in range(g)]
+        swept = len(sweeps)
+        cert = certify_transversal_ranks(prime, [LinearForm(f) for f in forms], field)
+        expected = transversal_ranks(prime, forms, p)
+        assert (cert.ok, cert.failing_subset, cert.subsets_checked) == expected
+        peeled += len(sweeps) == swept
+    assert 60 <= peeled <= 340, peeled
+
+
+def _family(g):
+    # the bench's I = (x_i^2, x_i*x_j : i <= g, j in three extra variables)
+    gens = [f"x{i}^2" for i in range(1, g + 1)]
+    gens += [f"x{i}*x{j}" for i in range(1, g + 1) for j in range(g + 1, g + 4)]
+    return MonomialIdeal.from_strings(g + 3, gens)
+
+
+def _matching(k):
+    return MonomialIdeal.from_strings(2 * k, [f"x{2 * i - 1}*x{2 * i}" for i in range(1, k + 1)])
+
+
+SHAPES = {"family": _family, "matching": _matching}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=str)
+@pytest.mark.parametrize(
+    "shape, g",
+    [("family", g) for g in (8, 9, 10, 11, 20)] + [("matching", k) for k in (8, 9, 10, 20)],
+)
+def test_bench_shapes_peel_without_sweeping(field, shape, g, sweeps):
+    # the family peels through its squares, a matching through the partner
+    # variables; search and verify both certify all 2^g subsets unswept
+    report = regseq_report(SHAPES[shape](g), field, 3)
+    assert report["subsets_checked"] == 1 << g
+    assert verify_report(report)["ok"]
+    assert sweeps == []
