@@ -146,6 +146,23 @@ def _minimalize(exponents) -> tuple:
     return tuple(compress(gens, minimal))
 
 
+def _minimal_among(candidates, exponents) -> list:
+    """The candidates that no other tuple of ``exponents`` divides.
+
+    Each candidate must itself be one of the tuples.  The distinct tuples
+    are indexed block by block, once, and only the candidates are looked
+    up, so a few candidates cost one lookup per block each where
+    _minimalize would test the whole list against itself.  A candidate
+    divides only itself among the distinct tuples exactly when it is
+    minimal.
+    """
+    indexes = [index for _, index in _blocks(list(set(exponents)))]
+    return [
+        e for e in candidates
+        if sum(index.divisors(e).bit_count() for index in indexes) == 1
+    ]
+
+
 def _ideal_from_minimal(n: int, monomials) -> "MonomialIdeal":
     """Wrap generators already known to be minimal, skipping the reduction.
 
@@ -223,7 +240,25 @@ class MonomialIdeal:
         return any(index.divisors(exponents) for index in self._indexes)
 
     def generator_strings(self) -> list:
-        return [format_monomial(g) for g in self.generators]
+        """``format_monomial`` of each generator, in order.
+
+        A factor string is built once per distinct (variable, exponent) of
+        this call: a long companion repeats few of them, and a per-variable
+        table built up front would cost more than a short ideal's strings.
+        """
+        factors: dict = {}
+        strings = []
+        for g in self.generators:
+            parts = []
+            for key in enumerate(g, 1):
+                if key[1]:
+                    text = factors.get(key)
+                    if text is None:
+                        j, e = key
+                        text = factors[key] = f"x{j}" if e == 1 else f"x{j}^{e}"
+                    parts.append(text)
+            strings.append("*".join(parts) or "1")
+        return strings
 
     def __str__(self):
         if self.is_zero():

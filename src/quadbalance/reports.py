@@ -8,6 +8,11 @@ Cohen-Macaulayness) and then demands byte-identical reproduction of the
 whole report.  The computations are deterministic, so reproduction catches
 tampering even when the tampered value would still be mathematically valid,
 e.g. a coefficient replaced by another workable one or a reseeded run.
+
+``verify egh`` rebuilds the companion before its checks and compares the
+stated generator list with the rebuilt strings.  A list equal to them is
+checked on the rebuilt exponent tuples, which are what it parses to; only a
+list that differs is parsed, string by string, with the parser's messages.
 """
 
 from __future__ import annotations
@@ -29,7 +34,13 @@ from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
 from .linalg import LinearForm
 from .lpp import _ZERO_SOURCE, egh_for_quadratic, missing_square
-from .monomials import MonomialIdeal, _minimalize, _require_quadratic, parse_monomial, polarize
+from .monomials import (
+    MonomialIdeal,
+    _minimal_among,
+    _require_quadratic,
+    parse_monomial,
+    polarize,
+)
 from .regseq import certify_transversal_ranks, find_regular_sequence, product_outside_ideal
 from .simplicial import (
     SimplicialComplex,
@@ -131,16 +142,17 @@ def _result_pd(companion: MonomialIdeal, field, budget):
 
 
 def egh_report(ideal: MonomialIdeal, field, max_degree=None, budget: int = 16) -> dict:
-    return _egh_obj(ideal, field, egh_for_quadratic(ideal, max_degree), budget)
+    rep = egh_for_quadratic(ideal, max_degree)
+    return _egh_obj(ideal, field, rep, rep.ideal.generator_strings(), budget)
 
 
-def _egh_obj(ideal: MonomialIdeal, field, rep, budget) -> dict:
+def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, budget) -> dict:
     return {
         "kind": "egh",
         "field": field_spec_name(field),
         "ideal": ideal_to_obj(ideal),
         "powers": rep.g,
-        "generators": rep.ideal.generator_strings(),
+        "generators": generators,
         "series_equal": rep.result.series_equal,
         "picked_by_degree": {
             str(d): c for d, c in sorted(rep.result.picked_by_degree.items())
@@ -298,10 +310,24 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     ideal = ideal_from_obj(_get(obj, "ideal"))
     field = parse_field_spec(str(_get(obj, "field")))
     g = _int_field(obj, "powers", 0, ideal.n)
-    # kept as a flat list: only the series check needs a minimal set, and
-    # _numerator minimalizes its input once, on entry
     raw = _typed(obj, "generators", list, "a list of monomial strings")
-    gens = [parse_monomial(s, ideal.n) for s in raw]
+    # the series and reproduction checks share one companion build, and its
+    # strings are formatted once; the build refuses a zero, unit or
+    # non-quadratic source, which _require_quadratic below refuses too
+    companion = cache(lambda: egh_for_quadratic(ideal, max_degree))
+    strings = cache(lambda: companion().ideal.generator_strings())
+    try:
+        rebuilt = strings()
+    except _CAUGHT:
+        rebuilt = None
+    if raw == rebuilt:
+        # parse_monomial inverts format_monomial, so these are the tuples
+        # the stated strings parse to
+        gens = companion().ideal.generators
+    else:
+        # kept as a flat list: only the series check needs a minimal set, and
+        # _numerator minimalizes its input once, on entry
+        gens = [parse_monomial(s, ideal.n) for s in raw]
     # each check below costs at least the source's degrees: refuse first
     _require_quadratic(ideal, _ZERO_SOURCE)
 
@@ -319,9 +345,6 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
 
     checker.run("squares", squares)
 
-    # the series check and the reproduction share one companion build
-    companion = cache(lambda: egh_for_quadratic(ideal, max_degree))
-
     def series():
         if _get(obj, "series_equal") is not True:
             return False, "the report does not claim series equality"
@@ -330,7 +353,6 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
             # reproduction check below re-derives the whole construction,
             # whose own termination argument certifies the series
             return True, ""
-        stated = gens
         # The pivot recursion spends a node per power of a variable, so a
         # stated generator of degree D costs about D^2; bound D by the
         # companion first.  Clements-Lindstrom: an ideal containing the
@@ -340,22 +362,25 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
         # proves the series differ.
         rep = companion()
         top = max(map(sum, rep.ideal.generators))
-        if any(sum(e) > top for e in stated):
-            stated = _minimalize(stated)
-            deepest = max(map(sum, stated))
-            if deepest > top:
+        shallow = [e for e in gens if sum(e) <= top]
+        if len(shallow) < len(gens):
+            # only the deep generators are tested against the list; when
+            # none is minimal, each has a shallow divisor, so the shallow
+            # ones generate the same ideal
+            deep = _minimal_among({e for e in gens if sum(e) > top}, gens)
+            if deep:
                 if missing_square(gens, ideal.n, rep.g) is None:
                     return False, _SERIES_DIFFER
                 return False, (
-                    f"result generator of degree {deepest} lies above the companion's "
-                    f"top degree {top}; series not rechecked"
+                    f"result generator of degree {max(map(sum, deep))} lies above the "
+                    f"companion's top degree {top}; series not rechecked"
                 )
-        return series_numerator(ideal) == _numerator(stated), _SERIES_DIFFER
+        return series_numerator(ideal) == _numerator(shallow), _SERIES_DIFFER
 
     checker.run("series", series)
     checker.run(
         "reproduction",
-        lambda: _same_report(obj, _egh_obj(ideal, field, companion(), budget)),
+        lambda: _same_report(obj, _egh_obj(ideal, field, companion(), strings(), budget)),
     )
 
 

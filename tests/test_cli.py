@@ -14,7 +14,7 @@ from quadbalance import (
     f_vector,
     find_regular_sequence,
 )
-from quadbalance import cli, regseq, reports
+from quadbalance import cli, hilbert, monomials, regseq, reports
 from quadbalance.cli import main
 from quadbalance.jsonio import (
     MAX_VARIABLES,
@@ -441,6 +441,164 @@ def test_verify_max_degree_below_companion_fails_series(run, tmp_path):
         {"check": "series", "detail": detail},
         {"check": "reproduction", "detail": detail},
     ]
+
+
+# the companion of the bench's above_cap ideal has 17494 generators and top
+# degree 2203
+ABOVE_CAP_OBJ = {
+    "n": 8,
+    "generators": ["x1*x4", "x1*x7", "x3*x6", "x4*x5", "x4*x6", "x5*x8", "x6*x7"],
+}
+
+
+def test_verify_tests_only_deep_generators_against_the_list(run, tmp_path, monkeypatch):
+    # 2500 shallow generators and one deep generator that x1^2 divides: the
+    # degree bound looks up the deep one only, and the numerator gets the
+    # shallow ones, so no step minimalizes the whole stated list
+    _, out, _ = run("egh", data=ABOVE_CAP_OBJ)
+    rep = json.loads(out)
+    rep["generators"] = rep["generators"][:2500] + ["x1^2*x8^100000"]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(rep))
+    sizes = []
+
+    def counting(exponents):
+        exponents = list(exponents)
+        sizes.append(len(exponents))
+        return minimalize(exponents)
+
+    minimalize = monomials._minimalize
+    for module in (monomials, hilbert, reports):
+        monkeypatch.setattr(module, "_minimalize", counting, raising=False)
+    code, vout, _ = run("verify", str(path))
+    assert code == 1
+    assert parse(vout)["failures"] == [
+        {"check": "series", "detail": "Hilbert series of source and result differ"},
+        {"check": "reproduction", "detail": "re-derivation differs in: generators"},
+    ]
+    # the numerator minimalizes the 2500 shallow generators on entry
+    assert max(sizes) == len(rep["generators"]) - 1
+
+
+def test_verify_parses_only_the_source_of_a_genuine_report(run, tmp_path, monkeypatch):
+    # the stated list equals the rebuilt companion's strings, so only the
+    # source ideal's echo goes through the parser
+    _, out, _ = run("egh", data=EGH_SOURCE_OBJ)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    parsed = []
+
+    def counting(text, n):
+        parsed.append(text)
+        return parse_monomial(text, n)
+
+    parse_monomial = monomials.parse_monomial
+    monkeypatch.setattr(monomials, "parse_monomial", counting)
+    monkeypatch.setattr(reports, "parse_monomial", counting)
+    code, vout, _ = run("verify", str(path))
+    assert code == 0 and parse(vout)["ok"] is True
+    assert parsed == EGH_SOURCE_OBJ["generators"]
+
+
+# companion x1^2, x1*x2, x1*x3^2, x2^2: mixed degrees, so a dropped, doubled
+# or moved generator changes what the checks see
+EGH_SOURCE_OBJ = {"n": 5, "generators": ["x1*x2", "x1*x3", "x4*x5"]}
+_EGH_CHECKS = '"checks_run":["height","squares","series","reproduction"]'
+_REDERIVED = '{"check":"reproduction","detail":"re-derivation differs in: generators"}'
+_SERIES = '{"check":"series","detail":"Hilbert series of source and result differ"}'
+
+
+def _egh_verdict(*failures: str) -> str:
+    return (
+        f'{{{_EGH_CHECKS},"failures":[{",".join(failures)}],'
+        '"kind":"verify","ok":false,"target_kind":"egh"}\n'
+    )
+
+
+def _stated(*generators):
+    return lambda rep: rep.update(generators=list(generators))
+
+
+def _non_quadratic_source(*generators):
+    def mutate(rep):
+        rep["ideal"] = {"n": 5, "generators": ["x1^3", "x2*x3"]}
+        rep["generators"] = list(generators)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, code, verdict, error",
+    [
+        pytest.param(
+            _stated("x1^2", "x2*x1", "x1*x3^2", "x2^2"), 1, _egh_verdict(_REDERIVED), "",
+            id="respelled-factor-order",
+        ),
+        pytest.param(
+            _stated("x1^2", "x1^1*x2", "x1*x3^2", "x2^2"), 1, _egh_verdict(_REDERIVED), "",
+            id="respelled-exponent-one",
+        ),
+        pytest.param(
+            _stated("x1^2", " x1*x2 ", "x1*x3^2", "x2^2"), 1, _egh_verdict(_REDERIVED), "",
+            id="respelled-padded",
+        ),
+        pytest.param(
+            _stated("x1^2", "x1*x2", "x2^2"), 1, _egh_verdict(_SERIES, _REDERIVED), "",
+            id="dropped",
+        ),
+        pytest.param(
+            _stated("x1^2", "x1*x2", "x1*x3^2"),
+            1,
+            _egh_verdict(
+                '{"check":"squares","detail":"x2^2 is not in the result"}', _SERIES, _REDERIVED
+            ),
+            "",
+            id="dropped-square",
+        ),
+        pytest.param(
+            _stated("x1^2", "x1*x2", "x1*x2", "x1*x3^2", "x2^2"),
+            1,
+            _egh_verdict(_REDERIVED),
+            "",
+            id="duplicated",
+        ),
+        pytest.param(
+            _stated("x1*x2", "x1^2", "x1*x3^2", "x2^2"), 1, _egh_verdict(_REDERIVED), "",
+            id="swapped",
+        ),
+        pytest.param(
+            _stated("x1^2", 5, "x1*x3^2", "x2^2"),
+            2,
+            "",
+            "error: a monomial must be a string, got int\n",
+            id="non-string",
+        ),
+        pytest.param(
+            _stated("x1^2", "x1*y2", "x1*x3^2", "x2^2"),
+            2,
+            "",
+            "error: bad monomial factor 'y2' at position 3 in 'x1*y2'\n",
+            id="malformed",
+        ),
+        # the parse still runs before the quadratic refusal
+        pytest.param(
+            _non_quadratic_source("x1^2", "x1*y2", "x1*x3^2", "x2^2"),
+            2,
+            "",
+            "error: bad monomial factor 'y2' at position 3 in 'x1*y2'\n",
+            id="malformed-non-quadratic-source",
+        ),
+    ],
+)
+def test_verify_egh_list_unlike_the_companion(run, tmp_path, mutate, code, verdict, error):
+    # a stated list that differs from the rebuilt strings is parsed and
+    # checked in full: same exit code and verdict bytes as a list that
+    # was never compared
+    _, out, _ = run("egh", data=EGH_SOURCE_OBJ)
+    assert parse(out)["generators"] == ["x1^2", "x1*x2", "x1*x3^2", "x2^2"]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(tampered(out, mutate)))
+    assert run("verify", str(path)) == (code, verdict, error)
 
 
 def test_verify_catches_recolored_balance(run, tmp_path):

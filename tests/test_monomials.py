@@ -5,7 +5,7 @@ import pytest
 from oracles import in_ideal, minimal_exponents, parse_factors, random_exponents
 
 from quadbalance import InputError, MonomialIdeal, parse_monomial, polarize
-from quadbalance.monomials import _minimalize, format_monomial, support
+from quadbalance.monomials import _ideal_from_minimal, _minimalize, format_monomial, support
 
 # every character str.strip removes
 SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
@@ -40,11 +40,24 @@ def test_parse_errors_carry_position():
 
 
 def test_format_round_trip():
+    # generator_strings formats through a table of factor strings; it must
+    # agree with format_monomial, which parse_monomial inverts
     rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        exps = tuple(rng.randint(0, 3) for _ in range(n))
-        assert parse_monomial(format_monomial(exps), n) == exps
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        tuples = [
+            tuple(
+                rng.choice((10**6, 10**6 + 1, 10**12)) if rng.random() < 0.03 else rng.randint(0, 3)
+                for _ in range(n)
+            )
+            for _ in range(rng.randint(1, 30))
+        ]
+        tuples.append((0,) * n)
+        for exps in tuples:
+            assert parse_monomial(format_monomial(exps), n) == exps
+        # the formatter needs no minimality: hold the list as it stands
+        ideal = _ideal_from_minimal(n, tuples)
+        assert ideal.generator_strings() == [format_monomial(g) for g in ideal.generators]
 
 
 def _outcome(parse, error, text, n):
