@@ -19,9 +19,7 @@ from .homology import (
     is_cohen_macaulay,
 )
 from .jsonio import canonical_json
-from .linalg import LinearForm, ProductOfLinearForms
 from .lpp import (
-    EghReport,
     LppResult,
     construct_lex_plus_powers,
     egh_for_quadratic,
@@ -33,7 +31,6 @@ from .monomials import (
     polarize,
 )
 from .regseq import (
-    DegreeTwoDecomposition,
     RegularSequenceCertificate,
     certify_transversal_ranks,
     decompose_degree_two,
@@ -65,15 +62,11 @@ __all__ = [
     "BalanceReport",
     "BudgetExceededError",
     "CMCertificate",
-    "DegreeTwoDecomposition",
-    "EghReport",
     "GF",
     "InputError",
-    "LinearForm",
     "LppResult",
     "MonomialIdeal",
     "NotCohenMacaulayError",
-    "ProductOfLinearForms",
     "QQ",
     "RegularSequenceCertificate",
     "RegularSequenceNotFoundError",

@@ -31,7 +31,10 @@ class RegularSequenceNotFoundError(RuntimeError):
 
     Over Q this is not expected for genuine inputs: every attempt fails
     with probability at most 1/2, and the lemma in the ``regseq`` module
-    docstring shows that suitable forms exist.  Over a small prime field it
-    can happen, because the sampled and structured coefficients may collapse
-    mod p.
+    docstring shows that suitable forms exist.  Still, the structured
+    fallback is not proved to reach them: the family need not peel (on
+    x1x3, x1x4, x2x3, x2x4 both forms are nonzero at x3 and x4), and nothing
+    yet proves that one of its 16 values of t passes the sweep over Q.  Over
+    a small prime field it can happen, because the sampled and structured
+    coefficients may collapse mod p.
     """

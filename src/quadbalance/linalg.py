@@ -1,4 +1,4 @@
-"""Linear forms, products of linear forms, and exact rank computation.
+"""Exact rank computation over Q and GF(p).
 
 Every matrix here has integer entries, given as sparse rows {column:
 entry}.  There is one eliminator over GF(p): ``ModularEchelon``, a basis
@@ -9,60 +9,12 @@ for homology, whose boundary rows have entries +-1.
 Fraction-free (Bareiss) elimination is kept for exact ranks over the
 rationals only; homology and the regular-sequence sweep reach it only
 after a probe mod p, to confirm a nonzero Betti number or to rank subsets
-one by one after a dependency.  A form with rational coefficients is a
-scalar multiple of an integer one, so nothing is lost by accepting only
-integers.  No floating point is involved anywhere.
+one by one after a dependency.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InputError
 from .fields import QQ, PrimeField
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A linear form, stored as its coefficient vector over the ambient ring."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coefficients = tuple(self.coefficients)
-        if any(not isinstance(c, int) for c in coefficients):
-            raise InputError("linear form coefficients must be integers")
-        object.__setattr__(self, "coefficients", coefficients)
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-    @staticmethod
-    def variable(j: int, n: int) -> "LinearForm":
-        return LinearForm(tuple(1 if i == j else 0 for i in range(n)))
-
-
-@dataclass(frozen=True)
-class ProductOfLinearForms:
-    """A product of linear forms; each factor must be nonzero."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for f in self.factors:
-            if f.is_zero():
-                raise InputError("zero linear form used as a factor")
-        if len({f.n for f in self.factors}) > 1:
-            raise InputError("factors live in different ambient rings")
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
 
 
 def bareiss_rank(rows) -> int:

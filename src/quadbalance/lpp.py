@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import le
 
 from .covers import height
 from .errors import InputError, UnattainableTargetError
@@ -127,7 +126,10 @@ class _SegmentCounter:
 
 @dataclass(frozen=True)
 class LppResult:
+    """The constructed ideal over the squares of the first g variables."""
+
     ideal: MonomialIdeal
+    g: int
     picked_by_degree: dict
     series_equal: bool
     top_degree: int
@@ -167,7 +169,7 @@ def construct_lex_plus_powers(
     squares = [(0,) * i + (2,) + (0,) * (n - i - 1) for i in range(g)]
     partial = MonomialIdeal(n, tuple(squares))
     if series_numerator(partial) == numerator:
-        return LppResult(partial, {}, True, 0)
+        return LppResult(partial, g, {}, True, 0)
     counter = _SegmentCounter(n, g)
     picks: list = []
     picked_by_degree: dict = {}
@@ -193,7 +195,7 @@ def construct_lex_plus_powers(
         if k:
             if max_degree is not None and d > max_degree:
                 return LppResult(
-                    _assemble(n, squares, picks), picked_by_degree, False, max_degree
+                    _assemble(n, squares, picks), g, picked_by_degree, False, max_degree
                 )
             exps = (
                 counter.predecessor(shadow_boundary)
@@ -210,32 +212,26 @@ def construct_lex_plus_powers(
         else:
             boundary = shadow_boundary
         if d >= max(top + margin, len(numerator)) + n:
-            return LppResult(_assemble(n, squares, picks), picked_by_degree, True, top)
+            return LppResult(_assemble(n, squares, picks), g, picked_by_degree, True, top)
 
 
 def missing_square(generators, n: int, g: int):
-    """The first i < g whose square x_i^2 no generator divides, or None."""
+    """The first i < g whose square x_i^2 no generator divides, or None.
+
+    Only 1, x_i and x_i^2 divide x_i^2, so one set of the generators answers
+    each i.  For i >= n the square is the zero tuple, which only 1 divides.
+    """
+    present = set(generators)
+    zero = (0,) * n
+    if zero in present:
+        return None
     for i in range(g):
-        square = tuple(2 if j == i else 0 for j in range(n))
-        if not any(all(map(le, m, square)) for m in generators):
+        if i >= n or present.isdisjoint(zero[:i] + (e,) + zero[i + 1 :] for e in (1, 2)):
             return i
     return None
 
 
-@dataclass(frozen=True)
-class EghReport:
-    """Outcome of the quadratic powers-plus-lex realization."""
-
-    source: MonomialIdeal
-    result: LppResult
-    g: int
-
-    @property
-    def ideal(self) -> MonomialIdeal:
-        return self.result.ideal
-
-
-def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> EghReport:
+def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> LppResult:
     """Realize the Hilbert function of a quadratic monomial ideal by an ideal
     containing the squares of the first g = height(I) variables.
 
@@ -250,4 +246,4 @@ def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> Eg
         )
     if missing_square(result.ideal.generators, ideal.n, g) is not None:
         raise RuntimeError("internal error: a required square escaped the ideal")
-    return EghReport(ideal, result, g)
+    return result

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import BudgetExceededError, InputError, RegularSequenceNotFoundError
 from .fields import DEFAULT_PRIME, QQ, PrimeField
-from .linalg import LinearForm, ModularEchelon, ProductOfLinearForms, rank_of_rows
+from .linalg import ModularEchelon, rank_of_rows
 from .monomials import MonomialIdeal, _require_quadratic, format_monomial, support
 
 MAX_PRIME_SIZE = 20
@@ -64,28 +64,13 @@ _SAMPLES = 8
 
 
 @dataclass(frozen=True)
-class DegreeTwoDecomposition:
-    """Assignment of the degree-two generators to prime positions.
-
-    ``prime`` lists the variables of the chosen minimal prime in increasing
-    order; ``spaces[j]`` lists the cofactor variables available at position j.
-    """
-
-    ideal: MonomialIdeal
-    prime: tuple
-    spaces: tuple
-
-    @property
-    def g(self) -> int:
-        return len(self.prime)
-
-
-@dataclass(frozen=True)
 class RegularSequenceCertificate:
     """Forms and the outcome of the transversal-rank check on all 2^g subsets.
 
-    ``failing_subset`` is None when all 2^g subsets passed; the certificate
-    then witnesses that (x_{p_j} l_j) is a regular sequence.
+    ``forms[j]`` is the integer coefficient tuple of l_j over x1..xn, the
+    form that multiplies x_{prime[j]}.  ``failing_subset`` is None when all
+    2^g subsets passed; the certificate then witnesses that (x_{p_j} l_j) is
+    a regular sequence.
     """
 
     prime: tuple
@@ -100,20 +85,15 @@ class RegularSequenceCertificate:
     def ok(self) -> bool:
         return self.failing_subset is None
 
-    def products(self) -> tuple:
-        n = self.forms[0].n if self.forms else 0
-        return tuple(
-            ProductOfLinearForms((LinearForm.variable(p, n), f))
-            for p, f in zip(self.prime, self.forms)
-        )
 
-
-def decompose_degree_two(ideal: MonomialIdeal, prime) -> DegreeTwoDecomposition:
+def decompose_degree_two(ideal: MonomialIdeal, prime) -> tuple:
     """Split the generators by their smallest prime divisor.
 
     Each generator x_a x_b goes to the position of the smallest prime member
     dividing it, contributing its cofactor variable to that space; the
-    summands then span the whole degree-two piece and are disjoint.
+    summands then span the whole degree-two piece and are disjoint.  Returns
+    the spaces, one per position of the sorted prime, each listing its
+    cofactor variables in increasing order.
     """
     if ideal.is_zero() or not ideal.is_proper():
         raise InputError("decomposition needs a nonzero proper ideal")
@@ -140,7 +120,7 @@ def decompose_degree_two(ideal: MonomialIdeal, prime) -> DegreeTwoDecomposition:
             raise InputError(
                 f"x{prime[j] + 1} divides no generator; the prime is not minimal"
             )
-    return DegreeTwoDecomposition(ideal, prime, tuple(tuple(sorted(s)) for s in spaces))
+    return tuple(tuple(sorted(s)) for s in spaces)
 
 
 def default_coefficient_range(g: int) -> int:
@@ -149,23 +129,24 @@ def default_coefficient_range(g: int) -> int:
     return max(4, 2 * g * g * (1 << g))
 
 
-def _forms(dec: DegreeTwoDecomposition, coefficient) -> tuple:
+def _forms(n: int, spaces, coefficient) -> tuple:
     """One form per position, coefficient(j, v) on variable v of space j,
     called in space order; a singleton space normalizes to 1 without a call."""
     forms = []
-    for j, space in enumerate(dec.spaces):
-        coeffs = [0] * dec.ideal.n
+    for j, space in enumerate(spaces):
+        coeffs = [0] * n
         for v in space:
             coeffs[v] = 1 if len(space) == 1 else coefficient(j, v)
-        forms.append(LinearForm(tuple(coeffs)))
+        forms.append(tuple(coeffs))
     return tuple(forms)
 
 
-def sample_forms(dec: DegreeTwoDecomposition, seed: int):
-    """Seeded integer forms, one per position; singleton spaces normalize to 1."""
-    bound = default_coefficient_range(dec.g)
+def sample_forms(n: int, spaces, seed: int):
+    """Seeded integer forms in n variables, one per space; singleton spaces
+    normalize to 1."""
+    bound = default_coefficient_range(len(spaces))
     rng = random.Random(seed)
-    return _forms(dec, lambda j, v: rng.randint(1, bound))
+    return _forms(n, spaces, lambda j, v: rng.randint(1, bound))
 
 
 def _subsets_lex(g: int):
@@ -190,7 +171,7 @@ def _independent_mod_p(prime, forms, p: int) -> bool:
     choice that extends it, so the walk stops there.
     """
     choices = [
-        ({v: c for v, c in enumerate(form.coefficients) if c}, {q: 1})
+        ({v: c for v, c in enumerate(form) if c}, {q: 1})
         for q, form in zip(prime, forms)
     ]
     basis = ModularEchelon(p)
@@ -215,7 +196,7 @@ def _peels(prime, forms, field) -> bool:
     every mixed choice at once (see the module docstring)."""
     primes = set(prime)
     supports = [
-        {v for v, c in enumerate(form.coefficients) if not field.is_zero(c)}
+        {v for v, c in enumerate(form) if not field.is_zero(c)}
         for form in forms
     ]
     # how many remaining forms are nonzero at each column
@@ -235,6 +216,8 @@ def _peels(prime, forms, field) -> bool:
 def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertificate:
     """Check every mixed choice of prime variables and forms.
 
+    Each form is a tuple of integer coefficients; a form with rational
+    coefficients is a scalar multiple of an integer one, so nothing is lost.
     For a subset A of positions the prime variables there are unit vectors,
     so the full-rank condition reduces to the forms outside A keeping rank
     g - |A| after the prime columns of A are deleted.
@@ -251,7 +234,9 @@ def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertific
     dependency that holds only mod p.
     """
     prime = tuple(prime)
-    forms = tuple(forms)
+    forms = tuple(map(tuple, forms))
+    if any(not isinstance(c, int) for form in forms for c in form):
+        raise InputError("linear form coefficients must be integers")
     g = len(prime)
     if len(forms) != g:
         raise InputError("need exactly one form per prime position")
@@ -266,7 +251,7 @@ def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertific
         drop = {prime[j] for j in subset}
         aset = set(subset)
         rows = [
-            {idx: c for idx, c in enumerate(forms[j].coefficients) if idx not in drop}
+            {idx: c for idx, c in enumerate(forms[j]) if idx not in drop}
             for j in range(g)
             if j not in aset
         ]
@@ -281,7 +266,7 @@ def product_outside_ideal(ideal: MonomialIdeal, prime, forms, field):
     """The first (p, v) with x_p * x_v outside the ideal, where x_v occurs in
     the form multiplying x_p; None when every product lies in the ideal."""
     for p, form in zip(prime, forms):
-        for v, c in enumerate(form.coefficients):
+        for v, c in enumerate(form):
             if field.is_zero(c):
                 continue
             exps = [0] * ideal.n
@@ -319,18 +304,19 @@ def find_regular_sequence(
             )
     if g > MAX_PRIME_SIZE:
         raise BudgetExceededError(f"2^{g} subsets exceed the hard cap g <= {MAX_PRIME_SIZE}")
-    dec = decompose_degree_two(ideal, sorted(chosen))
+    chosen = tuple(sorted(chosen))
+    spaces = decompose_degree_two(ideal, chosen)
 
     def candidates():
         # seeded samples, then the fallback: the structured family puts
         # t^((j+1)(v+1)) on variable v at position j
         for k in range(_SAMPLES):
-            yield sample_forms(dec, seed + k), seed + k
+            yield sample_forms(ideal.n, spaces, seed + k), seed + k
         for t in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
-            yield _forms(dec, lambda j, v: t ** ((j + 1) * (v + 1))), None
+            yield _forms(ideal.n, spaces, lambda j, v: t ** ((j + 1) * (v + 1))), None
 
     for attempts, (forms, form_seed) in enumerate(candidates(), 1):
-        cert = certify_transversal_ranks(dec.prime, forms, field)
+        cert = certify_transversal_ranks(chosen, forms, field)
         if cert.ok:
             escaped = product_outside_ideal(ideal, cert.prime, cert.forms, field)
             if escaped is not None:

@@ -9,8 +9,8 @@ whole report.  The computations are deterministic, so reproduction catches
 tampering even when the tampered value would still be mathematically valid,
 e.g. a coefficient replaced by another workable one or a reseeded run.
 
-``verify egh`` rebuilds the companion before its checks and compares the
-stated generator list with the rebuilt strings.  A list equal to them is
+``verify egh`` rebuilds the companion once, before its checks, and compares
+the stated generator list with the rebuilt strings.  A list equal to them is
 checked on the rebuilt exponent tuples, which are what it parses to; only a
 list that differs is parsed, string by string, with the parser's messages.
 """
@@ -32,7 +32,6 @@ from .fields import parse_field_spec
 from .hilbert import _numerator, poly_trim, series_numerator
 from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
-from .linalg import LinearForm
 from .lpp import _ZERO_SOURCE, egh_for_quadratic, missing_square
 from .monomials import (
     MonomialIdeal,
@@ -114,9 +113,7 @@ def regseq_report(ideal: MonomialIdeal, field, seed: int, prime=None) -> dict:
     cert = find_regular_sequence(ideal, seed=seed, field=field, prime=prime)
     forms = []
     for p, form in zip(cert.prime, cert.forms):
-        coefficients = {
-            f"x{v + 1}": int(c) for v, c in enumerate(form.coefficients) if c
-        }
+        coefficients = {f"x{v + 1}": int(c) for v, c in enumerate(form) if c}
         forms.append({"times_variable": p + 1, "coefficients": coefficients})
     return {
         "kind": "regseq",
@@ -153,10 +150,8 @@ def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, budget) -> dict
         "ideal": ideal_to_obj(ideal),
         "powers": rep.g,
         "generators": generators,
-        "series_equal": rep.result.series_equal,
-        "picked_by_degree": {
-            str(d): c for d, c in sorted(rep.result.picked_by_degree.items())
-        },
+        "series_equal": rep.series_equal,
+        "picked_by_degree": {str(d): c for d, c in sorted(rep.picked_by_degree.items())},
         "pd_source": depth_and_pd(ideal, field, budget)[1],
         "pd_result": _result_pd(rep.ideal, field, budget),
     }
@@ -238,7 +233,7 @@ def _parse_forms(obj: dict, n: int, prime0) -> tuple:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"coefficient {name} must be an integer")
             coeffs[index[name]] = value
-        forms.append(LinearForm(tuple(coeffs)))
+        forms.append(tuple(coeffs))
     return tuple(forms)
 
 
@@ -312,18 +307,19 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     g = _int_field(obj, "powers", 0, ideal.n)
     raw = _typed(obj, "generators", list, "a list of monomial strings")
     # the series and reproduction checks share one companion build, and its
-    # strings are formatted once; the build refuses a zero, unit or
-    # non-quadratic source, which _require_quadratic below refuses too
-    companion = cache(lambda: egh_for_quadratic(ideal, max_degree))
-    strings = cache(lambda: companion().ideal.generator_strings())
+    # strings are formatted once; a build that fails leaves its message for
+    # them to report.  The build refuses a zero, unit or non-quadratic
+    # source, which _require_quadratic below refuses too
+    companion = rebuilt = unbuilt = None
     try:
-        rebuilt = strings()
-    except _CAUGHT:
-        rebuilt = None
+        companion = egh_for_quadratic(ideal, max_degree)
+        rebuilt = companion.ideal.generator_strings()
+    except _CAUGHT as exc:
+        unbuilt = str(exc)
     if raw == rebuilt:
         # parse_monomial inverts format_monomial, so these are the tuples
         # the stated strings parse to
-        gens = companion().ideal.generators
+        gens = companion.ideal.generators
     else:
         # kept as a flat list: only the series check needs a minimal set, and
         # _numerator minimalizes its input once, on entry
@@ -360,8 +356,9 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
         # minimal generators as the powers-plus-lex ideal with its Hilbert
         # function, so a minimal generator above the companion's top degree
         # proves the series differ.
-        rep = companion()
-        top = max(map(sum, rep.ideal.generators))
+        if unbuilt is not None:
+            return False, unbuilt
+        top = max(map(sum, companion.ideal.generators))
         shallow = [e for e in gens if sum(e) <= top]
         if len(shallow) < len(gens):
             # only the deep generators are tested against the list; when
@@ -369,7 +366,7 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
             # ones generate the same ideal
             deep = _minimal_among({e for e in gens if sum(e) > top}, gens)
             if deep:
-                if missing_square(gens, ideal.n, rep.g) is None:
+                if missing_square(gens, ideal.n, companion.g) is None:
                     return False, _SERIES_DIFFER
                 return False, (
                     f"result generator of degree {max(map(sum, deep))} lies above the "
@@ -378,10 +375,13 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
         return series_numerator(ideal) == _numerator(shallow), _SERIES_DIFFER
 
     checker.run("series", series)
-    checker.run(
-        "reproduction",
-        lambda: _same_report(obj, _egh_obj(ideal, field, companion(), strings(), budget)),
-    )
+
+    def reproduction():
+        if unbuilt is not None:
+            return False, unbuilt
+        return _same_report(obj, _egh_obj(ideal, field, companion, rebuilt, budget))
+
+    checker.run("reproduction", reproduction)
 
 
 def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):

@@ -165,6 +165,7 @@ def test_companion_can_leave_flag_territory():
     # refused rather than re-balanced
     numerator = poly_mul((1, 3, 3), one_minus_t_power(3))
     built = construct_lex_plus_powers(3, 3, numerator)
+    assert built.g == 3 and built.series_equal
     assert set(built.ideal.generator_strings()) == {
         "x1^2", "x2^2", "x3^2", "x1*x2*x3",
     }

@@ -443,6 +443,36 @@ def test_verify_max_degree_below_companion_fails_series(run, tmp_path):
     ]
 
 
+def test_verify_builds_the_companion_once(run, tmp_path, monkeypatch):
+    # the build runs once, before the checks; when it fails under
+    # --max-degree, series and reproduction report its message where they
+    # need the result
+    _, out, _ = run("egh", data=TRIANGLE_OBJ)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    calls = []
+    build = reports.egh_for_quadratic
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(reports, "egh_for_quadratic", counting)
+    code, vout, verr = run("verify", str(path), "--max-degree", "1")
+    assert len(calls) == 1
+    detail = "no powers-plus-lex ideal matched the series within degree 1"
+    assert (code, verr) == (1, "")
+    assert vout == (
+        '{"checks_run":["height","squares","series","reproduction"],"failures":['
+        f'{{"check":"series","detail":"{detail}"}},'
+        f'{{"check":"reproduction","detail":"{detail}"}}],'
+        '"kind":"verify","ok":false,"target_kind":"egh"}\n'
+    )
+    calls.clear()
+    assert run("verify", str(path))[0] == 0
+    assert len(calls) == 1
+
+
 # the companion of the bench's above_cap ideal has 17494 generators and top
 # degree 2203
 ABOVE_CAP_OBJ = {

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadbalance import GF, InputError, LinearForm, ProductOfLinearForms, QQ
+from quadbalance import GF, InputError, QQ, certify_transversal_ranks
 from quadbalance.linalg import (
     ModularEchelon,
     bareiss_rank,
@@ -12,10 +12,6 @@ from quadbalance.linalg import (
 )
 
 from oracles import gf_rank, sympy_rank
-
-
-def form(*coeffs):
-    return LinearForm(tuple(coeffs))
 
 
 def test_rank_examples():
@@ -57,7 +53,7 @@ def test_rank_handles_fractions():
     cleared = [{0: 3, 1: 2}, {0: 9, 1: 6}]
     assert rank_of_rows(cleared, QQ) == sympy_rank(rows)
     with pytest.raises(InputError, match="integers"):
-        LinearForm(tuple(rows[0]))
+        certify_transversal_ranks((0,), (tuple(rows[0]),))
 
 
 def test_rank_differs_by_field():
@@ -111,14 +107,3 @@ def test_modular_echelon_against_oracle():
                     live.append(dense)
                 assert len(basis.rows) == len(live)
 
-
-def test_linear_form_validation():
-    f = form(0, 2, 0)
-    assert not f.is_zero()
-    assert LinearForm.variable(2, 4).coefficients == (0, 0, 1, 0)
-    with pytest.raises(InputError):
-        ProductOfLinearForms((form(0, 0),))
-    with pytest.raises(InputError):
-        ProductOfLinearForms((form(1, 0), form(1, 0, 0)))
-    prod = ProductOfLinearForms((form(1, 0), form(1, 1)))
-    assert prod.degree == 2

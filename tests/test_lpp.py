@@ -12,14 +12,15 @@ from quadbalance import (
     height,
     series_numerator,
 )
+from quadbalance.lpp import missing_square
 
 from oracles import count_standard_monomials, quotient_exponents, random_quadratic_exponents
 
 TRIANGLE = MonomialIdeal.from_strings(3, ["x1*x2", "x1*x3", "x2*x3"])
 
 
-def pds(rep):
-    return depth_and_pd(rep.source)[1], depth_and_pd(rep.ideal)[1]
+def pds(source, rep):
+    return depth_and_pd(source)[1], depth_and_pd(rep.ideal)[1]
 
 
 def test_quotient_monomials_examples():
@@ -54,7 +55,7 @@ def test_companion_degrees_are_lex_segments():
         n = rng.randint(2, 5)
         gens = random_quadratic_exponents(rng, n, 6)
         rep = egh_for_quadratic(MonomialIdeal(n, tuple(gens)))
-        for d in range(rep.result.top_degree + 2):
+        for d in range(rep.top_degree + 2):
             inside = [
                 rep.ideal.contains(e)
                 for e in quotient_exponents(n, (2,) * rep.g, d)
@@ -118,25 +119,25 @@ def test_unattainable_target():
 
 
 def test_egh_examples():
-    one_edge = egh_for_quadratic(MonomialIdeal.from_strings(2, ["x1*x2"]))
+    edge = MonomialIdeal.from_strings(2, ["x1*x2"])
+    one_edge = egh_for_quadratic(edge)
     assert one_edge.g == 1
     assert one_edge.ideal.generator_strings() == ["x1^2"]
-    assert pds(one_edge) == (1, 1)
+    assert pds(edge, one_edge) == (1, 1)
 
-    three_edges = egh_for_quadratic(
-        MonomialIdeal.from_strings(6, ["x1*x2", "x3*x4", "x5*x6"])
-    )
+    matching = MonomialIdeal.from_strings(6, ["x1*x2", "x3*x4", "x5*x6"])
+    three_edges = egh_for_quadratic(matching)
     assert three_edges.g == 3
     assert set(three_edges.ideal.generator_strings()) == {"x1^2", "x2^2", "x3^2"}
-    assert three_edges.result.picked_by_degree == {}
-    assert pds(three_edges) == (3, 3)
+    assert three_edges.picked_by_degree == {} and three_edges.top_degree == 0
+    assert pds(matching, three_edges) == (3, 3)
 
 
 def test_egh_triangle_and_fixed_point():
     rep = egh_for_quadratic(TRIANGLE)
-    assert rep.g == 2 and rep.result.series_equal
+    assert rep.g == 2 and rep.series_equal
     assert set(rep.ideal.generator_strings()) == {"x1^2", "x1*x2", "x2^2"}
-    assert pds(rep) == (2, 2)
+    assert pds(TRIANGLE, rep) == (2, 2)
     assert series_numerator(TRIANGLE) == series_numerator(rep.ideal)
     again = egh_for_quadratic(rep.ideal)
     assert again.ideal == rep.ideal
@@ -164,11 +165,41 @@ def test_egh_on_random_quadratic_ideals():
         ideal = MonomialIdeal(n, tuple(gens))
         rep = egh_for_quadratic(ideal)
         assert rep.g == height(ideal)
-        assert rep.result.series_equal
+        assert rep.series_equal
         assert series_numerator(ideal) == series_numerator(rep.ideal)
         for i in range(rep.g):
             square = tuple(2 if j == i else 0 for j in range(n))
             assert rep.ideal.contains(square)
+
+
+def test_missing_square_against_divisibility():
+    # x_i^2 is missing when no generator divides it; for i >= n the square
+    # is the zero tuple, which only the unit generator divides
+    rng = random.Random(73)
+    missing = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        g = rng.randint(0, n + 2)
+        gens = [
+            tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
+            for _ in range(rng.randint(0, 6))
+        ]
+        if rng.random() < 0.05:
+            gens.append((0,) * n)
+        gens += rng.sample(gens, min(len(gens), rng.randint(0, 2)))
+        rng.shuffle(gens)
+        squares = [tuple(2 if j == i else 0 for j in range(n)) for i in range(g)]
+        expected = next(
+            (
+                i
+                for i, square in enumerate(squares)
+                if not any(all(a <= b for a, b in zip(m, square)) for m in gens)
+            ),
+            None,
+        )
+        assert missing_square(gens, n, g) == expected, (gens, n, g)
+        missing += expected is not None
+    assert 500 <= missing <= 1800, missing
 
 
 def test_egh_deep_lex_tail():
@@ -184,8 +215,8 @@ def test_egh_deep_lex_tail():
     ])
     rep = egh_for_quadratic(ideal)
     assert rep.g == 4
-    assert rep.result.series_equal
-    assert rep.result.top_degree == 100
-    assert sum(rep.result.picked_by_degree.values()) == 547
+    assert rep.series_equal
+    assert rep.top_degree == 100
+    assert sum(rep.picked_by_degree.values()) == 547
     assert len(rep.ideal.generators) == 551
     assert series_numerator(ideal) == series_numerator(rep.ideal)

@@ -44,7 +44,7 @@ def test_quick_tour_states_what_it_computes():
     assert stated == {
         "cert.ok": True,
         "rep.ideal.generator_strings()": ["x1^2", "x1*x2", "x2^2"],
-        "rep.result.series_equal": True,
+        "rep.series_equal": True,
         "cx.h_source, cx.h_result": ((1, 3, 1), (1, 3, 1, 0)),
         "cx.coloring": (1, 1, 2, 2, 3, 3),
     }

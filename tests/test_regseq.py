@@ -7,7 +7,6 @@ from quadbalance import (
     QQ,
     BudgetExceededError,
     InputError,
-    LinearForm,
     MonomialIdeal,
     RegularSequenceNotFoundError,
     certify_transversal_ranks,
@@ -40,8 +39,11 @@ def quadratic_ideal(rng, n, max_gens, allow_squares=True):
 
 
 def factors(cert):
-    """The certificate's products as coefficient tuples, one per factor."""
-    return [[f.coefficients for f in p.factors] for p in cert.products()]
+    """The certificate's products x_p * l as coefficient tuples, one per factor."""
+    return [
+        [tuple(int(v == p) for v in range(len(form))), form]
+        for p, form in zip(cert.prime, cert.forms)
+    ]
 
 
 @pytest.fixture
@@ -58,18 +60,18 @@ def sweeps(monkeypatch):
     return calls
 
 
-def neighbors(dec, active):
-    return position_neighbors(dec.prime, dec.spaces, active)
+def neighbors(ideal, prime, active):
+    return position_neighbors(prime, decompose_degree_two(ideal, prime), active)
 
 
 def test_decomposition_examples():
-    dec = decompose_degree_two(TRIANGLE, (0, 1))
-    assert dec.prime == (0, 1) and dec.g == 2
-    assert dec.spaces == ((1, 2), (2,))
+    assert decompose_degree_two(TRIANGLE, (0, 1)) == ((1, 2), (2,))
+    # the prime is sorted and deduplicated first
+    assert decompose_degree_two(TRIANGLE, (1, 0, 1)) == ((1, 2), (2,))
     squares = MonomialIdeal.from_strings(3, ["x1^2", "x2^2", "x3^2"])
-    assert decompose_degree_two(squares, (0, 1, 2)).spaces == ((0,), (1,), (2,))
+    assert decompose_degree_two(squares, (0, 1, 2)) == ((0,), (1,), (2,))
     shared = MonomialIdeal.from_strings(3, ["x1*x3", "x2*x3"])
-    assert decompose_degree_two(shared, (2,)).spaces == ((0, 1),)
+    assert decompose_degree_two(shared, (2,)) == ((0, 1),)
 
 
 def test_decomposition_rejects_bad_input():
@@ -84,20 +86,16 @@ def test_decomposition_rejects_bad_input():
 
 
 def test_matching_instances():
-    dec = decompose_degree_two(TRIANGLE, (0, 1))
-    assert neighbors(dec, (1,)) == ((0,), (2,))
-    assert neighbors(dec, ()) == ((0,), (1,))
-    assert neighbors(dec, (0, 1)) == ((1, 2), (2,))
+    assert neighbors(TRIANGLE, (0, 1), (1,)) == ((0,), (2,))
+    assert neighbors(TRIANGLE, (0, 1), ()) == ((0,), (1,))
+    assert neighbors(TRIANGLE, (0, 1), (0, 1)) == ((1, 2), (2,))
 
 
 def test_find_matching():
-    dec = decompose_degree_two(TRIANGLE, (0, 1))
-    assert perfect_matching(neighbors(dec, (0, 1))) == (1, 2)
-    assert perfect_matching(neighbors(dec, ())) == (0, 1)
-    thin = decompose_degree_two(
-        MonomialIdeal.from_strings(3, ["x1*x2", "x2*x3"]), (0, 2)
-    )
-    assert perfect_matching(neighbors(thin, (0, 1))) is None
+    assert perfect_matching(neighbors(TRIANGLE, (0, 1), (0, 1))) == (1, 2)
+    assert perfect_matching(neighbors(TRIANGLE, (0, 1), ())) == (0, 1)
+    path = MonomialIdeal.from_strings(3, ["x1*x2", "x2*x3"])
+    assert perfect_matching(neighbors(path, (0, 2), (0, 1))) is None
 
 
 def test_hall_condition_on_random_ideals():
@@ -113,45 +111,51 @@ def test_hall_condition_on_random_ideals():
             if len(prime) != g:
                 continue
             primes += 1
-            dec = decompose_degree_two(ideal, sorted(prime))
+            prime = tuple(sorted(prime))
+            spaces = decompose_degree_two(ideal, prime)
             for mask in range(1 << g):
                 active = tuple(j for j in range(g) if mask >> j & 1)
-                assert perfect_matching(neighbors(dec, active)) is not None
+                assert perfect_matching(position_neighbors(prime, spaces, active)) is not None
     assert primes > 1500
 
 
 def test_sample_forms():
-    dec = decompose_degree_two(TRIANGLE, (0, 1))
-    forms = sample_forms(dec, seed=0)
+    forms = sample_forms(3, decompose_degree_two(TRIANGLE, (0, 1)), seed=0)
     assert len(forms) == 2
-    assert forms[0].coefficients[0] == 0
-    assert all(1 <= forms[0].coefficients[v] <= 32 for v in (1, 2))
+    assert forms[0][0] == 0
+    assert all(1 <= forms[0][v] <= 32 for v in (1, 2))
     # singleton spaces are normalized, not sampled
-    assert forms[1].coefficients == (0, 0, 1)
+    assert forms[1] == (0, 0, 1)
     squares = MonomialIdeal.from_strings(3, ["x1^2", "x2^2", "x3^2"])
-    dec2 = decompose_degree_two(squares, (0, 1, 2))
-    for j, form in enumerate(sample_forms(dec2, seed=7)):
-        assert form.coefficients == tuple(1 if v == j else 0 for v in range(3))
+    for j, form in enumerate(sample_forms(3, decompose_degree_two(squares, (0, 1, 2)), seed=7)):
+        assert form == tuple(1 if v == j else 0 for v in range(3))
 
 
 def test_certify_examples():
     empty = certify_transversal_ranks((), ())
     assert empty.ok and empty.subsets_checked == 1
-    l1 = LinearForm((0, 1, 1))
-    l2 = LinearForm((0, 0, 1))
+    l1 = (0, 1, 1)
+    l2 = (0, 0, 1)
     cert = certify_transversal_ranks((0, 1), (l1, l2))
     assert cert.ok and cert.subsets_checked == 4
     assert cert.failing_subset is None and cert.field_name == "Q"
-    bad = certify_transversal_ranks((0, 1), (LinearForm((0, 1, 0)),) * 2)
+    assert cert.forms == (l1, l2)
+    # forms given as lists are stored as tuples, and bools count as integers
+    listed = certify_transversal_ranks([0, 1], [[0, True, 1], [0, False, 1]])
+    assert listed.ok and listed.forms == (l1, l2)
+    bad = certify_transversal_ranks((0, 1), ((0, 1, 0),) * 2)
     assert not bad.ok and bad.failing_subset == ()
     with pytest.raises(InputError):
         certify_transversal_ranks((0, 1), (l1,))
+    for coefficient in (1.0, "1", None):
+        with pytest.raises(InputError, match="^linear form coefficients must be integers$"):
+            certify_transversal_ranks((0, 1), (l1, (0, 0, coefficient)))
 
 
 def test_certify_depends_on_field():
     # over GF(2) the two forms become equal
-    l1 = LinearForm((0, 1, 1))
-    l2 = LinearForm((0, 1, 3))
+    l1 = (0, 1, 1)
+    l2 = (0, 1, 3)
     assert certify_transversal_ranks((0, 1), (l1, l2), QQ).ok
     assert not certify_transversal_ranks((0, 1), (l1, l2), GF(2)).ok
 
@@ -203,13 +207,10 @@ def test_find_regular_sequence_squares():
     cert = find_regular_sequence(squares)
     assert cert.ok and cert.prime == (0, 1, 2)
     assert cert.subsets_checked == 8 and cert.attempts == 1
-    prods = cert.products()
+    prods = factors(cert)
     assert len(prods) == 3
     for i, p in enumerate(prods):
-        assert all(
-            f.coefficients == tuple(1 if v == i else 0 for v in range(3))
-            for f in p.factors
-        )
+        assert p == [tuple(1 if v == i else 0 for v in range(3))] * 2
 
 
 def test_find_regular_sequence_triangle():
@@ -217,8 +218,8 @@ def test_find_regular_sequence_triangle():
     assert cert.ok and cert.prime == (0, 1)
     assert cert.seed == 0 and cert.attempts == 1
     assert cert.subsets_checked == 4
-    assert cert.forms[1].coefficients == (0, 0, 1)
-    c0 = cert.forms[0].coefficients
+    assert cert.forms[1] == (0, 0, 1)
+    c0 = cert.forms[0]
     assert c0[0] == 0 and c0[1] > 0 and c0[2] > 0
     ok, witness = is_regular_sequence_of_products(factors(cert))
     assert ok and witness is None
@@ -228,10 +229,7 @@ def test_find_regular_sequence_octahedron_ideal():
     ideal = MonomialIdeal.from_strings(6, ["x1*x2", "x3*x4", "x5*x6"])
     cert = find_regular_sequence(ideal)
     assert cert.ok and cert.prime == (0, 2, 4)
-    products = {
-        tuple(sorted(f.coefficients.index(1) for f in p.factors))
-        for p in cert.products()
-    }
+    products = {tuple(sorted(f.index(1) for f in p)) for p in factors(cert)}
     assert products == {(0, 1), (2, 3), (4, 5)}
 
 
@@ -289,7 +287,7 @@ def test_random_ideals_yield_certified_sequences():
         assert ok, witness
         # every product expands to monomials inside the ideal
         for p, form in zip(cert.prime, cert.forms):
-            for v, c in enumerate(form.coefficients):
+            for v, c in enumerate(form):
                 if c:
                     exps = [0] * n
                     exps[p] += 1
@@ -304,7 +302,7 @@ def test_structured_fallback(monkeypatch):
     ideal = MonomialIdeal.from_strings(4, ["x1*x3", "x1*x4", "x2*x3", "x2*x4"])
     cert = find_regular_sequence(ideal)
     assert cert.ok and cert.attempts == 9 and cert.seed is None
-    assert [f.coefficients for f in cert.forms] == [(0, 0, 8, 16), (0, 0, 64, 256)]
+    assert cert.forms == ((0, 0, 8, 16), (0, 0, 64, 256))
 
 
 def test_fallback_exhaustion(monkeypatch):
@@ -335,7 +333,7 @@ def test_certify_against_subset_oracle(p):
         n = g + rng.randint(0, 3)
         prime = tuple(sorted(rng.sample(range(n), g)))
         forms = [tuple(rng.choice((0, 0, 1, 2, -1)) for _ in range(n)) for _ in range(g)]
-        cert = certify_transversal_ranks(prime, [LinearForm(f) for f in forms], field)
+        cert = certify_transversal_ranks(prime, forms, field)
         expected = transversal_ranks(prime, forms, p)
         assert (cert.ok, cert.failing_subset, cert.subsets_checked) == expected
         failed += not cert.ok
@@ -346,7 +344,7 @@ def test_certify_overrules_modular_dependency(sweeps):
     # the forms agree modulo the prime the Q sweep works in, but they are
     # independent over Q; they share both free columns, so they do not peel,
     # and the certificate must still pass every subset through the Q redo
-    forms = (LinearForm((0, 0, 1, 1)), LinearForm((0, 0, 1, 1 + DEFAULT_PRIME)))
+    forms = ((0, 0, 1, 1), (0, 0, 1, 1 + DEFAULT_PRIME))
     cert = certify_transversal_ranks((0, 1), forms, QQ)
     assert cert.ok and cert.subsets_checked == 4
     assert len(sweeps) == 1
@@ -367,7 +365,7 @@ def test_peeling_against_subset_oracle(p, sweeps):
         prime = tuple(sorted(rng.sample(range(n), g)))
         forms = [tuple(rng.choice((0, 0, 0, 1, 2, 3, -1)) for _ in range(n)) for _ in range(g)]
         swept = len(sweeps)
-        cert = certify_transversal_ranks(prime, [LinearForm(f) for f in forms], field)
+        cert = certify_transversal_ranks(prime, forms, field)
         expected = transversal_ranks(prime, forms, p)
         assert (cert.ok, cert.failing_subset, cert.subsets_checked) == expected
         peeled += len(sweeps) == swept
