@@ -151,16 +151,3 @@ def series_numerator(ideal: MonomialIdeal) -> tuple:
     """Numerator of the Hilbert series of S/I over (1-t)^n."""
     return _numerator(frozenset(ideal.generators))
 
-
-def expansion_coefficient(n: int, k: int) -> int:
-    """Coefficient of t^k in (1-t)^(-n)."""
-    if k < 0:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return comb(n + k - 1, k)
-
-
-def _value(numerator, n: int, d: int) -> int:
-    """HF(d) of the series numerator/(1-t)^n; 0 in negative degrees."""
-    return sum(c * expansion_coefficient(n, d - j) for j, c in enumerate(numerator) if j <= d)

@@ -1,17 +1,32 @@
 """Lex-plus-squares ideals with a prescribed Hilbert function.
 
-The target is a Hilbert series numerator N over (1-t)^n; HF(d) is read off
-N directly, in any degree.  The construction works inside the quotient by
-the squares x1^2..xg^2, the only powers the paper's ideals contain.  In
-every degree the monomials forced into the ideal form an initial segment in
-descending lexicographic order (x1 > x2 > ... > xn), so the whole state is
-a single boundary monomial, the segment's smallest element.  The shadow of
-the segment above B is the segment above B * x_w, where x_w is the last
-variable with room under its cap; comparing its size with the target value
-dictates how many new generators the degree needs, and they sit at
-consecutive lex positions directly after the shadow.  Everything is done
-with counting formulas and an iterated predecessor, never by listing a
-degree slice, so generators in high degrees cost almost nothing.
+The target is a Hilbert series numerator N over (1-t)^n.  The construction
+works inside A = S/(x1^2..xg^2), the only powers the paper's ideals contain.
+In every degree the monomials forced into the ideal form an initial segment
+L in descending lexicographic order (x1 > x2 > ... > xn), so the whole state
+is L's smallest element, the boundary B, plus a histogram: hist[j] counts
+the monomials of L whose largest variable is x_j.  The shadow of L is the
+segment above B * x_w, where x_w is the last variable with room under its
+cap; comparing its size with the target value dictates how many new
+generators the degree needs, and they sit at consecutive lex positions
+directly after the shadow.
+
+The shadow's size comes from the histogram (Eliahou-Kervaire).  Write
+max(u) for the largest index of a variable dividing u.  The shadow is
+stable: if u = m * x_k with m in L and i = max(u) > k, then u/x_i =
+(m/x_i) * x_k divides u, so it is nonzero in A, and it is lex above m, so
+it lies in L.  Hence every shadow monomial u is (u/x_i) * x_i with u/x_i in
+L and i >= max(u/x_i), and in one way only.  Conversely m * x_i with m in L
+and i >= max(m) is nonzero in A unless i = max(m) < g, where x_i already
+divides m.  So the shadow has new[i] = sum(hist[j] for j < i) monomials
+with largest variable x_i, plus hist[i] when x_i is uncapped (i >= g); each
+pick then adds one under its own largest variable.
+
+Both Hilbert functions are carried from degree to degree: taking partial
+sums of a coefficient sequence multiplies its series by 1/(1-t), so n
+running sums, each advanced by one addition per degree, turn N into HF(d)
+and (1-t^2)^g into the slice size of A.  No degree slice is ever listed,
+and a degree costs O(n) additions plus its picks.
 
 Once picks stop, the boundary only accumulates the last variable, and both
 Hilbert functions agree with polynomials in the degree: the constructed
@@ -27,64 +42,30 @@ generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import accumulate, count
+from operator import add
 
 from .covers import height
 from .errors import InputError, UnattainableTargetError
-from .hilbert import _value, series_numerator
-from .monomials import MonomialIdeal, _ideal_from_minimal, _require_quadratic, support
+from .hilbert import one_minus_t_power, series_numerator
+from .monomials import MonomialIdeal, _ideal_from_minimal, _require_quadratic
 
 # egh's refusal of a zero source, which verify shares
 _ZERO_SOURCE = "the zero ideal needs no realization"
 
 
-class _SegmentCounter:
-    """Lex-segment bookkeeping in the quotient by the squares of x1..xg.
+class _LexSteps:
+    """Lex-order steps in the quotient by the squares of x1..xg.
 
-    caps[i] is 1 for the first g variables and None beyond.  The signed
-    offsets realize inclusion-exclusion over the capped variables, so slice
-    sizes and segment sizes come out as short alternating sums of binomials
-    and no degree slice is ever enumerated.
+    caps[i] is 1 for the first g variables and None beyond.
     """
 
-    __slots__ = ("n", "caps", "offsets")
+    __slots__ = ("n", "g", "caps")
 
     def __init__(self, n: int, g: int):
         self.n = n
+        self.g = g
         self.caps = (1,) * g + (None,) * (n - g)
-        offsets = [((1, 0),)] * (n + 1)
-        for v in range(g - 1, -1, -1):
-            below = offsets[v + 1]
-            offsets[v] = below + tuple((-s, off + 2) for s, off in below)
-        self.offsets = offsets
-
-    def cum(self, v: int, bound: int) -> int:
-        """Monomials in the variables past position v of degree <= bound."""
-        if bound < 0:
-            return 0
-        k = self.n - v
-        total = 0
-        for sign, off in self.offsets[v]:
-            m = bound - off + k
-            if m >= k:
-                total += sign * comb(m, k)
-        return total
-
-    def slice_count(self, d: int) -> int:
-        return self.cum(0, d) - self.cum(0, d - 1)
-
-    def count_from(self, m, d: int) -> int:
-        """Degree-d monomials lex at or above m, where m has degree d."""
-        total = 1
-        left = d
-        for v in range(self.n):
-            gap = self.cum(v + 1, left - m[v] - 1)
-            cap = self.caps[v]
-            if cap is not None:
-                gap -= self.cum(v + 1, left - cap - 1)
-            total += gap
-            left -= m[v]
-        return total
 
     def successor(self, m):
         """Boundary of the shadow: m times the last variable with room."""
@@ -98,6 +79,8 @@ class _SegmentCounter:
         """The lex-largest monomial of degree d in the variables from
         position ``start`` on (their exponents only), filling caps from the
         left."""
+        if start >= self.g:
+            return (d,) + (0,) * (self.n - start - 1)
         exps = []
         for cap in self.caps[start:]:
             take = d if cap is None else min(cap, d)
@@ -108,18 +91,18 @@ class _SegmentCounter:
         return tuple(exps)
 
     def predecessor(self, m):
-        """The next monomial below m in descending lex, same degree."""
+        """The next monomial below m in descending lex, same degree.
+
+        It lowers the last exponent m[j] whose followers can take one more
+        unit: any m[j] when the last variable is uncapped, else (all caps 1)
+        one whose followers have degree below their count n - 1 - j.
+        """
+        n = self.n
+        free = self.g < n
         carry = 0
-        room = 0
-        unbounded = False
-        for j in range(self.n - 2, -1, -1):
-            cap = self.caps[j + 1]
-            if cap is None:
-                unbounded = True
-            elif not unbounded:
-                room += cap
+        for j in range(n - 2, -1, -1):
             carry += m[j + 1]
-            if m[j] and (unbounded or carry < room):
+            if m[j] and (free or carry < n - 1 - j):
                 return m[:j] + (m[j] - 1,) + self.top_monomial(carry + 1, j + 1)
         raise RuntimeError("internal error: walked past the end of the slice")
 
@@ -135,20 +118,26 @@ class LppResult:
     top_degree: int
 
 
-def _assemble(n: int, squares, picks) -> MonomialIdeal:
+def _assemble(n: int, squares, picks, linear: int) -> MonomialIdeal:
     """Collect squares plus picks into an ideal without the quadratic sweep.
 
     Picks are pairwise incomparable by construction (each one was live when
     chosen, and the slices exclude multiples of the squares), so the only
-    possible redundancy is a square x_i^2 eclipsed by a degree-one pick x_i.
+    possible redundancy is a square x_i^2 eclipsed by a degree-one pick x_i:
+    one of the first ``linear`` picks.
     """
-    pure = set()
-    for m in picks:
-        variables = support(m)
-        if len(variables) == 1:
-            pure.update(variables)
-    kept = [p for i, p in enumerate(squares) if i not in pure]
-    return _ideal_from_minimal(n, kept + list(picks))
+    eclipsed = {m.index(1) for m in picks[:linear]}
+    kept = [p for i, p in enumerate(squares) if i not in eclipsed]
+    return _ideal_from_minimal(n, kept + picks)
+
+
+def _hilbert_values(numerator, n: int):
+    """HF(0), HF(1), ... of numerator/(1-t)^n, by n running sums: in degree
+    d, sums[k] is the coefficient of t^d in numerator/(1-t)^k."""
+    sums = [0] * (n + 1)
+    for d in count():
+        sums = list(accumulate(sums[1:], initial=numerator[d] if d < len(numerator) else 0))
+        yield sums[-1]
 
 
 def construct_lex_plus_powers(
@@ -164,13 +153,18 @@ def construct_lex_plus_powers(
     """
     if not 0 <= g <= n:
         raise InputError(f"need 0 <= g <= n squares, got g = {g} for n = {n}")
-    if _value(numerator, n, 0) != 1:
+    target = _hilbert_values(numerator, n)
+    if next(target) != 1:
         raise UnattainableTargetError("a proper monomial quotient has HF(0) = 1", degree=0)
     squares = [(0,) * i + (2,) + (0,) * (n - i - 1) for i in range(g)]
-    partial = MonomialIdeal(n, tuple(squares))
-    if series_numerator(partial) == numerator:
-        return LppResult(partial, g, {}, True, 0)
-    counter = _SegmentCounter(n, g)
+    # (1-t^2)^g, the numerator of the squares alone
+    quotient = tuple(c for a in one_minus_t_power(g) for c in (a, 0))[: 2 * g + 1]
+    if numerator == quotient:
+        return LppResult(MonomialIdeal(n, tuple(squares)), g, {}, True, 0)
+    slices = _hilbert_values(quotient, n)
+    next(slices)
+    steps = _LexSteps(n, g)
+    hist = [0] * n
     picks: list = []
     picked_by_degree: dict = {}
     boundary = None
@@ -179,12 +173,14 @@ def construct_lex_plus_powers(
     d = 0
     while True:
         d += 1
-        value = _value(numerator, n, d)
+        value = next(target)
         if value < 0:
             raise UnattainableTargetError(f"the target is negative in degree {d}", degree=d)
-        shadow_boundary = counter.successor(boundary) if boundary is not None else None
-        shadow = counter.count_from(shadow_boundary, d) if shadow_boundary is not None else 0
-        in_slice = counter.slice_count(d)
+        shadow_boundary = steps.successor(boundary) if boundary is not None else None
+        below = list(accumulate(hist, initial=0))
+        hist = below[:g] + list(map(add, below[g:], hist[g:]))
+        shadow = sum(hist)
+        in_slice = next(slices)
         k = in_slice - value - shadow
         if k < 0:
             raise UnattainableTargetError(
@@ -194,25 +190,31 @@ def construct_lex_plus_powers(
             )
         if k:
             if max_degree is not None and d > max_degree:
-                return LppResult(
-                    _assemble(n, squares, picks), g, picked_by_degree, False, max_degree
-                )
+                series_equal, top = False, max_degree
+                break
             exps = (
-                counter.predecessor(shadow_boundary)
+                steps.predecessor(shadow_boundary)
                 if shadow_boundary is not None
-                else counter.top_monomial(d)
+                else steps.top_monomial(d)
             )
             for i in range(k):
                 if i:
-                    exps = counter.predecessor(exps)
+                    exps = steps.predecessor(exps)
                 picks.append(exps)
+                last = n - 1
+                while not exps[last]:
+                    last -= 1
+                hist[last] += 1
             boundary = exps
             picked_by_degree[d] = k
             top = d
         else:
             boundary = shadow_boundary
         if d >= max(top + margin, len(numerator)) + n:
-            return LppResult(_assemble(n, squares, picks), g, picked_by_degree, True, top)
+            series_equal = True
+            break
+    ideal = _assemble(n, squares, picks, picked_by_degree.get(1, 0))
+    return LppResult(ideal, g, picked_by_degree, series_equal, top)
 
 
 def missing_square(generators, n: int, g: int):

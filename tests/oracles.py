@@ -401,6 +401,70 @@ def quotient_exponents(n, powers, d):
     return list(rec(0, d))
 
 
+class WalkRefused(Exception):
+    """The target has no lex-plus-squares realization; ``degree`` is where
+    the walk stopped."""
+
+    def __init__(self, message, degree):
+        super().__init__(message)
+        self.degree = degree
+
+
+def lex_walk(n, g, numerator, max_degree=None):
+    """The lex-plus-squares walk by listing every degree slice.
+
+    In each degree d the slice of S/(x1^2..xg^2) is listed in descending lex
+    order, the previous degree's segment is multiplied out by every
+    variable, and the next lex monomials after that shadow are picked until
+    the slice minus the segment has HF(d) of numerator/(1-t)^n monomials.
+    The walk stops by the same rule as the package: a pick forced beyond
+    ``max_degree``, or degree max(top + 2g + n, len(numerator)) + n.
+    Returns (generators as a set, picked_by_degree, top_degree,
+    series_equal), or raises WalkRefused with the package's message.
+    """
+
+    def hf(d):
+        return window_from_numerator(numerator, n, d)[d]
+
+    if hf(0) != 1:
+        raise WalkRefused("a proper monomial quotient has HF(0) = 1", 0)
+    segment = set()
+    picks, picked_by_degree, top = [], {}, 0
+    d = 0
+    while True:
+        d += 1
+        value = hf(d)
+        if value < 0:
+            raise WalkRefused(f"the target is negative in degree {d}", d)
+        listed = quotient_exponents(n, (2,) * g, d)
+        shadow = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in segment for i in range(n)}
+        shadow &= set(listed)
+        assert shadow == set(listed[: len(shadow)]), "the shadow is not a lex segment"
+        k = len(listed) - value - len(shadow)
+        if k < 0:
+            raise WalkRefused(
+                f"degree {d} offers {len(listed) - len(shadow)} monomials but the "
+                f"target wants {value}",
+                d,
+            )
+        if k:
+            if max_degree is not None and d > max_degree:
+                series_equal, top = False, max_degree
+                break
+            picks += listed[len(shadow): len(shadow) + k]
+            picked_by_degree[d] = k
+            top = d
+        segment = set(listed[: len(shadow) + k])
+        if d >= max(top + 2 * g + n, len(numerator)) + n:
+            series_equal = True
+            break
+    generators = set(picks)
+    for i in range(g):
+        if tuple(int(j == i) for j in range(n)) not in generators:
+            generators.add(tuple(2 * (j == i) for j in range(n)))
+    return generators, picked_by_degree, top, series_equal
+
+
 def transversal_ranks(prime, forms, p=None):
     """(ok, failing_subset, subsets_checked) of the mixed-choice rank test.
 

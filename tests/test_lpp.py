@@ -14,7 +14,14 @@ from quadbalance import (
 )
 from quadbalance.lpp import missing_square
 
-from oracles import count_standard_monomials, quotient_exponents, random_quadratic_exponents
+from oracles import (
+    WalkRefused,
+    count_standard_monomials,
+    lex_walk,
+    quotient_exponents,
+    random_exponents,
+    random_quadratic_exponents,
+)
 
 TRIANGLE = MonomialIdeal.from_strings(3, ["x1*x2", "x1*x3", "x2*x3"])
 
@@ -96,6 +103,49 @@ def test_construct_pure_lex_ideal():
     assert set(result.ideal.generator_strings()) == {"x1^2", "x1*x2^2", "x2^4"}
     assert result.picked_by_degree == {2: 1, 3: 1, 4: 1}
     assert result.series_equal
+
+
+def random_walk_target(rng):
+    """(n, g, numerator): mostly the numerator of the squares plus random
+    monomials of degree 1 to 3, which is attainable; else one with a
+    coefficient moved by one, or a random one, which mostly is not.  Five
+    variables come with at least two squares: with fewer, a lex tail can
+    run past degree 40, where the oracle lists slices of 10^5 monomials."""
+    n = rng.randint(1, 5)
+    g = rng.randint(0 if n < 5 else 2, n)
+    squares = [tuple(2 * (j == i) for j in range(n)) for i in range(g)]
+    gens = squares + random_exponents(rng, n, 4, 3)
+    numerator = list(series_numerator(MonomialIdeal(n, tuple(gens))))
+    draw = rng.random()
+    if draw < 0.2:
+        numerator[rng.randrange(len(numerator))] += rng.choice((-1, 1))
+    elif draw < 0.3:
+        numerator = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
+    return n, g, numerator if rng.random() < 0.5 else tuple(numerator)
+
+
+def test_walk_against_slice_listing_oracle():
+    rng = random.Random(79)
+    seen = {"built": 0, "capped": 0, "refused": 0, "eclipsed": 0}
+    for _ in range(400):
+        n, g, numerator = random_walk_target(rng)
+        max_degree = rng.choice((None, None, 1, 2, 3))
+        try:
+            expected = lex_walk(n, g, numerator, max_degree)
+        except WalkRefused as refusal:
+            with pytest.raises(UnattainableTargetError) as err:
+                construct_lex_plus_powers(n, g, numerator, max_degree)
+            assert (str(err.value), err.value.degree) == (str(refusal), refusal.degree)
+            seen["refused"] += 1
+            continue
+        result = construct_lex_plus_powers(n, g, numerator, max_degree)
+        generators = result.ideal.generators
+        assert len(set(generators)) == len(generators)
+        got = (set(generators), result.picked_by_degree, result.top_degree, result.series_equal)
+        assert got == expected, (n, g, numerator, max_degree)
+        seen["built" if result.series_equal else "capped"] += 1
+        seen["eclipsed"] += len(generators) < g + sum(result.picked_by_degree.values())
+    assert min(seen.values()) >= 20, seen
 
 
 def test_construct_monotone_in_degree_cap():
