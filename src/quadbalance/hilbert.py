@@ -14,6 +14,11 @@ depend on the ambient variable count or on the variable order, so results
 are memoized on the generator sets with unused variables projected away.
 Numerator equality certifies equality of the Hilbert functions in *all*
 degrees at once.
+
+A list of the squares of x1..xg plus the minimal generators of an ideal
+stable in S/(x1^2..xg^2), such as a lex-plus-squares companion, has its
+numerator in closed form instead (_stable_numerator): one term per
+generator, after checks on the list that prove the formula applies.
 """
 
 from __future__ import annotations
@@ -145,6 +150,104 @@ def _split(gens: frozenset, v: int) -> tuple:
         g for g in kept if not any(all(map(le, m, g)) for m in freed)
     )
     return plus, colon
+
+
+def _stable_numerator(gens, n: int, g: int):
+    """Numerator of S/I, I generated by a list of exponent tuples, read off
+    the list by a closed formula; None when a check the formula needs fails.
+
+    Write A = S/Q with Q = (x1^2..xg^2), m(u) for the largest variable of u,
+    and the ascending prefixes of u for the products of its first k
+    variables taken in increasing index order, with multiplicity.  The
+    checks, on the stated tuples:
+
+    1. x_i^2 is listed for each i < g, so Q lies in I; a tuple that is not
+       squarefree in x1..xg lies in Q and is set aside (the squarefree
+       filter), and the kept tuples generate J with I = Q + J;
+    2. the unit is not listed;
+    3. (minimal) no proper ascending prefix of a kept tuple is kept;
+    4. (stable) for each kept u and j < m(u) with x_j*u/x_m(u) nonzero in A,
+       an ascending prefix of x_j*u/x_m(u) is kept.
+
+    Then every monomial v of J nonzero in A is u*y for exactly one kept u,
+    with y in the variables >= m(u): the capped ones (x1..xg) squarefree
+    and > m(u), the free ones freely.  Existence: some kept u divides v.
+    If v/u has a variable x_j below m(u), then x_j*u/x_m(u) divides v and
+    is nonzero in A, so by 4 a kept prefix of it divides v, with a smaller
+    index sum than u; when this descent stops, v/u lies in the variables
+    >= m(u), so u is an ascending prefix of v.  Uniqueness: the ascending
+    prefixes of v form a chain, which by 3 holds one kept tuple at most.
+    By the filter u is nonzero in A, so the y of one u have the series
+    (1+t)^c(u) / (1-t)^f(u), with c(u) = #{j <= g : j > m(u)} and
+    f(u) = #{j > g : j >= m(u)}, and HS(S/I) = HS(A) - HS(JA) gives
+
+        N(t) = (1-t^2)^g - sum_u t^deg(u) (1+t)^c(u) (1-t)^(n-f(u))
+
+    (Eliahou and Kervaire, J. Algebra 129, 1990; Mermin, Peeva and
+    Stillman, Adv. Math. 217, 2008, for ideals containing squares).  The
+    checks are also necessary for the squares plus the minimal generators
+    of an ideal stable in A: there x_j*u/x_m(u) lies in the ideal, and its
+    u in the decomposition is an ascending prefix of it.  The companion of
+    a quadratic source is such a list (its degree pieces are lex segments
+    of A, and no degree-one generator eclipses a square), so it passes.
+
+    Monomials are held as sparse (index, exponent) pairs, so a lookup costs
+    the support, not n.  Prefixes are looked up in one dict keyed by (the
+    pairs below r, r), holding the least exponent at r among the kept
+    tuples with largest variable r.  The result maps each degree to its
+    nonzero coefficient: terms are grouped by m(u), which fixes c(u) and
+    f(u), and by degree, so a huge exponent costs one entry, not a run of
+    zeros.
+    """
+    listed = {tuple(compress(enumerate(e), e)) for e in gens}
+    if () in listed or any(((i, 2),) not in listed for i in range(g)):
+        return None
+    # a tuple with a capped exponent above 1 lies in Q
+    rest = [u for u in listed if all(e < 2 for i, e in u if i < g)]
+    least: dict = {}
+    for u in rest:
+        m, e = u[-1]
+        least[u[:-1], m] = min(least.get((u[:-1], m), e), e)
+    by_top: dict = {}  # largest variable -> degree -> generators
+    # a low largest variable has few stability moves: a failing list often
+    # fails there first
+    for u in sorted(rest, key=lambda u: u[-1][0]):
+        m, top = u[-1]
+        below = u[:-1]
+        # 3: u's own position at a lower exponent, or an earlier position
+        if least[below, m] < top or any(
+            least.get((below[:q], r), e + 1) <= e for q, (r, e) in enumerate(below)
+        ):
+            return None
+        # 4: w = x_j*u/x_m for j < m, with x_j inserted at position p of u
+        # when u lacks it, raised there when u has it (w is zero in A when
+        # x_j is capped).  Prefixes of w ending before p are proper prefixes
+        # of u, which 3 excluded
+        tail = ((m, top - 1),) if top > 1 else ()
+        start = 0
+        for p, (r, e) in enumerate(u):
+            moves = [below[:p] + ((j, 1),) + below[p:] + tail for j in range(start, r)]
+            if g <= r < m:
+                moves.append(below[:p] + ((r, e + 1),) + below[p + 1:] + tail)
+            for w in moves:
+                for q in range(p, len(w)):
+                    i, k = w[q]
+                    if least.get((w[:q], i), k + 1) <= k:
+                        break
+                else:
+                    return None
+            start = r + 1
+        degrees = by_top.setdefault(m, {})
+        d = sum(e for _, e in u)
+        degrees[d] = degrees.get(d, 0) + 1
+    numerator = {2 * k: (-1) ** k * comb(g, k) for k in range(g + 1)}
+    for m, degrees in by_top.items():
+        c, f = max(0, g - 1 - m), n - max(g, m)
+        factor = poly_mul(tuple(comb(c, k) for k in range(c + 1)), one_minus_t_power(n - f))
+        for d, count in degrees.items():
+            for k, a in enumerate(factor):
+                numerator[d + k] = numerator.get(d + k, 0) - count * a
+    return {d: a for d, a in numerator.items() if a}
 
 
 def series_numerator(ideal: MonomialIdeal) -> tuple:

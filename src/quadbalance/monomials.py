@@ -146,23 +146,6 @@ def _minimalize(exponents) -> tuple:
     return tuple(compress(gens, minimal))
 
 
-def _minimal_among(candidates, exponents) -> list:
-    """The candidates that no other tuple of ``exponents`` divides.
-
-    Each candidate must itself be one of the tuples.  The distinct tuples
-    are indexed block by block, once, and only the candidates are looked
-    up, so a few candidates cost one lookup per block each where
-    _minimalize would test the whole list against itself.  A candidate
-    divides only itself among the distinct tuples exactly when it is
-    minimal.
-    """
-    indexes = [index for _, index in _blocks(list(set(exponents)))]
-    return [
-        e for e in candidates
-        if sum(index.divisors(e).bit_count() for index in indexes) == 1
-    ]
-
-
 def _ideal_from_minimal(n: int, monomials) -> "MonomialIdeal":
     """Wrap generators already known to be minimal, skipping the reduction.
 

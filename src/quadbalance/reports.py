@@ -29,17 +29,11 @@ from .errors import (
     UnattainableTargetError,
 )
 from .fields import parse_field_spec
-from .hilbert import _numerator, poly_trim, series_numerator
+from .hilbert import _stable_numerator, poly_trim, series_numerator
 from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
 from .lpp import _ZERO_SOURCE, egh_for_quadratic, missing_square
-from .monomials import (
-    MonomialIdeal,
-    _minimal_among,
-    _require_quadratic,
-    parse_monomial,
-    polarize,
-)
+from .monomials import MonomialIdeal, _require_quadratic, parse_monomial, polarize
 from .regseq import certify_transversal_ranks, find_regular_sequence, product_outside_ideal
 from .simplicial import (
     SimplicialComplex,
@@ -182,10 +176,14 @@ def balance_report(cx: SimplicialComplex, field, max_degree=None, *, cm=None) ->
 _CAUGHT = (InputError, NotCohenMacaulayError, UnattainableTargetError,
            RegularSequenceNotFoundError, RuntimeError)
 
-# independent numerator recomputation grows quadratically with the
-# generator count; past this many generators verify leans on reproduction
+# the stable-ideal checks cost more than the reproduction they would back
+# up on a long list; past this many generators verify leans on reproduction
 _SERIES_RECHECK_CAP = 3000
 _SERIES_DIFFER = "Hilbert series of source and result differ"
+_NOT_STABLE = (
+    "the result is not the minimal generating set of a stable ideal containing "
+    "the squares; series not rechecked"
+)
 
 
 class _Checker:
@@ -321,8 +319,6 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
         # the stated strings parse to
         gens = companion.ideal.generators
     else:
-        # kept as a flat list: only the series check needs a minimal set, and
-        # _numerator minimalizes its input once, on entry
         gens = [parse_monomial(s, ideal.n) for s in raw]
     # each check below costs at least the source's degrees: refuse first
     _require_quadratic(ideal, _ZERO_SOURCE)
@@ -345,34 +341,19 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
         if _get(obj, "series_equal") is not True:
             return False, "the report does not claim series equality"
         if len(gens) > _SERIES_RECHECK_CAP:
-            # the numerator recomputation is hopeless at this size; the
-            # reproduction check below re-derives the whole construction,
+            # the reproduction check below re-derives the whole construction,
             # whose own termination argument certifies the series
             return True, ""
-        # The pivot recursion spends a node per power of a variable, so a
-        # stated generator of degree D costs about D^2; bound D by the
-        # companion first.  Clements-Lindstrom: an ideal containing the
-        # companion's squares has, in each degree above 2, at most as many
-        # minimal generators as the powers-plus-lex ideal with its Hilbert
-        # function, so a minimal generator above the companion's top degree
-        # proves the series differ.
         if unbuilt is not None:
+            # a rebuild refused under --max-degree fails here as in reproduction
             return False, unbuilt
-        top = max(map(sum, companion.ideal.generators))
-        shallow = [e for e in gens if sum(e) <= top]
-        if len(shallow) < len(gens):
-            # only the deep generators are tested against the list; when
-            # none is minimal, each has a shallow divisor, so the shallow
-            # ones generate the same ideal
-            deep = _minimal_among({e for e in gens if sum(e) > top}, gens)
-            if deep:
-                if missing_square(gens, ideal.n, companion.g) is None:
-                    return False, _SERIES_DIFFER
-                return False, (
-                    f"result generator of degree {max(map(sum, deep))} lies above the "
-                    f"companion's top degree {top}; series not rechecked"
-                )
-        return series_numerator(ideal) == _numerator(shallow), _SERIES_DIFFER
+        # the stated tuples, not the rebuilt ones: the formula's checks
+        # must not trust the construction they recheck
+        stated = _stable_numerator(gens, ideal.n, g)
+        if stated is None:
+            return False, _NOT_STABLE
+        source = {d: a for d, a in enumerate(series_numerator(ideal)) if a}
+        return stated == source, _SERIES_DIFFER
 
     checker.run("series", series)
 

@@ -371,15 +371,15 @@ def test_verify_catches_series_tamper(run, tmp_path):
 
 
 def _verify_egh_tampered(run, tmp_path, monkeypatch, mutate):
-    # the source (x1*x2, x1*x3) has companion (x1^2, x1*x2), top degree 2;
-    # a stated generator of degree D would cost the pivot recursion about
-    # D^2 memory, so no generator that deep may reach it
-    def shallow_only(gens):
-        assert all(sum(e) < 1000 for e in gens), "a deep generator reached the recursion"
+    # the source is (x1*x2, x1*x3); the series check reads a stated list
+    # off the stable-ideal formula, so the pivot recursion, whose work grows
+    # with a stated degree, sees the source's generators only
+    def source_only(gens):
+        assert set(gens) == {(1, 1, 0), (1, 0, 1)}, "a stated list reached the recursion"
         return numerator(gens)
 
-    numerator = reports._numerator
-    monkeypatch.setattr(reports, "_numerator", shallow_only)
+    numerator = hilbert._numerator
+    monkeypatch.setattr(hilbert, "_numerator", source_only)
     _, out, _ = run("egh", data={"n": 3, "generators": ["x1*x2", "x1*x3"]})
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(tampered(out, mutate)))
@@ -390,35 +390,38 @@ def _verify_egh_tampered(run, tmp_path, monkeypatch, mutate):
     return code, {f["check"]: f["detail"] for f in parse(vout)["failures"]}
 
 
+_NOT_STABLE = (
+    "the result is not the minimal generating set of a stable ideal containing the squares; "
+    "series not rechecked"
+)
+
+
 def test_verify_deep_appended_generators(run, tmp_path, monkeypatch):
-    # x1^2 is still in the result, so a minimal generator above the
-    # companion's top degree proves the series differ without recomputing
+    # x2^2*x3^99999 moves to x2^3*x3^99998, which no listed ascending prefix
+    # divides: the list is not stable, so the formula does not apply
     def append(rep):
         rep["generators"] += ["x2*x3^100000", "x2^2*x3^99999"]
 
     code, failures = _verify_egh_tampered(run, tmp_path, monkeypatch, append)
     assert code == 1
-    assert failures["series"] == "Hilbert series of source and result differ"
+    assert failures["series"] == _NOT_STABLE
 
 
 def test_verify_deep_generator_without_squares(run, tmp_path, monkeypatch):
-    # without x1^2 the degree argument does not apply: the check fails
-    # without claiming the series differ, and without recomputing them
+    # without x1^2 the formula does not apply: the check fails without
+    # claiming the series differ, and without recomputing them
     def swap(rep):
         rep["generators"] = ["x1*x2", "x2*x3^100000"]
 
     code, failures = _verify_egh_tampered(run, tmp_path, monkeypatch, swap)
     assert code == 1
     assert failures["squares"] == "x1^2 is not in the result"
-    assert failures["series"] == (
-        "result generator of degree 100001 lies above the companion's top degree 2; "
-        "series not rechecked"
-    )
+    assert failures["series"] == _NOT_STABLE
 
 
 def test_verify_redundant_deep_generator_keeps_series(run, tmp_path, monkeypatch):
-    # x1^2*x3^100000 lies in (x1^2): the degree bound applies to minimal
-    # generators only, so the series check passes and reproduction fails
+    # x1^2*x3^100000 lies in (x1^2), so the formula drops it: the series
+    # check passes and reproduction fails
     def append(rep):
         rep["generators"].append("x1^2*x3^100000")
 
@@ -428,8 +431,8 @@ def test_verify_redundant_deep_generator_keeps_series(run, tmp_path, monkeypatch
 
 
 def test_verify_max_degree_below_companion_fails_series(run, tmp_path):
-    # the series check takes its degree bound from the companion, which a
-    # cap below the companion's top degree forbids building
+    # a cap below the companion's top degree forbids rebuilding it, and the
+    # series check reports the failed rebuild
     _, out, _ = run("egh", data={"n": 3, "generators": ["x1*x2", "x2*x3"]})
     path = tmp_path / "report.json"
     path.write_text(out)
@@ -483,8 +486,8 @@ ABOVE_CAP_OBJ = {
 
 def test_verify_tests_only_deep_generators_against_the_list(run, tmp_path, monkeypatch):
     # 2500 shallow generators and one deep generator that x1^2 divides: the
-    # degree bound looks up the deep one only, and the numerator gets the
-    # shallow ones, so no step minimalizes the whole stated list
+    # formula tests the deep one against the listed squares and drops it,
+    # and no step minimalizes the stated list
     _, out, _ = run("egh", data=ABOVE_CAP_OBJ)
     rep = json.loads(out)
     rep["generators"] = rep["generators"][:2500] + ["x1^2*x8^100000"]
@@ -506,8 +509,8 @@ def test_verify_tests_only_deep_generators_against_the_list(run, tmp_path, monke
         {"check": "series", "detail": "Hilbert series of source and result differ"},
         {"check": "reproduction", "detail": "re-derivation differs in: generators"},
     ]
-    # the numerator minimalizes the 2500 shallow generators on entry
-    assert max(sizes) == len(rep["generators"]) - 1
+    # only the source ideal is minimalized
+    assert max(sizes) == len(ABOVE_CAP_OBJ["generators"])
 
 
 def test_verify_parses_only_the_source_of_a_genuine_report(run, tmp_path, monkeypatch):
@@ -580,7 +583,9 @@ def _non_quadratic_source(*generators):
             _stated("x1^2", "x1*x2", "x1*x3^2"),
             1,
             _egh_verdict(
-                '{"check":"squares","detail":"x2^2 is not in the result"}', _SERIES, _REDERIVED
+                '{"check":"squares","detail":"x2^2 is not in the result"}',
+                '{"check":"series","detail":"' + _NOT_STABLE + '"}',
+                _REDERIVED,
             ),
             "",
             id="dropped-square",
@@ -860,18 +865,20 @@ def _paths(obj, depth: int = 3):
 def test_verify_survives_forged_values(run, tmp_path, monkeypatch, command, data):
     # every entry down to depth 3 replaced by each forged value: verify ends
     # with a verdict or an input error, and a huge exponent reaches neither
-    # polarize nor the pivot recursion, whose work grows with it
+    # polarize nor the pivot recursion, whose work grows with it; the
+    # recursion runs on the report's source ideal only
     def bounded_polarize(ideal):
         assert all(max(m) < 1000 for m in ideal.generators), "huge polarization"
         return polarize(ideal)
 
-    def bounded_numerator(gens):
-        assert all(sum(e) < 1000 for e in gens), "a deep generator reached the recursion"
+    def source_only(gens):
+        assert set(gens) == source, "a stated list reached the recursion"
         return numerator(gens)
 
-    polarize, numerator = reports.polarize, reports._numerator
+    polarize, numerator = reports.polarize, hilbert._numerator
     monkeypatch.setattr(reports, "polarize", bounded_polarize)
-    monkeypatch.setattr(reports, "_numerator", bounded_numerator)
+    monkeypatch.setattr(hilbert, "_numerator", source_only)
+    source = _source_generators(data)
     _, out, _ = run(command, data=data)
     genuine = parse(out)
     path = tmp_path / "forged.json"
@@ -882,9 +889,43 @@ def test_verify_survives_forged_values(run, tmp_path, monkeypatch, command, data
             for key in keys[:-1]:
                 target = target[key]
             target[keys[-1]] = value
+            source = _source_generators(forged.get("ideal", forged))
             path.write_text(json.dumps(forged))
             code, _, err = run("verify", str(path))
             assert code in (0, 1, 2) and "Traceback" not in err, (keys, value, code, err)
+
+
+def _source_generators(obj) -> set:
+    """The generators of the ideal obj describes, or none when it is no ideal."""
+    try:
+        return set(ideal_from_obj(obj).generators)
+    except InputError:
+        return set()
+
+
+def test_verify_forged_report_in_1000_variables(run, tmp_path, monkeypatch):
+    # x1^2 and x_a*x_j for a = 1, 2, 3 over a source (x1*x2) in 1000
+    # variables: x2*x3 moves to x2^2, which is not listed, so the list is
+    # refused before any numerator work; the pivot recursion never splits
+    def refuse(*args):
+        raise AssertionError("the pivot recursion split a node")
+
+    monkeypatch.setattr(hilbert, "_split", refuse)
+    n = 1000
+    generators = ["x1^2"] + [f"x{a}*x{j}" for a in (1, 2, 3) for j in range(a + 1, n + 1)]
+    report = {
+        "kind": "egh", "field": "q", "ideal": {"n": n, "generators": ["x1*x2"]},
+        "powers": 1, "generators": generators[:2500], "series_equal": True,
+        "picked_by_degree": {}, "pd_source": 1, "pd_result": 1,
+    }
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    start = time.perf_counter()
+    code, vout, verr = run("verify", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, verr) == (1, "")
+    failures = {f["check"]: f["detail"] for f in parse(vout)["failures"]}
+    assert failures["series"] == _NOT_STABLE
 
 
 @pytest.mark.parametrize(

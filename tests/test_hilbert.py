@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from quadbalance import (
     MonomialIdeal,
@@ -6,7 +7,7 @@ from quadbalance import (
     series_numerator,
 )
 from quadbalance import hilbert
-from quadbalance.hilbert import _numerator, poly_mul
+from quadbalance.hilbert import _numerator, _stable_numerator, poly_mul
 
 from quadbalance.monomials import _minimalize
 
@@ -71,8 +72,7 @@ def test_against_brute_force_enumeration():
 
 
 def test_numerator_of_redundant_generators():
-    # verify feeds a report's flat generator list to the recursion without
-    # minimalizing it first
+    # the recursion minimalizes its input once, on entry
     rng = random.Random(29)
     redundant = 0
     for _ in range(200):
@@ -149,3 +149,85 @@ def test_numerator_of_deep_generators():
     want = [0] * (d + 3)
     want[0], want[d + 1], want[d + 2] = 1, -2, 1
     assert _numerator(frozenset([(0, 1, d), (0, 2, d - 1)])) == tuple(want)
+
+
+def _stable_closure(gens, n, g):
+    """The monomials reached from gens by the moves u -> x_j*u/x_max(u),
+    j < max(u), that stay nonzero modulo the squares of x1..xg."""
+    seen, todo = set(gens), list(gens)
+    while todo:
+        u = todo.pop()
+        if any(e > 1 for e in u[:g]):
+            continue
+        m = max(j for j, e in enumerate(u) if e)
+        for j in range(m):
+            if j >= g or not u[j]:
+                w = list(u)
+                w[j] += 1
+                w[m] -= 1
+                if tuple(w) not in seen:
+                    seen.add(tuple(w))
+                    todo.append(tuple(w))
+    return seen
+
+
+def _draw_stable_list(rng):
+    """n, g and a list over the squares of x1..xg: the minimal generators of
+    a stable ideal, or that list spoiled in one way."""
+    n = rng.randint(1, 5)
+    g = rng.randint(0, n)
+    squares = [tuple(2 * (j == i) for j in range(n)) for i in range(g)]
+    seeds = [tuple(rng.randint(0, 1 if j < g else 3) for j in range(n)) for _ in range(3)]
+    seeds = [u for u in seeds if any(u)]
+    kind = rng.choice(["stable", "stable", "unclosed", "dropped", "multiple", "square", "linear"])
+    gens = seeds if kind == "unclosed" else _stable_closure(seeds, n, g)
+    gens = list(MonomialIdeal(n, tuple(gens) + tuple(squares)).generators)
+    if kind == "dropped" and len(gens) > g:
+        gens.remove(rng.choice([u for u in gens if u not in squares]))
+    elif kind == "multiple" and gens:
+        u = list(rng.choice(gens))
+        u[rng.randrange(n)] += 1
+        gens.append(tuple(u))
+    elif kind in ("square", "linear") and g:
+        # a redundant multiple of a square; "linear" also lists x_i in place
+        # of x_i^2, which the formula refuses
+        i = rng.randrange(g)
+        u = [rng.randint(0, 1) for _ in range(n)]
+        u[i] = 2
+        gens.append(tuple(u))
+        if kind == "linear":
+            gens = [u for u in gens if u != squares[i]] + [tuple(int(j == i) for j in range(n))]
+    return n, g, gens, kind
+
+
+def test_stable_numerator_against_pivot_oracle():
+    # the formula either refuses a list or agrees with the pivot recursion;
+    # stable closures are rarely lex, and every kind of spoiling shows up
+    rng = random.Random(41)
+    accepted, refused = Counter(), Counter()
+    for _ in range(1500):
+        n, g, gens, kind = _draw_stable_list(rng)
+        stated = _stable_numerator(gens, n, g)
+        if stated is None:
+            refused[kind] += 1
+            continue
+        accepted[kind] += 1
+        want = {d: a for d, a in enumerate(pivot_numerator(gens)) if a}
+        assert stated == want, (n, g, gens)
+    assert sum(accepted.values()) >= 200 and sum(refused.values()) >= 200
+    assert min(accepted[k] for k in ("stable", "dropped", "multiple", "square")) >= 20
+    assert min(refused[k] for k in ("unclosed", "dropped", "multiple", "linear")) >= 20
+
+
+def test_stable_numerator_of_companions():
+    # the lex-plus-squares companion always passes the checks, and a huge
+    # exponent costs one entry of the sparse numerator
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        ideal = MonomialIdeal(n, tuple(random_quadratic_exponents(rng, n, 12)))
+        rep = egh_for_quadratic(ideal)
+        stated = _stable_numerator(rep.ideal.generators, n, rep.g)
+        assert stated == {d: a for d, a in enumerate(series_numerator(ideal)) if a}, seed
+    deep = 10**12
+    assert _stable_numerator([(2, 0), (1, deep)], 2, 1) == {0: 1, 2: -1, deep + 1: -1, deep + 2: 1}
