@@ -137,8 +137,9 @@ def _cover(edges, budget: int):
     return [level[2].bit_length() - 1 for level in trail]
 
 
-def smallest_minimal_prime(ideal: MonomialIdeal) -> frozenset:
-    """``minimal_primes(ideal)[0]``, found without listing the others.
+def smallest_minimal_prime(ideal: MonomialIdeal, limit: int | None = None) -> frozenset | None:
+    """``minimal_primes(ideal)[0]``, found without listing the others; None
+    once the height is known to exceed ``limit``.
 
     Iterative deepening from the greedy packing bound: the first size that
     admits a transversal is the height, and the search at that size returns
@@ -154,9 +155,11 @@ def smallest_minimal_prime(ideal: MonomialIdeal) -> frozenset:
     forced = reduce(or_, (e for e in edges if not e & (e - 1)), 0)
     edges = {e for e in edges if not e & forced}
     budget = _packing(edges)
-    while (found := _cover(edges, budget)) is None:
+    while limit is None or budget + forced.bit_count() <= limit:
+        if (found := _cover(edges, budget)) is not None:
+            return frozenset(found) | frozenset(_bits(forced))
         budget += 1
-    return frozenset(found) | frozenset(_bits(forced))
+    return None
 
 
 def is_minimal_prime(ideal: MonomialIdeal, prime) -> bool:

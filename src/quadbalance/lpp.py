@@ -48,7 +48,7 @@ from operator import add
 from .covers import height
 from .errors import InputError, UnattainableTargetError
 from .hilbert import one_minus_t_power, series_numerator
-from .monomials import MonomialIdeal, _ideal_from_minimal, _require_quadratic
+from .monomials import MonomialIdeal, _ideal_from_minimal, _quadric_outside, _require_quadratic
 
 # egh's refusal of a zero source, which verify shares
 _ZERO_SOURCE = "the zero ideal needs no realization"
@@ -218,19 +218,9 @@ def construct_lex_plus_powers(
 
 
 def missing_square(generators, n: int, g: int):
-    """The first i < g whose square x_i^2 no generator divides, or None.
-
-    Only 1, x_i and x_i^2 divide x_i^2, so one set of the generators answers
-    each i.  For i >= n the square is the zero tuple, which only 1 divides.
-    """
-    present = set(generators)
-    zero = (0,) * n
-    if zero in present:
-        return None
-    for i in range(g):
-        if i >= n or present.isdisjoint(zero[:i] + (e,) + zero[i + 1 :] for e in (1, 2)):
-            return i
-    return None
+    """The first i < g whose square x_i^2 no generator divides, or None."""
+    pair = _quadric_outside(generators, n, ((i, i) for i in range(g)))
+    return None if pair is None else pair[0]
 
 
 def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> LppResult:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate, compress, count
 from operator import and_, getitem, or_
 
@@ -118,12 +118,6 @@ class _DivisorIndex:
 _BLOCK = 1024
 
 
-def _blocks(gens):
-    """(start, index of gens[start:start + _BLOCK]) for each block of gens."""
-    for start in range(0, len(gens), _BLOCK):
-        yield start, _DivisorIndex(gens[start:start + _BLOCK])
-
-
 def _minimalize(exponents) -> tuple:
     """Reduce exponent tuples to the unique minimal generating set, in
     descending lex order.
@@ -139,23 +133,42 @@ def _minimalize(exponents) -> tuple:
     if len(set(map(sum, gens))) <= 1:
         return tuple(gens)
     minimal = [True] * len(gens)
-    for start, index in _blocks(gens):
+    for start in range(0, len(gens), _BLOCK):
+        index = _DivisorIndex(gens[start:start + _BLOCK])
         for i in range(min(start + _BLOCK, len(gens))):
             if minimal[i] and index.divisors(gens[i]) >> max(0, i - start + 1):
                 minimal[i] = False
     return tuple(compress(gens, minimal))
 
 
-def _ideal_from_minimal(n: int, monomials) -> "MonomialIdeal":
-    """Wrap generators already known to be minimal, skipping the reduction.
+def _quadric_outside(generators, n: int, products):
+    """The first (a, b) of ``products`` for which no generator divides
+    x_a*x_b (x_a^2 when a == b), or None.
 
-    _minimalize tests every generator against each block of generators
-    from its own on, a cost quadratic in the generator count, which matters
-    for constructions that emit many thousands of generators but guarantee
-    minimality themselves.  Callers must pass
-    pairwise incomparable monomials; the canonical descending sort is still
-    applied.
+    Only 1, x_a, x_b and x_a*x_b divide x_a*x_b, so one set of the
+    generators answers each pair exactly, whatever their degrees.  A listed
+    unit divides everything; a pair with an index from n on is returned as
+    is, since only 1 divides it.
     """
+    present = set(generators)
+    if (0,) * n in present:
+        return None
+
+    def monomial(*indices):
+        exps = [0] * n
+        for i in indices:
+            exps[i] += 1
+        return tuple(exps)
+
+    for a, b in products:
+        if max(a, b) >= n or present.isdisjoint((monomial(a), monomial(b), monomial(a, b))):
+            return a, b
+    return None
+
+
+def _ideal_from_minimal(n: int, monomials) -> "MonomialIdeal":
+    """Wrap generators that the caller knows to be pairwise incomparable,
+    skipping _minimalize's divisor index; the descending sort still applies."""
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "n", n)
     object.__setattr__(ideal, "generators", tuple(sorted(monomials, reverse=True)))
@@ -212,16 +225,6 @@ class MonomialIdeal:
     def generated_in_degree(self, d: int) -> bool:
         return all(sum(g) == d for g in self.generators)
 
-    @cached_property
-    def _indexes(self) -> list:
-        return [index for _, index in _blocks(self.generators)]
-
-    def contains(self, exponents) -> bool:
-        """Membership test: a monomial lies in the ideal iff some generator divides it."""
-        if len(exponents) != self.n:
-            raise InputError("ambient variable counts differ")
-        return any(index.divisors(exponents) for index in self._indexes)
-
     def generator_strings(self) -> list:
         """``format_monomial`` of each generator, in order.
 
@@ -267,7 +270,8 @@ def polarize(ideal: MonomialIdeal):
     new variable indices standing in for x_i.  Every original variable keeps
     a class of size max(1, largest exponent among the generators), so a
     squarefree ideal polarizes to itself.  The resulting ideal has the same
-    graded Betti numbers as the input.
+    graded Betti numbers as the input.  Its generators stay minimal, since u
+    divides v exactly when pol(u) divides pol(v).
     """
     n = ideal.n
     width = [1] * n
@@ -288,4 +292,4 @@ def polarize(ideal: MonomialIdeal):
             for k in range(e):
                 exps[offsets[j] + k] = 1
         new_gens.append(tuple(exps))
-    return MonomialIdeal(total, tuple(new_gens)), classes
+    return _ideal_from_minimal(total, new_gens), classes

@@ -56,7 +56,7 @@ from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import BudgetExceededError, InputError, RegularSequenceNotFoundError
 from .fields import DEFAULT_PRIME, QQ, PrimeField
 from .linalg import ModularEchelon, rank_of_rows
-from .monomials import MonomialIdeal, _require_quadratic, format_monomial, support
+from .monomials import MonomialIdeal, _quadric_outside, _require_quadratic, format_monomial, support
 
 MAX_PRIME_SIZE = 20
 # seeded samples find_regular_sequence tries before its deterministic fallback
@@ -265,16 +265,10 @@ def certify_transversal_ranks(prime, forms, field=QQ) -> RegularSequenceCertific
 def product_outside_ideal(ideal: MonomialIdeal, prime, forms, field):
     """The first (p, v) with x_p * x_v outside the ideal, where x_v occurs in
     the form multiplying x_p; None when every product lies in the ideal."""
-    for p, form in zip(prime, forms):
-        for v, c in enumerate(form):
-            if field.is_zero(c):
-                continue
-            exps = [0] * ideal.n
-            exps[p] += 1
-            exps[v] += 1
-            if not ideal.contains(tuple(exps)):
-                return p, v
-    return None
+    products = (
+        (p, v) for p, form in zip(prime, forms) for v, c in enumerate(form) if not field.is_zero(c)
+    )
+    return _quadric_outside(ideal.generators, ideal.n, products)
 
 
 def find_regular_sequence(
@@ -290,11 +284,13 @@ def find_regular_sequence(
     the same size.  Identical inputs and seed give identical certificates.
     """
     _require_quadratic(ideal, "the zero ideal contains no regular sequence of products")
-    smallest = smallest_minimal_prime(ideal)
-    g = len(smallest)
     if prime is None:
-        chosen = smallest
+        # the cap needs only "height > MAX_PRIME_SIZE", not the height itself
+        chosen = smallest_minimal_prime(ideal, limit=MAX_PRIME_SIZE)
+        if chosen is None:
+            raise BudgetExceededError(f"the height exceeds the hard cap g <= {MAX_PRIME_SIZE}")
     else:
+        g = len(smallest_minimal_prime(ideal))
         chosen = frozenset(prime)
         if not is_minimal_prime(ideal, chosen):
             raise InputError("the supplied prime is not a minimal prime of the ideal")
@@ -302,8 +298,8 @@ def find_regular_sequence(
             raise InputError(
                 f"the supplied prime has size {len(chosen)}, but the height is {g}"
             )
-    if g > MAX_PRIME_SIZE:
-        raise BudgetExceededError(f"2^{g} subsets exceed the hard cap g <= {MAX_PRIME_SIZE}")
+        if g > MAX_PRIME_SIZE:
+            raise BudgetExceededError(f"2^{g} subsets exceed the hard cap g <= {MAX_PRIME_SIZE}")
     chosen = tuple(sorted(chosen))
     spaces = decompose_degree_two(ideal, chosen)
 

@@ -15,7 +15,7 @@ from math import comb
 
 from .covers import _minimal_transversals, minimal_primes
 from .errors import InputError
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, _ideal_from_minimal
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,8 @@ def is_flag(cx: SimplicialComplex) -> bool:
 
 
 def stanley_reisner(cx: SimplicialComplex) -> MonomialIdeal:
-    """The squarefree ideal generated by the minimal non-faces."""
+    """The squarefree ideal generated by the minimal non-faces, which never
+    contain one another, so they are its minimal generators."""
     n = cx.n_vertices
     gens = []
     for nf in minimal_non_faces(cx):
@@ -150,7 +151,7 @@ def stanley_reisner(cx: SimplicialComplex) -> MonomialIdeal:
         for j in nf:
             exps[j] = 1
         gens.append(tuple(exps))
-    return MonomialIdeal(n, tuple(gens))
+    return _ideal_from_minimal(n, gens)
 
 
 def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:

@@ -33,6 +33,7 @@ from quadbalance.hilbert import poly_trim, series_numerator
 from oracles import (
     count_standard_monomials,
     hilbert_function,
+    in_ideal,
     is_regular_sequence_of_products,
     monomial_as_product,
     oracle_reduced_betti,
@@ -96,7 +97,7 @@ def test_criterion_2_regular_sequence_and_realization_suite():
                     exps = [0] * n
                     exps[p] += 1
                     exps[v] += 1
-                    if not ideal.contains(tuple(exps)):
+                    if not in_ideal(ideal.generators, tuple(exps)):
                         failures.append(("membership", ideal))
         rep = egh_for_quadratic(ideal)
         if not rep.series_equal:
@@ -114,7 +115,7 @@ def test_criterion_2_regular_sequence_and_realization_suite():
                 failures.append(("window", ideal))
         for i in range(rep.g):
             square = tuple(2 if j == i else 0 for j in range(n))
-            if not rep.ideal.contains(square):
+            if not in_ideal(rep.ideal.generators, square):
                 failures.append(("squares", ideal))
     elapsed = time.perf_counter() - start
     _line(2, not failures and elapsed < 300,

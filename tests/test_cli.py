@@ -206,6 +206,17 @@ def test_regseq_large_height_fails_fast(run):
         assert time.perf_counter() - start < 1
 
 
+def test_regseq_refuses_a_height_above_the_cap_without_finding_it(run):
+    # 20 disjoint edges plus K40 on x41..x80 have height 20 + 39; the
+    # packing bound alone exceeds the cap, so no transversal is searched
+    k40 = [f"x{a}*x{b}" for a in range(41, 81) for b in range(a + 1, 81)]
+    start = time.perf_counter()
+    code, out, err = run("regseq", data={"n": 80, "generators": _matching(20) + k40})
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: the height exceeds the hard cap g <= 20\n"
+
+
 def test_verify_keeps_the_cap_on_a_forged_large_report(run, tmp_path):
     # a 21-edge matching with one-variable forms would peel, so the cap on
     # g must be checked before any certificate is tried
@@ -926,6 +937,35 @@ def test_verify_forged_report_in_1000_variables(run, tmp_path, monkeypatch):
     assert (code, verr) == (1, "")
     failures = {f["check"]: f["detail"] for f in parse(vout)["failures"]}
     assert failures["series"] == _NOT_STABLE
+
+
+def test_verify_forged_regseq_report_in_1000_variables(run, tmp_path, monkeypatch):
+    # (x1*x_j : j = 2..1000) with one dense form: every product x1*x_j is
+    # answered by a set lookup, so no divisor index is ever built
+    built = []
+    index = monomials._DivisorIndex
+
+    def counted(gens):
+        built.append(len(gens))
+        return index(gens)
+
+    monkeypatch.setattr(monomials, "_DivisorIndex", counted)
+    n = 1000
+    report = {
+        "kind": "regseq", "field": "q",
+        "ideal": {"n": n, "generators": [f"x1*x{j}" for j in range(2, n + 1)]},
+        "seed": 0, "prime": [1],
+        "forms": [{"times_variable": 1, "coefficients": {f"x{j}": 1 for j in range(2, n + 1)}}],
+        "subsets_checked": 2, "attempts": 1,
+    }
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    code, vout, verr = run("verify", str(path))
+    assert (code, verr) == (1, "")
+    assert parse(vout)["failures"] == [
+        {"check": "reproduction", "detail": "re-derivation differs in: forms"}
+    ]
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,10 @@ def test_smallest_prime_and_minimality_against_brute_force():
         covers = brute_minimal_covers(list(map(support, ideal.generators)))
         assert smallest_minimal_prime(ideal) == covers[0]
         assert height(ideal) == len(covers[0])
+        # a limit at the height changes nothing; one below it gives None
+        limit = len(covers[0]) - rng.randint(0, 1)
+        expected = covers[0] if limit == len(covers[0]) else None
+        assert smallest_minimal_prime(ideal, limit=limit) == expected
         n = ideal.n
         candidates = list(covers)
         for c in covers:

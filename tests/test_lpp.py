@@ -17,6 +17,7 @@ from quadbalance.lpp import missing_square
 from oracles import (
     WalkRefused,
     count_standard_monomials,
+    in_ideal,
     lex_walk,
     quotient_exponents,
     random_exponents,
@@ -64,7 +65,7 @@ def test_companion_degrees_are_lex_segments():
         rep = egh_for_quadratic(MonomialIdeal(n, tuple(gens)))
         for d in range(rep.top_degree + 2):
             inside = [
-                rep.ideal.contains(e)
+                in_ideal(rep.ideal.generators, e)
                 for e in quotient_exponents(n, (2,) * rep.g, d)
             ]
             assert inside == sorted(inside, reverse=True)
@@ -219,7 +220,7 @@ def test_egh_on_random_quadratic_ideals():
         assert series_numerator(ideal) == series_numerator(rep.ideal)
         for i in range(rep.g):
             square = tuple(2 if j == i else 0 for j in range(n))
-            assert rep.ideal.contains(square)
+            assert in_ideal(rep.ideal.generators, square)
 
 
 def test_missing_square_against_divisibility():

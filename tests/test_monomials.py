@@ -1,11 +1,17 @@
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import pytest
 from oracles import in_ideal, minimal_exponents, parse_factors, random_exponents
 
 from quadbalance import InputError, MonomialIdeal, parse_monomial, polarize
-from quadbalance.monomials import _ideal_from_minimal, _minimalize, format_monomial, support
+from quadbalance.monomials import (
+    _ideal_from_minimal,
+    _minimalize,
+    _quadric_outside,
+    format_monomial,
+    support,
+)
 
 # every character str.strip removes
 SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
@@ -126,26 +132,35 @@ def test_minimalize_against_sweep_oracle():
         assert _minimalize(gens) == minimal_exponents(gens), gens[:20]
 
 
-def test_contains_against_linear_scan():
+def test_quadric_outside_against_divisibility():
+    # only 1, x_a, x_b and x_a*x_b divide x_a*x_b, so the set lookup must
+    # agree with a divisibility scan on generators of any degree
     rng = random.Random(43)
-    cases = []
     for trial in range(300):
         n = rng.randint(1, 5)
         # degree-1 generators among them; a unit one now and then
         gens = random_exponents(rng, n, 8, 4) if trial else []
         if rng.random() < 0.1:
             gens.append((0,) * n)
-        queries = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(20)]
-        cases.append((n, gens, queries))
-    # 1500 of the quintics in 10 variables: the index spans several blocks
-    quintics = [tuple(map(c.count, range(10))) for c in combinations_with_replacement(range(10), 5)]
-    queries = rng.choices(quintics, k=200)
-    queries += [q[:9] + (q[9] + 1,) for q in queries[:100]]
-    cases.append((10, rng.sample(quintics, 1500), queries))
-    for n, gens, queries in cases:
-        ideal = MonomialIdeal(n, tuple(gens))
-        for exps in queries:
-            assert ideal.contains(exps) == in_ideal(gens, exps)
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        for a, b in pairs:
+            exps = tuple(int(j == a) + int(j == b) for j in range(n))
+            expected = None if in_ideal(gens, exps) else (a, b)
+            assert _quadric_outside(gens, n, [(a, b)]) == expected, (gens, a, b)
+        expected = next(
+            (
+                (a, b)
+                for a, b in pairs
+                if not in_ideal(gens, tuple(int(j == a) + int(j == b) for j in range(n)))
+            ),
+            None,
+        )
+        assert _quadric_outside(gens, n, pairs) == expected
+        # an index from n on names no variable: only a listed unit covers it
+        beyond = rng.randint(n, n + 3)
+        for pair in ((beyond, beyond), (rng.randrange(n), beyond)):
+            expected = None if (0,) * n in gens else pair
+            assert _quadric_outside(gens, n, [pair]) == expected
 
 
 def test_monomial_ops():
@@ -160,8 +175,8 @@ def test_monomial_ops():
 def test_ideal_minimalizes():
     ideal = MonomialIdeal.from_strings(3, ["x1*x2", "x1^2*x2", "x1*x2*x3"])
     assert ideal.generator_strings() == ["x1*x2"]
-    assert ideal.contains(parse_monomial("x1*x2*x3^4", 3))
-    assert not ideal.contains(parse_monomial("x1*x3", 3))
+    assert in_ideal(ideal.generators, parse_monomial("x1*x2*x3^4", 3))
+    assert not in_ideal(ideal.generators, parse_monomial("x1*x3", 3))
 
 
 @pytest.mark.parametrize(
@@ -181,16 +196,6 @@ def test_ideal_refuses_bad_generators(generator, message):
     with pytest.raises(InputError) as err:
         MonomialIdeal(2, ((1, 0), generator))
     assert str(err.value) == message
-
-
-def test_contains_refuses_other_ambient():
-    # without the length check the divisor index would read only the
-    # shared variables and answer True for both
-    ideal = MonomialIdeal.from_strings(2, ["x1"])
-    for exponents in ((1,), (1, 0, 0)):
-        with pytest.raises(InputError) as err:
-            ideal.contains(exponents)
-        assert str(err.value) == "ambient variable counts differ"
 
 
 def test_ideal_flags():
