@@ -179,8 +179,10 @@ def is_minimal_prime(ideal: MonomialIdeal, prime) -> bool:
     return needed == prime
 
 
-def height(ideal: MonomialIdeal) -> int:
-    """Height = size of a smallest minimal prime; the zero ideal has height 0."""
+def height(ideal: MonomialIdeal, limit: int | None = None) -> int | None:
+    """Height = size of a smallest minimal prime; the zero ideal has height 0.
+    None once the height is known to exceed ``limit``."""
     if ideal.is_zero():
         return 0
-    return len(smallest_minimal_prime(ideal))
+    prime = smallest_minimal_prime(ideal, limit)
+    return None if prime is None else len(prime)

@@ -18,10 +18,9 @@ from operator import and_, getitem, or_
 
 from .errors import InputError
 
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
-# a whole monomial other than "1": factors joined by "*", each padded with
-# the whitespace str.strip removes (both use the same Unicode test)
-_MONOMIAL_RE = re.compile(r"\s*x\d+(?:\^\d+)?\s*(?:\*\s*x\d+(?:\^\d+)?\s*)*")
+# one factor of the text syntax, padded with the whitespace str.strip
+# removes (both use the same Unicode test)
+_FACTOR_RE = re.compile(r"\s*x(\d+)(?:\^(\d+))?\s*")
 
 
 def support(exponents) -> frozenset:
@@ -32,52 +31,63 @@ def support(exponents) -> frozenset:
 def parse_monomial(text: str, n: int) -> tuple:
     """Parse ``x3^2*x5`` (1-based) into its exponent tuple in n variables.
 
-    A well-formed product is checked by one regex and read by one findall;
-    a malformed one is read factor by factor, to name the first bad factor
-    and its position.
+    The stripped text is read one "*"-separated factor at a time, and the
+    first bad factor or number in reading order is refused.
     """
     if not isinstance(text, str):
         raise InputError(f"a monomial must be a string, got {type(text).__name__}")
+    factors = text.strip().split("*")
+    if factors == ["1"]:
+        if n < 1:
+            raise InputError("constant monomial needs an ambient ring with n >= 1")
+        return (0,) * n
+    exps = [0] * n
+    match = _FACTOR_RE.fullmatch
     try:
-        if _MONOMIAL_RE.fullmatch(text):
-            exps = [0] * n
-            for idx, e in _FACTOR_RE.findall(text):
-                i = int(idx)
-                if not 1 <= i <= n:
-                    break
-                exps[i - 1] += int(e or 1)
-            else:
-                return tuple(exps)
-        elif text.strip() == "1":
-            if n < 1:
-                raise InputError("constant monomial needs an ambient ring with n >= 1")
-            return (0,) * n
-        _raise_bad_factor(text, n)
-    except InputError:
-        raise
+        for factor in factors:
+            m = match(factor)
+            if m is None:
+                problem = f"bad monomial factor {factor.strip()!r}"
+                break
+            i = int(m[1])
+            if not 0 < i <= n:
+                problem = f"variable x{i} out of range 1..{n}"
+                break
+            exps[i - 1] += int(m[2] or 1)
+        else:
+            return tuple(exps)
     except ValueError:
         # int() refuses digit strings longer than sys.get_int_max_str_digits()
         raise InputError(f"a number in monomial {text[:40]!r}... has too many digits") from None
+    # an equal factor before the refused one would have been refused first
+    pos = sum(len(f) + 1 for f in factors[:factors.index(factor)])
+    raise InputError(f"{problem} at position {pos} in {text!r}")
 
 
-def _raise_bad_factor(text: str, n: int):
-    """Raise the InputError for the first bad factor of a malformed monomial."""
-    pos = 0
-    for chunk in text.strip().split("*"):
-        m = _FACTOR_RE.fullmatch(chunk.strip())
-        if m is None:
-            raise InputError(f"bad monomial factor {chunk.strip()!r} at position {pos} in {text!r}")
-        idx = int(m.group(1))
-        if not 1 <= idx <= n:
-            raise InputError(f"variable x{idx} out of range 1..{n} at position {pos} in {text!r}")
-        pos += len(chunk) + 1
-    raise AssertionError(f"{text!r} has no bad factor")
+def _format_all(exponent_tuples) -> list:
+    """The text syntax of each exponent tuple: ``x3^2*x5`` (1-based), or ``1``.
+
+    Each distinct (variable, exponent) factor string is built once per call:
+    a long companion repeats few of them.
+    """
+    factors: dict = {}
+    strings = []
+    for g in exponent_tuples:
+        parts = []
+        for key in enumerate(g, 1):
+            if key[1]:
+                text = factors.get(key)
+                if text is None:
+                    j, e = key
+                    text = factors[key] = f"x{j}" if e == 1 else f"x{j}^{e}"
+                parts.append(text)
+        strings.append("*".join(parts) or "1")
+    return strings
 
 
 def format_monomial(exponents) -> str:
     """The text syntax of an exponent tuple: ``x3^2*x5`` (1-based), or ``1``."""
-    factors = [f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(exponents, 1) if e]
-    return "*".join(factors) or "1"
+    return _format_all((exponents,))[0]
 
 
 class _DivisorIndex:
@@ -145,23 +155,23 @@ def _quadric_outside(generators, n: int, products):
     """The first (a, b) of ``products`` for which no generator divides
     x_a*x_b (x_a^2 when a == b), or None.
 
-    Only 1, x_a, x_b and x_a*x_b divide x_a*x_b, so one set of the
-    generators answers each pair exactly, whatever their degrees.  A listed
-    unit divides everything; a pair with an index from n on is returned as
-    is, since only 1 divides it.
+    Only 1, x_a, x_b and x_a*x_b divide x_a*x_b, so the generators of
+    degree at most 2, keyed by their variable indices with multiplicity,
+    answer each pair exactly in three lookups, whatever the other degrees
+    and n.  A listed unit divides everything; a pair with an index from n
+    on is returned as is, since only 1 divides it.
     """
-    present = set(generators)
-    if (0,) * n in present:
+    keys = set()
+    # counting the zeros rules out most of a long list at less cost than a sum
+    few = n - 2
+    for g in generators:
+        if g.count(0) >= few and (degree := sum(g)) <= 2:
+            key = tuple(compress(count(), g))
+            keys.add(key * 2 if len(key) < degree else key)
+    if () in keys:
         return None
-
-    def monomial(*indices):
-        exps = [0] * n
-        for i in indices:
-            exps[i] += 1
-        return tuple(exps)
-
     for a, b in products:
-        if max(a, b) >= n or present.isdisjoint((monomial(a), monomial(b), monomial(a, b))):
+        if max(a, b) >= n or keys.isdisjoint(((a,), (b,), (min(a, b), max(a, b)))):
             return a, b
     return None
 
@@ -226,25 +236,8 @@ class MonomialIdeal:
         return all(sum(g) == d for g in self.generators)
 
     def generator_strings(self) -> list:
-        """``format_monomial`` of each generator, in order.
-
-        A factor string is built once per distinct (variable, exponent) of
-        this call: a long companion repeats few of them, and a per-variable
-        table built up front would cost more than a short ideal's strings.
-        """
-        factors: dict = {}
-        strings = []
-        for g in self.generators:
-            parts = []
-            for key in enumerate(g, 1):
-                if key[1]:
-                    text = factors.get(key)
-                    if text is None:
-                        j, e = key
-                        text = factors[key] = f"x{j}" if e == 1 else f"x{j}^{e}"
-                    parts.append(text)
-            strings.append("*".join(parts) or "1")
-        return strings
+        """``format_monomial`` of each generator, in order."""
+        return _format_all(self.generators)
 
     def __str__(self):
         if self.is_zero():

@@ -34,7 +34,8 @@ from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
 from .lpp import _ZERO_SOURCE, egh_for_quadratic, missing_square
 from .monomials import MonomialIdeal, _require_quadratic, parse_monomial, polarize
-from .regseq import certify_transversal_ranks, find_regular_sequence, product_outside_ideal
+from .regseq import (MAX_PRIME_SIZE, certify_transversal_ranks, find_regular_sequence,
+                     product_outside_ideal)
 from .simplicial import (
     SimplicialComplex,
     check_balanced,
@@ -252,7 +253,9 @@ def _verify_regseq(obj: dict, checker: _Checker, budget, max_degree):
     g = len(prime0)
 
     def height_check():
-        h = height(ideal)
+        h = height(ideal, limit=MAX_PRIME_SIZE)
+        if h is None:
+            return False, f"the height exceeds the hard cap g <= {MAX_PRIME_SIZE}"
         return g == h, f"prime has size {g}, height is {h}"
 
     checker.run("height", height_check)

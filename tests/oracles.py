@@ -81,6 +81,16 @@ def in_ideal(generators, exponents):
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
 
 
+def format_factors(exponents):
+    """The text syntax of an exponent tuple (``x3^2*x5``, 1-based, or "1"),
+    one factor per nonzero exponent."""
+    factors = []
+    for j, e in enumerate(exponents, 1):
+        if e:
+            factors.append(f"x{j}" + ("" if e == 1 else f"^{e}"))
+    return "*".join(factors) if factors else "1"
+
+
 def parse_factors(text, n):
     """Exponent tuple of the monomial ``text`` (``x3^2*x5``, 1-based, or
     "1") in n variables, read one "*"-separated factor at a time; raises

@@ -241,6 +241,57 @@ def test_verify_keeps_the_cap_on_a_forged_large_report(run, tmp_path):
     assert verdict["ok"] is False
     cap = "2^21 subsets exceed the hard cap g <= 20"
     assert verdict["failures"] == [
+        {"check": "height", "detail": "the height exceeds the hard cap g <= 20"},
+        {"check": "ranks", "detail": cap},
+        {"check": "reproduction", "detail": cap},
+    ]
+
+
+def _edges_and_k40():
+    # 20 disjoint edges plus K40 on x41..x80: height 20 + 39, and the
+    # minimal prime (x1, x3, ..., x39, x41, ..., x79) has size 59
+    k40 = [f"x{a}*x{b}" for a in range(41, 81) for b in range(a + 1, 81)]
+    prime = [2 * i + 1 for i in range(20)] + list(range(41, 80))
+    return {"n": 80, "generators": _matching(20) + k40}, prime
+
+
+def test_regseq_prime_above_the_cap_stops_at_the_cap(run):
+    # --prime needs only "height > 20" too, never the exact height 59
+    data, prime = _edges_and_k40()
+    start = time.perf_counter()
+    code, out, err = run("regseq", "--prime", ",".join(map(str, prime)), data=data)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: 2^59 subsets exceed the hard cap g <= 20\n"
+    # 20 edges and a path on x41..x45: height 22 < |P| = 23 is refused at
+    # the cap too (exit 3), without the exact height an exit 2 would name
+    data = {"n": 45, "generators": _matching(20) + ["x41*x42", "x42*x43", "x43*x44", "x44*x45"]}
+    prime = ",".join(map(str, [2 * i + 1 for i in range(20)] + [41, 43, 45]))
+    code, out, err = run("regseq", "--prime", prime, data=data)
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: 2^23 subsets exceed the hard cap g <= 20\n"
+
+
+def test_verify_forged_report_above_the_cap_stops_at_the_cap(run, tmp_path):
+    data, prime = _edges_and_k40()
+    # x_p*x_{p+1} on the edges and x_p*x80 in K40: every product is in I
+    forms = [{"times_variable": p, "coefficients": {f"x{p + 1}": 1}} for p in prime[:20]]
+    forms += [{"times_variable": p, "coefficients": {"x80": 1}} for p in prime[20:]]
+    report = {
+        "kind": "regseq", "field": "q", "ideal": data, "seed": 0, "prime": prime,
+        "forms": forms, "subsets_checked": 1 << 59, "attempts": 1,
+    }
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    start = time.perf_counter()
+    code, out, _ = run("verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    verdict = parse(out)
+    cap = "2^59 subsets exceed the hard cap g <= 20"
+    assert verdict["checks_run"] == ["height", "minimal_prime", "membership", "ranks", "reproduction"]
+    assert verdict["failures"] == [
+        {"check": "height", "detail": "the height exceeds the hard cap g <= 20"},
         {"check": "ranks", "detail": cap},
         {"check": "reproduction", "detail": cap},
     ]

@@ -2,7 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import in_ideal, minimal_exponents, parse_factors, random_exponents
+from oracles import (
+    format_factors,
+    in_ideal,
+    minimal_exponents,
+    parse_factors,
+    random_exponents,
+)
 
 from quadbalance import InputError, MonomialIdeal, parse_monomial, polarize
 from quadbalance.monomials import (
@@ -46,8 +52,8 @@ def test_parse_errors_carry_position():
 
 
 def test_format_round_trip():
-    # generator_strings formats through a table of factor strings; it must
-    # agree with format_monomial, which parse_monomial inverts
+    # format_monomial and generator_strings share one writer; it must agree
+    # with an independent formatter, and parse_monomial must invert it
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -60,10 +66,11 @@ def test_format_round_trip():
         ]
         tuples.append((0,) * n)
         for exps in tuples:
+            assert format_monomial(exps) == format_factors(exps)
             assert parse_monomial(format_monomial(exps), n) == exps
         # the formatter needs no minimality: hold the list as it stands
         ideal = _ideal_from_minimal(n, tuples)
-        assert ideal.generator_strings() == [format_monomial(g) for g in ideal.generators]
+        assert ideal.generator_strings() == [format_factors(g) for g in ideal.generators]
 
 
 def _outcome(parse, error, text, n):
@@ -111,6 +118,26 @@ def test_parse_against_factor_oracle(n):
     rng = random.Random(29 + n)
     for text in fixed + [_random_text(rng, n) for _ in range(1500)]:
         assert _outcome(new, InputError, text, n) == _outcome(parse_factors, ValueError, text, n)
+
+
+def test_parse_long_numbers_in_reading_order():
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits;
+    # the first bad factor or number in reading order is the one refused
+    big = "7" * 5000
+    digits = "a number in monomial {!r}... has too many digits"
+    for text, message in (
+        (f"x{big}", digits),
+        (f"x1^{big}", digits),
+        # a long exponent before a malformed factor is met first
+        (f"x1^{big}*y", digits),
+        (f"y*x1^{big}", "bad monomial factor 'y' at position 0 in {!r}"),
+        (f"x9^{big}", "variable x9 out of range 1..3 at position 0 in {!r}"),
+        (f"x1*x9^{big}*y", "variable x9 out of range 1..3 at position 3 in {!r}"),
+    ):
+        expected = message.format(text[:40]) if message is digits else message.format(text)
+        with pytest.raises(InputError) as err:
+            parse_monomial(text, 3)
+        assert str(err.value) == expected
 
 
 def test_minimalize_against_sweep_oracle():
