@@ -3,7 +3,7 @@ variable-times-form products, powers-plus-lex Hilbert function realizations,
 and balanced Cohen-Macaulay companions of flag complexes."""
 
 from .balance import BalanceReport, balance
-from .covers import height, minimal_primes
+from .covers import minimal_primes
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -88,7 +88,6 @@ __all__ = [
     "find_regular_sequence",
     "format_monomial",
     "h_vector",
-    "height",
     "independence_complex",
     "is_cohen_macaulay",
     "is_flag",

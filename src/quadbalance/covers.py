@@ -137,7 +137,7 @@ def _cover(edges, budget: int):
     return [level[2].bit_length() - 1 for level in trail]
 
 
-def smallest_minimal_prime(ideal: MonomialIdeal, limit: int | None = None) -> frozenset | None:
+def smallest_minimal_prime(ideal: MonomialIdeal, limit: int) -> frozenset | None:
     """``minimal_primes(ideal)[0]``, found without listing the others; None
     once the height is known to exceed ``limit``.
 
@@ -155,7 +155,7 @@ def smallest_minimal_prime(ideal: MonomialIdeal, limit: int | None = None) -> fr
     forced = reduce(or_, (e for e in edges if not e & (e - 1)), 0)
     edges = {e for e in edges if not e & forced}
     budget = _packing(edges)
-    while limit is None or budget + forced.bit_count() <= limit:
+    while budget + forced.bit_count() <= limit:
         if (found := _cover(edges, budget)) is not None:
             return frozenset(found) | frozenset(_bits(forced))
         budget += 1
@@ -177,12 +177,3 @@ def is_minimal_prime(ideal: MonomialIdeal, prime) -> bool:
         if len(hit) == 1:
             needed |= hit
     return needed == prime
-
-
-def height(ideal: MonomialIdeal, limit: int | None = None) -> int | None:
-    """Height = size of a smallest minimal prime; the zero ideal has height 0.
-    None once the height is known to exceed ``limit``."""
-    if ideal.is_zero():
-        return 0
-    prime = smallest_minimal_prime(ideal, limit)
-    return None if prime is None else len(prime)

@@ -23,7 +23,7 @@ generator, after checks on the list that prove the formula applies.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 from math import comb
 from operator import le
 
@@ -254,3 +254,12 @@ def series_numerator(ideal: MonomialIdeal) -> tuple:
     """Numerator of the Hilbert series of S/I over (1-t)^n."""
     return _numerator(frozenset(ideal.generators))
 
+
+def pole_order(numerator) -> int:
+    """Order of t = 1 as a root of N, 0 for N = 0: the height n - dim S/I of a
+    proper I (Bruns and Herzog, Cohen-Macaulay Rings, 4.1).  Dividing by 1 - t
+    takes partial sums and drops the last, N(1) = 0, shortening N by one."""
+    quotient = numerator
+    while quotient and sum(quotient) == 0:
+        quotient = tuple(accumulate(quotient))[:-1]
+    return len(numerator) - len(quotient)

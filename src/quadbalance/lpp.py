@@ -45,9 +45,8 @@ from dataclasses import dataclass
 from itertools import accumulate, count
 from operator import add
 
-from .covers import height
 from .errors import InputError, UnattainableTargetError
-from .hilbert import one_minus_t_power, series_numerator
+from .hilbert import one_minus_t_power, pole_order, series_numerator
 from .monomials import MonomialIdeal, _ideal_from_minimal, _quadric_outside, _require_quadratic
 
 # egh's refusal of a zero source, which verify shares
@@ -230,12 +229,12 @@ def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> Lp
     The result is certified by exact Hilbert-series equality.
     """
     _require_quadratic(ideal, _ZERO_SOURCE)
-    g = height(ideal)
-    result = construct_lex_plus_powers(ideal.n, g, series_numerator(ideal), max_degree)
+    numerator = series_numerator(ideal)
+    result = construct_lex_plus_powers(ideal.n, pole_order(numerator), numerator, max_degree)
     if not result.series_equal:
         raise UnattainableTargetError(
             f"no powers-plus-lex ideal matched the series within degree {result.top_degree}"
         )
-    if missing_square(result.ideal.generators, ideal.n, g) is not None:
+    if missing_square(result.ideal.generators, ideal.n, result.g) is not None:
         raise RuntimeError("internal error: a required square escaped the ideal")
     return result

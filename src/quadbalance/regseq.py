@@ -52,7 +52,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .covers import height, is_minimal_prime, smallest_minimal_prime
+from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import BudgetExceededError, InputError, RegularSequenceNotFoundError
 from .fields import DEFAULT_PRIME, QQ, PrimeField
 from .linalg import ModularEchelon, rank_of_rows
@@ -295,10 +295,10 @@ def find_regular_sequence(
             raise InputError("the supplied prime is not a minimal prime of the ideal")
         # a minimal prime bounds the height, so this search ends at the cap;
         # above it (None), certify_transversal_ranks refuses the 2^|P| subsets
-        g = height(ideal, limit=min(len(chosen), MAX_PRIME_SIZE))
-        if g not in (None, len(chosen)):
+        smallest = smallest_minimal_prime(ideal, min(len(chosen), MAX_PRIME_SIZE))
+        if smallest is not None and len(smallest) != len(chosen):
             raise InputError(
-                f"the supplied prime has size {len(chosen)}, but the height is {g}"
+                f"the supplied prime has size {len(chosen)}, but the height is {len(smallest)}"
             )
     chosen = tuple(sorted(chosen))
     spaces = decompose_degree_two(ideal, chosen)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cache
 
 from .balance import balance
-from .covers import height, is_minimal_prime
+from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -29,7 +29,7 @@ from .errors import (
     UnattainableTargetError,
 )
 from .fields import parse_field_spec
-from .hilbert import _stable_numerator, poly_trim, series_numerator
+from .hilbert import _stable_numerator, pole_order, poly_trim, series_numerator
 from .homology import depth_and_pd, is_cohen_macaulay
 from .jsonio import canonical_json, complex_from_obj, complex_to_obj, ideal_from_obj, ideal_to_obj
 from .lpp import _ZERO_SOURCE, egh_for_quadratic, missing_square
@@ -134,11 +134,13 @@ def _result_pd(companion: MonomialIdeal, field, budget):
 
 
 def egh_report(ideal: MonomialIdeal, field, max_degree=None, budget: int = 16) -> dict:
+    _require_quadratic(ideal, _ZERO_SOURCE)  # then the budget, then the walk
+    pd_source = depth_and_pd(ideal, field, budget)[1]
     rep = egh_for_quadratic(ideal, max_degree)
-    return _egh_obj(ideal, field, rep, rep.ideal.generator_strings(), budget)
+    return _egh_obj(ideal, field, rep, rep.ideal.generator_strings(), pd_source, budget)
 
 
-def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, budget) -> dict:
+def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, pd_source, budget) -> dict:
     return {
         "kind": "egh",
         "field": field_spec_name(field),
@@ -147,7 +149,7 @@ def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, budget) -> dict
         "generators": generators,
         "series_equal": rep.series_equal,
         "picked_by_degree": {str(d): c for d, c in sorted(rep.picked_by_degree.items())},
-        "pd_source": depth_and_pd(ideal, field, budget)[1],
+        "pd_source": pd_source,
         "pd_result": _result_pd(rep.ideal, field, budget),
     }
 
@@ -253,10 +255,10 @@ def _verify_regseq(obj: dict, checker: _Checker, budget, max_degree):
     g = len(prime0)
 
     def height_check():
-        h = height(ideal, limit=MAX_PRIME_SIZE)
-        if h is None:
+        prime = frozenset() if ideal.is_zero() else smallest_minimal_prime(ideal, MAX_PRIME_SIZE)
+        if prime is None:
             return False, f"the height exceeds the hard cap g <= {MAX_PRIME_SIZE}"
-        return g == h, f"prime has size {g}, height is {h}"
+        return g == len(prime), f"prime has size {g}, height is {len(prime)}"
 
     checker.run("height", height_check)
     checker.run(
@@ -309,8 +311,7 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     raw = _typed(obj, "generators", list, "a list of monomial strings")
     # the series and reproduction checks share one companion build, and its
     # strings are formatted once; a build that fails leaves its message for
-    # them to report.  The build refuses a zero, unit or non-quadratic
-    # source, which _require_quadratic below refuses too
+    # them to report
     companion = rebuilt = unbuilt = None
     try:
         companion = egh_for_quadratic(ideal, max_degree)
@@ -327,7 +328,7 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     _require_quadratic(ideal, _ZERO_SOURCE)
 
     def height_check():
-        h = height(ideal)
+        h = pole_order(series_numerator(ideal))  # the pivot recursion's, not the walk's
         return g == h, f"powers {g} != height {h}"
 
     checker.run("height", height_check)
@@ -363,7 +364,8 @@ def _verify_egh(obj: dict, checker: _Checker, budget, max_degree):
     def reproduction():
         if unbuilt is not None:
             return False, unbuilt
-        return _same_report(obj, _egh_obj(ideal, field, companion, rebuilt, budget))
+        pd_source = depth_and_pd(ideal, field, budget)[1]
+        return _same_report(obj, _egh_obj(ideal, field, companion, rebuilt, pd_source, budget))
 
     checker.run("reproduction", reproduction)
 

@@ -1,9 +1,10 @@
 """Independent reference computations the tests compare against.
 
 Nothing in this file imports the package under test, except
-``reduced_homology_ranks``, which reads the package's homology engine;
-expected values are derived here by brute force (subset enumeration, sympy
-linear algebra) and frozen into assertions.
+``reduced_homology_ranks``, which reads the package's homology engine, and
+``height``, which reads its minimum cover search (tested on its own against
+``brute_minimal_covers``); expected values are derived here by brute force
+(subset enumeration, sympy linear algebra) and frozen into assertions.
 """
 
 import re
@@ -559,6 +560,15 @@ def perfect_matching(neighbors):
         return None
     assigned = {j: v for v, j in owner.items()}
     return tuple(assigned[j] for j in range(len(neighbors)))
+
+
+def height(ideal):
+    """Height of a monomial ideal: the size of a smallest minimal prime,
+    0 for the zero ideal."""
+    from quadbalance.covers import smallest_minimal_prime
+
+    return 0 if ideal.is_zero() else len(smallest_minimal_prime(ideal, ideal.n))
+
 
 def brute_minimal_covers(supports):
     """All minimal vertex covers of a set system, smallest first."""

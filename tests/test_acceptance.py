@@ -21,7 +21,6 @@ from quadbalance import (
     egh_report,
     f_vector,
     find_regular_sequence,
-    height,
     independence_complex,
     is_cohen_macaulay,
     minimal_primes,
@@ -32,6 +31,7 @@ from quadbalance.hilbert import poly_trim, series_numerator
 
 from oracles import (
     count_standard_monomials,
+    height,
     hilbert_function,
     in_ideal,
     is_regular_sequence_of_products,

@@ -297,6 +297,27 @@ def test_verify_forged_report_above_the_cap_stops_at_the_cap(run, tmp_path):
     ]
 
 
+def test_verify_forged_regseq_over_the_zero_ideal(run, tmp_path):
+    # the zero ideal has height 0, so an empty prime passes the height
+    # check; the other checks refuse the ideal itself
+    report = {
+        "kind": "regseq", "field": "q", "ideal": {"n": 3, "generators": []}, "seed": 0,
+        "prime": [], "forms": [], "subsets_checked": 1, "attempts": 1,
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(report))
+    assert run("verify", str(path)) == (
+        1,
+        '{"checks_run":["height","minimal_prime","membership","ranks","reproduction"],'
+        '"failures":[{"check":"minimal_prime",'
+        '"detail":"the zero ideal has no associated support hypergraph"},'
+        '{"check":"reproduction",'
+        '"detail":"the zero ideal contains no regular sequence of products"}],'
+        '"kind":"verify","ok":false,"target_kind":"regseq"}\n',
+        "",
+    )
+
+
 def test_regseq_family_at_the_cap_round_trips(run, tmp_path):
     # I = (x_i^2, x_i*x_j : i <= 20, j in three extra variables) peels
     # through its squares, so search and verify skip the 2^20 sweep
@@ -308,6 +329,47 @@ def test_regseq_family_at_the_cap_round_trips(run, tmp_path):
     assert parse(report.read_text())["subsets_checked"] == 1 << 20
     code, out, err = run("verify", str(report))
     assert code == 0 and parse(out)["ok"] is True, err
+
+
+def _path(n):
+    return {"n": n, "generators": [f"x{i}*x{i + 1}" for i in range(1, n)]}
+
+
+@pytest.mark.parametrize("options", [(), ("--max-degree", "2")])
+def test_egh_refuses_an_over_budget_source_before_the_walk(run, options):
+    # P18 polarizes to support 18, 20 edges plus K40 to 80: both exceed the
+    # default budget 16, and their walks run for minutes.  pd_source's
+    # refusal comes first, so P18 under --max-degree 2 exits 3, not with
+    # the walk's "no powers-plus-lex ideal matched" (exit 1)
+    for data, support in ((_path(18), 18), (_edges_and_k40()[0], 80)):
+        start = time.perf_counter()
+        code, out, err = run("egh", *options, data=data)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            f"budget exceeded: support of size {support} exceeds the "
+            "subset-enumeration budget 16\n"
+        )
+
+
+def test_verify_of_an_egh_report_over_its_budget_fails_reproduction(run, tmp_path):
+    # the 9-variable path plus squares polarizes to support 18: egh needs
+    # a budget of 18, and verify at the default budget fails its reproduction
+    # check (exit 1), since only the rebuilt report needs pd_source
+    data = _path(9)
+    data["generators"] += [f"x{i}^2" for i in range(1, 10)]
+    path = tmp_path / "report.json"
+    code, _, err = run("egh", "--budget", "20", "--out", str(path), data=data)
+    assert code == 0, err
+    detail = "support of size 18 exceeds the subset-enumeration budget 16"
+    assert run("verify", str(path)) == (
+        1,
+        '{"checks_run":["height","squares","series","reproduction"],'
+        f'"failures":[{{"check":"reproduction","detail":"{detail}"}}],'
+        '"kind":"verify","ok":false,"target_kind":"egh"}\n',
+        "",
+    )
+    assert run("verify", "--budget", "18", str(path))[0] == 0
 
 
 def test_egh_triangle(run):

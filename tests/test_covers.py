@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from quadbalance import InputError, MonomialIdeal, height, minimal_primes
+from quadbalance import InputError, MonomialIdeal, minimal_primes
 from quadbalance.covers import is_minimal_prime, smallest_minimal_prime
 from quadbalance.monomials import support
 
-from oracles import brute_minimal_covers, random_exponents, random_quadratic_exponents
+from oracles import brute_minimal_covers, height, random_exponents, random_quadratic_exponents
 
 
 def idl(n, *gens):
@@ -43,7 +43,11 @@ def test_height_examples():
 
 
 def test_rejects_unit():
-    for fn in (minimal_primes, smallest_minimal_prime, lambda i: is_minimal_prime(i, {0})):
+    for fn in (
+        minimal_primes,
+        lambda i: smallest_minimal_prime(i, i.n),
+        lambda i: is_minimal_prime(i, {0}),
+    ):
         with pytest.raises(InputError, match="unit ideal"):
             fn(idl(2, "1"))
         with pytest.raises(InputError, match="zero ideal"):
@@ -96,7 +100,7 @@ def test_smallest_prime_and_minimality_against_brute_force():
     for i in range(2000):
         ideal = _random_hypergraph_ideal(rng, ("quadratic", "squarefree", "powers")[i % 3])
         covers = brute_minimal_covers(list(map(support, ideal.generators)))
-        assert smallest_minimal_prime(ideal) == covers[0]
+        assert smallest_minimal_prime(ideal, ideal.n) == covers[0]
         assert height(ideal) == len(covers[0])
         # a limit at the height changes nothing; one below it gives None
         limit = len(covers[0]) - rng.randint(0, 1)

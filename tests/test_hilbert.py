@@ -7,11 +7,12 @@ from quadbalance import (
     series_numerator,
 )
 from quadbalance import hilbert
-from quadbalance.hilbert import _numerator, _stable_numerator, poly_mul
+from quadbalance.hilbert import _numerator, _stable_numerator, pole_order, poly_mul
 
-from quadbalance.monomials import _minimalize
+from quadbalance.monomials import _minimalize, support
 
 from oracles import (
+    brute_minimal_covers,
     count_standard_monomials,
     hilbert_function,
     pivot_numerator,
@@ -83,6 +84,32 @@ def test_numerator_of_redundant_generators():
         hilbert._MEMO.clear()
         assert _numerator(frozenset(gens)) == series_numerator(ideal), (n, gens)
     assert redundant >= 50
+
+
+def test_pole_order_is_the_smallest_cover_size():
+    # the order of t = 1 in N is n - dim S/I, the size of a smallest vertex
+    # cover of the generator supports; the draws mix quadrics with and
+    # without squares, unused variables and higher degrees
+    rng = random.Random(41)
+    orders = Counter()
+    for i in range(600):
+        n = rng.randint(2, 7)
+        if i % 3 == 2:
+            gens = random_exponents(rng, n, 8, 4)
+        else:
+            gens = random_quadratic_exponents(rng, n, 10, allow_squares=i % 3 == 0)
+        unused = rng.randint(0, 2)
+        ideal = MonomialIdeal(n + unused, tuple(g + (0,) * unused for g in gens))
+        covers = brute_minimal_covers(list(map(support, ideal.generators)))
+        assert pole_order(series_numerator(ideal)) == len(covers[0]), (n, gens)
+        orders[len(covers[0])] += 1
+    assert len(orders) >= 5
+    # (1 - t^2)^g: the squares of g variables
+    for g in range(8):
+        assert pole_order(series_numerator(idl(g + 1, *(f"x{i + 1}^2" for i in range(g))))) == g
+    assert pole_order(series_numerator(MonomialIdeal(4, ()))) == 0
+    # the unit ideal's numerator is 0, a root of every order: 0, and no endless loop
+    assert pole_order(series_numerator(idl(3, "1"))) == pole_order(()) == 0
 
 
 def test_window_from_numerator_matches_series():

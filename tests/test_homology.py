@@ -17,7 +17,6 @@ from quadbalance import (
     egh_for_quadratic,
     f_vector,
     h_vector,
-    height,
     independence_complex,
     is_cohen_macaulay,
     polarize,
@@ -28,6 +27,7 @@ from quadbalance.homology import total_betti_numbers
 
 from oracles import (
     brute_cohen_macaulay,
+    height,
     hochster_betti,
     integer_rank,
     oracle_boundary_ranks,

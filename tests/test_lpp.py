@@ -9,7 +9,6 @@ from quadbalance import (
     construct_lex_plus_powers,
     depth_and_pd,
     egh_for_quadratic,
-    height,
     series_numerator,
 )
 from quadbalance.lpp import missing_square
@@ -17,6 +16,7 @@ from quadbalance.lpp import missing_square
 from oracles import (
     WalkRefused,
     count_standard_monomials,
+    height,
     in_ideal,
     lex_walk,
     quotient_exponents,

@@ -13,7 +13,6 @@ from quadbalance import (
     decompose_degree_two,
     find_regular_sequence,
     format_monomial,
-    height,
     minimal_primes,
     sample_forms,
 )
@@ -22,6 +21,7 @@ from quadbalance.fields import DEFAULT_PRIME
 from quadbalance.reports import regseq_report, verify_report
 
 from oracles import (
+    height,
     in_ideal,
     is_regular_sequence_of_products,
     monomial_as_product,

@@ -11,7 +11,6 @@ from quadbalance import (
     complex_of_ideal,
     f_vector,
     h_vector,
-    height,
     independence_complex,
     is_flag,
     minimal_non_faces,
@@ -22,6 +21,7 @@ from oracles import (
     all_faces,
     brute_minimal_covers,
     brute_minimal_non_faces,
+    height,
     hvector_from_f,
     random_facets,
 )
