@@ -31,10 +31,19 @@ Mod 2 a boundary row is an int, bit i for the i-th face one dimension
 down, and elimination is XOR keyed by the top bit (``linalg.xor_rank``).
 Over Q every degree is probed mod 2 first: rank mod 2 never exceeds the
 rational rank (a minor that vanishes over Z vanishes mod 2), so betti mod 2
-bounds betti over Q from above and a zero there is a zero over Q.  A
-nonzero probe, from 2-torsion such as RP^2 or from homology over Q, is
-redone exactly on the restricted signed rows.  An odd p ranks the same
-signed rows with ``ModularEchelon``.
+bounds betti over Q from above and a zero there is a zero over Q.  Behind
+a nonzero probe the two maps around it are ranked over Q, and a map is
+closed by its mod-2 neighbours: rank_Q d_k = rank_2 d_k as soon as
+betti mod 2 is 0 in degree k or in degree k - 1.  Since d_k d_{k+1} = 0,
+when betti_2(k) = 0
+
+    rank_Q d_k <= f_k - rank_Q d_{k+1} <= f_k - rank_2 d_{k+1} = rank_2 d_k,
+
+and rank_2 d_k <= rank_Q d_k; when betti_2(k-1) = 0 the same chain runs
+through f_{k-1} and d_{k-1}.  Only a map with nonzero mod-2 Betti numbers
+on both sides, as RP^2's d_2 from its 2-torsion, is redone exactly on the
+restricted signed rows.  An odd p ranks the same signed rows with
+``ModularEchelon``.
 
 Mod p, 2 included, the maps are ranked from the top dimension down with
 clearing (Chen-Kerber, "Persistent homology computation with a twist",
@@ -179,25 +188,30 @@ def _betti(link: _Link, j: int, field) -> int:
     star = link.star
     if not 0 <= j + 1 < len(star):
         return 0
-    ranks = _mod_ranks(link, _GF2 if field == QQ else field, j)
-    betti = star[j + 1].bit_count() - ranks[j + 1] - ranks[j + 2]
+    betti = _mod_betti(link, _GF2 if field == QQ else field, j)
     if betti and field == QQ:
-        exact = [_rank(link, QQ, e) for e in (j, j + 1)]
-        betti = star[j + 1].bit_count() - sum(exact)
+        betti = star[j + 1].bit_count() - _rank(link, QQ, j) - _rank(link, QQ, j + 1)
     return betti
+
+
+def _mod_betti(link: _Link, field, j: int) -> int:
+    """Reduced Betti number over GF(p) in degree j, for 0 <= j + 1 < len(star)."""
+    ranks = _mod_ranks(link, field, j)
+    return link.star[j + 1].bit_count() - ranks[j + 1] - ranks[j + 2]
 
 
 def _rank(link: _Link, field, e: int) -> int:
     """Rank of the boundary map of lk F from its e-faces to its (e-1)-faces.
 
     Over GF(p) it is read from ``_mod_ranks``, and so is degree 0 or 1
-    over Q; over Q a map of degree 2 or more is ranked on all of its signed
-    rows, restricted to the star of F.
+    over Q, and any map over Q closed by a mod-2 Betti number of 0 on
+    either side; the rest over Q are ranked on all of their signed rows,
+    restricted to the star of F.
     """
     star = link.star
     if not 0 <= e < len(star) - 1:
         return 0
-    if field != QQ or e < 2:
+    if field != QQ or e < 2 or not (_mod_betti(link, _GF2, e) and _mod_betti(link, _GF2, e - 1)):
         return _mod_ranks(link, _GF2 if field == QQ else field, e)[e + 1]
     if e not in link.exact:
         link.exact[e] = rank_of_rows(_signed(link, e, _bits(star[e + 1])), QQ)

@@ -22,7 +22,6 @@ from functools import cache
 from .balance import balance
 from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import (
-    BudgetExceededError,
     InputError,
     NotCohenMacaulayError,
     RegularSequenceNotFoundError,
@@ -122,15 +121,36 @@ def regseq_report(ideal: MonomialIdeal, field, seed: int, prime=None) -> dict:
     }
 
 
-def _result_pd(companion: MonomialIdeal, field, budget):
-    # a deep lex tail polarizes to a support no budget can enumerate, so
-    # the companion's diagnostic goes null rather than sinking the whole
-    # report; the source ideal's pd still raises, since there a larger
-    # --budget genuinely helps
-    try:
-        return depth_and_pd(companion, field, budget)[1]
-    except BudgetExceededError:
+def _result_pd(companion: MonomialIdeal, budget):
+    """pd of the companion the walk built, read off its generators: None
+    when its polarized support exceeds the budget, as ``depth_and_pd``
+    would refuse it, else m over every field, the largest 1-based index of
+    a variable dividing a minimal generator.
+
+    The walk's I contains Q = (x1^2, ..., xg^2), and in each degree its
+    image in A = S/Q is a lex segment (see ``lpp``): for u in I nonzero in
+    A, x_i dividing u and j < i, x_j u / x_i is lex above u, so it is in I
+    unless it is 0 in A, that is in Q (Eliahou-Kervaire, J. Algebra 129,
+    1990, with the squares of Mermin-Peeva-Stillman, Adv. Math. 217,
+    2008).  Some minimal generator divides x_g^2, so m >= g.  No variable
+    past x_m divides a generator, so x_{m+1}, ..., x_n is a regular
+    sequence on S/I and depth S/I = (n - m) + depth R, with
+    R = k[x1..xm]/(I n k[x1..xm]).
+    If m = g, every x_i^2 of R is in I, so R is Artinian and depth R = 0.
+    If m > g, take a minimal generator u divisible by x_m, so no square of
+    Q divides it and it is nonzero in A, and w = u/x_m.  No generator
+    divides w, as u is minimal, so w is nonzero in R, while x_m w = u and,
+    for j < m, x_j w = x_j u / x_m lie in I.  So w spans socle in R and
+    depth R = 0 again.  pd S/I = m by Auslander-Buchsbaum.
+
+    The argument needs the walk's lex segments, so a stated list never
+    comes here.  The budget keeps ``"pd_result": null`` where the Hochster
+    walk would have been refused, so the bytes do not depend on the method.
+    """
+    tops = list(map(max, zip(*companion.generators)))
+    if sum(tops) > budget:
         return None
+    return max((v for v, top in enumerate(tops, 1) if top), default=0)
 
 
 def egh_report(ideal: MonomialIdeal, field, max_degree=None, budget: int = 16) -> dict:
@@ -150,7 +170,7 @@ def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, pd_source, budg
         "series_equal": rep.series_equal,
         "picked_by_degree": {str(d): c for d, c in sorted(rep.picked_by_degree.items())},
         "pd_source": pd_source,
-        "pd_result": _result_pd(rep.ideal, field, budget),
+        "pd_result": _result_pd(rep.ideal, budget),
     }
 
 

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from quadbalance import (
+    GF,
+    QQ,
+    BudgetExceededError,
     InputError,
     MonomialIdeal,
     UnattainableTargetError,
@@ -12,6 +15,7 @@ from quadbalance import (
     series_numerator,
 )
 from quadbalance.lpp import missing_square
+from quadbalance.reports import _result_pd
 
 from oracles import (
     WalkRefused,
@@ -271,3 +275,75 @@ def test_egh_deep_lex_tail():
     assert sum(rep.picked_by_degree.values()) == 547
     assert len(rep.ideal.generators) == 551
     assert series_numerator(ideal) == series_numerator(rep.ideal)
+
+
+def hochster_pd_or_none(ideal, field, budget=16):
+    try:
+        return depth_and_pd(ideal, field, budget)[1]
+    except BudgetExceededError:
+        return None
+
+
+def test_companion_pd_by_its_generators_against_hochster():
+    # the criterion-2 distribution; about a fifth of its companions
+    # polarize past budget 16, where both sides refuse
+    rng = random.Random(2027)
+    within = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        gens = random_quadratic_exponents(rng, n, 12, allow_squares=rng.random() < 0.5)
+        companion = egh_for_quadratic(MonomialIdeal(n, tuple(gens))).ideal
+        pd = _result_pd(companion, 16)
+        assert hochster_pd_or_none(companion, QQ) == pd, companion
+        if pd is not None:
+            within += 1
+            assert hochster_pd_or_none(companion, GF(2)) == pd, companion
+    assert 200 <= within <= 280, within
+
+
+def random_stable_plus_squares(rng):
+    """Q = (x1^2..xg^2) plus the closure in S/Q of a few random monomials
+    under x_j u / x_i for j < i, in n variables of which only the first
+    ``used`` occur; some lists carry a large power of x_{g+1}."""
+    n = rng.randint(1, 7)
+    g = rng.randint(0, n)
+    used = rng.randint(max(g, 1), n)
+    caps = [1] * g + [None] * (used - g)
+    closure, todo = set(), []
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * used
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randrange(used)
+            if caps[v] is None or exps[v] < caps[v]:
+                exps[v] += 1
+        if any(exps):
+            todo.append(tuple(exps))
+    if g < used and rng.random() < 0.4:
+        todo.append((0,) * g + (rng.randint(17, 60),) + (0,) * (used - g - 1))
+    while todo:
+        u = todo.pop()
+        if u in closure:
+            continue
+        closure.add(u)
+        for i in range(used):
+            for j in range(i):
+                if u[i] and (caps[j] is None or u[j] < caps[j]):
+                    todo.append(u[:j] + (u[j] + 1,) + u[j + 1 : i] + (u[i] - 1,) + u[i + 1 :])
+    squares = [tuple(2 * (j == i) for j in range(used)) for i in range(g)]
+    pad = (0,) * (n - used)
+    return MonomialIdeal(n, tuple(u + pad for u in squares + sorted(closure)))
+
+
+def test_companion_pd_on_stable_lists_no_walk_built():
+    rng = random.Random(2028)
+    over = free = 0
+    for _ in range(600):
+        ideal = random_stable_plus_squares(rng)
+        pd = _result_pd(ideal, 16)
+        assert hochster_pd_or_none(ideal, QQ) == pd, ideal
+        if pd is None:
+            over += 1
+            continue
+        assert hochster_pd_or_none(ideal, GF(2)) == pd, ideal
+        free += pd < ideal.n
+    assert over >= 20 and free >= 200, (over, free)
