@@ -140,7 +140,7 @@ def _hilbert_values(numerator, n: int):
 
 
 def construct_lex_plus_powers(
-    n: int, g: int, numerator, max_degree: int | None = None
+    n: int, g: int, numerator, max_degree: int | None = None, max_picks: int | None = None
 ) -> LppResult:
     """Greedy lex-segment selection, in n variables over the squares of the
     first g, realizing the Hilbert function numerator/(1-t)^n.
@@ -148,7 +148,10 @@ def construct_lex_plus_powers(
     The walk certifies the series equality through the polynomial tail lock
     described in the module docstring, so a result with ``series_equal``
     set is exact in every degree.  When ``max_degree`` is given, a pick
-    forced beyond it abandons the search with ``series_equal=False``.
+    forced beyond it abandons the search with ``series_equal=False``.  When
+    ``max_picks`` is given, a degree whose picks would take the total past
+    it raises ``UnattainableTargetError`` before they are emitted: every
+    pick is a minimal generator, so the ideal would have more generators.
     """
     if not 0 <= g <= n:
         raise InputError(f"need 0 <= g <= n squares, got g = {g} for n = {n}")
@@ -191,6 +194,12 @@ def construct_lex_plus_powers(
             if max_degree is not None and d > max_degree:
                 series_equal, top = False, max_degree
                 break
+            if max_picks is not None and len(picks) + k > max_picks:
+                raise UnattainableTargetError(
+                    f"the companion has more than {max_picks} generators: "
+                    f"its picks pass that count in degree {d}",
+                    degree=d,
+                )
             exps = (
                 steps.predecessor(shadow_boundary)
                 if shadow_boundary is not None
@@ -222,15 +231,20 @@ def missing_square(generators, n: int, g: int):
     return None if pair is None else pair[0]
 
 
-def egh_for_quadratic(ideal: MonomialIdeal, max_degree: int | None = None) -> LppResult:
+def egh_for_quadratic(
+    ideal: MonomialIdeal, max_degree: int | None = None, max_picks: int | None = None
+) -> LppResult:
     """Realize the Hilbert function of a quadratic monomial ideal by an ideal
     containing the squares of the first g = height(I) variables.
 
-    The result is certified by exact Hilbert-series equality.
+    The result is certified by exact Hilbert-series equality.  ``max_picks``
+    bounds the walk as in ``construct_lex_plus_powers``.
     """
     _require_quadratic(ideal, _ZERO_SOURCE)
     numerator = series_numerator(ideal)
-    result = construct_lex_plus_powers(ideal.n, pole_order(numerator), numerator, max_degree)
+    result = construct_lex_plus_powers(
+        ideal.n, pole_order(numerator), numerator, max_degree, max_picks
+    )
     if not result.series_equal:
         raise UnattainableTargetError(
             f"no powers-plus-lex ideal matched the series within degree {result.top_degree}"

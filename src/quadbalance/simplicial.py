@@ -57,6 +57,12 @@ class SimplicialComplex:
         """Faces by dimension, listed once per instance; no reader changes it."""
         return _faces(_facet_masks(self), (1 << len(self.facets)) - 1)
 
+    @cached_property
+    def _minimal_non_faces(self) -> tuple:
+        """``minimal_non_faces``, listed once per instance; no reader changes it."""
+        everything = frozenset(range(self.n_vertices))
+        return tuple(_minimal_transversals(everything - f for f in self.facets))
+
     def faces(self) -> set:
         """All faces, including the empty face when the complex is nonvoid."""
         return {frozenset(f) for faces in self._listed.values() for f in faces}
@@ -128,9 +134,9 @@ def minimal_non_faces(cx: SimplicialComplex) -> tuple:
     By Alexander duality a set is a non-face exactly when it meets the
     complement of every facet, so the minimal non-faces are the minimal
     transversals of the facet complements; the void complex gets (∅,).
+    Each complex lists them once, for ``is_flag`` and ``balance`` alike.
     """
-    everything = frozenset(range(cx.n_vertices))
-    return tuple(_minimal_transversals(everything - f for f in cx.facets))
+    return cx._minimal_non_faces
 
 
 def is_flag(cx: SimplicialComplex) -> bool:

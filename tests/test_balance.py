@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from quadbalance import (
     NotCohenMacaulayError,
     SimplicialComplex,
     balance,
+    canonical_json,
     check_balanced,
     complex_of_ideal,
     construct_lex_plus_powers,
@@ -21,7 +23,9 @@ from quadbalance import (
     polarize,
 )
 
+from quadbalance import reports
 from quadbalance.hilbert import one_minus_t_power, poly_mul, poly_trim
+from quadbalance.jsonio import complex_from_obj
 
 OCTAHEDRON = SimplicialComplex.from_faces(
     6,
@@ -219,3 +223,33 @@ def test_result_certificate_matches_the_link_test():
     # companions that drop a dimension change the face count, so the
     # source's certificate cannot stand in for the result's
     assert moved >= 10
+
+
+def test_verify_settles_the_result_by_the_theorem(monkeypatch):
+    # a genuine report's polarization check settles the result's
+    # Cohen-Macaulayness, so verify runs the link test on the source alone;
+    # the link test must pass every result it skips, counting every face
+    rng = random.Random(29)
+    cases = [independence_complex(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+             for k in range(1, 6)]
+    for m in range(2, 7):
+        pairs = list(combinations(range(m), 2))
+        for _ in range(2):
+            cases.append(whiskered(m, [p for p in pairs if rng.random() < 0.5]))
+    tested = []
+
+    def counting(cx, field):
+        tested.append(cx)
+        return is_cohen_macaulay(cx, field)
+
+    monkeypatch.setattr(reports, "is_cohen_macaulay", counting)
+    for cx in cases:
+        for field in (QQ, GF(2), GF(3)):
+            rep = json.loads(canonical_json(reports.balance_report(cx, field)))
+            tested.clear()
+            assert reports.verify_report(rep)["ok"] is True
+            assert tested == [cx]
+            result = complex_from_obj(rep["result"])
+            cert = is_cohen_macaulay(result, field)
+            assert cert.is_cm, (cx, field.name)
+            assert cert.faces_checked == sum(f_vector(result))

@@ -10,15 +10,18 @@ from quadbalance import (
     InputError,
     MonomialIdeal,
     canonical_json,
+    complex_of_ideal,
     egh_for_quadratic,
     f_vector,
     find_regular_sequence,
+    polarize,
 )
-from quadbalance import cli, hilbert, monomials, regseq, reports
+from quadbalance import cli, hilbert, monomials, regseq, reports, simplicial
 from quadbalance.cli import main
 from quadbalance.jsonio import (
     MAX_VARIABLES,
     complex_from_obj,
+    complex_to_obj,
     ideal_from_obj,
     ideal_to_obj,
     load_input_obj,
@@ -637,6 +640,29 @@ def test_verify_tests_only_deep_generators_against_the_list(run, tmp_path, monke
     assert max(sizes) == len(ABOVE_CAP_OBJ["generators"])
 
 
+def test_verify_egh_stops_a_rebuild_the_stated_list_cannot_match(run, tmp_path):
+    # the companion of P10, the edge ideal of the 10-vertex path, is too
+    # large to build; a report listing only its five squares stops the
+    # rebuild once its picks pass the floor of 2^18 exponent entries over
+    # n = 10 variables, far beyond the five stated generators
+    p10 = {"n": 10, "generators": [f"x{i}*x{i + 1}" for i in range(1, 10)]}
+    rep = {
+        "kind": "egh", "field": "q", "ideal": p10, "powers": 5,
+        "generators": [f"x{i}^2" for i in range(1, 6)], "series_equal": True,
+        "picked_by_degree": {}, "pd_source": None, "pd_result": None,
+    }
+    path = tmp_path / "p10.json"
+    path.write_text(json.dumps(rep))
+    start = time.perf_counter()
+    code, vout, verr = run("verify", str(path))
+    assert time.perf_counter() - start < 1
+    detail = "the companion has more than 26214 generators: its picks pass that count in degree 37"
+    failure = f'"detail":"{detail}"}}'
+    assert (code, verr) == (1, "")
+    assert vout == _egh_verdict('{"check":"series",' + failure,
+                                '{"check":"reproduction",' + failure)
+
+
 def test_verify_parses_only_the_source_of_a_genuine_report(run, tmp_path, monkeypatch):
     # the stated list equals the rebuilt companion's strings, so only the
     # source ideal's echo goes through the parser
@@ -806,9 +832,28 @@ def test_verify_balance_tests_each_complex_once(run, tmp_path, cm_tests, data):
     path.write_text(out)
     code, vout, _ = run("verify", str(path))
     assert code == 0 and parse(vout)["ok"] is True
-    # the cm checks and the reproduction share one test per distinct complex
-    assert len(cm_tests) == len(complexes) and set(cm_tests) == complexes
+    # the cm_source check and the reproduction share the source's one test;
+    # the passing polarization check settles the result without one
+    assert cm_tests == [complex_from_obj(rep["complex"])]
     assert len(complexes) == (1 if data is OCTA_OBJ else 2)
+
+
+def test_verify_balance_lists_the_source_non_faces_once(run, tmp_path, monkeypatch):
+    _, out, _ = run("balance", data=PATH_OBJ)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    listed = []
+    enumerate_transversals = simplicial._minimal_transversals
+
+    def counting(supports):
+        listed.append(supports)
+        return enumerate_transversals(supports)
+
+    monkeypatch.setattr(simplicial, "_minimal_transversals", counting)
+    code, vout, _ = run("verify", str(path))
+    assert code == 0 and parse(vout)["ok"] is True
+    # the flag check and the reproduction's balance share one listing
+    assert len(listed) == 1
 
 
 def test_verify_balance_tests_a_replaced_result(run, tmp_path, cm_tests):
@@ -864,7 +909,99 @@ def test_verify_balance_rejects_forged_cm_flag(run, tmp_path, cm_tests):
         {"check": "cm_source", "detail": detail},
         {"check": "reproduction", "detail": "re-derivation differs in: cm_source"},
     ]
-    assert len(cm_tests) == 2
+    # the source alone: the polarization check settles the result
+    assert len(cm_tests) == 1
+
+
+def _with_artinian(art_obj):
+    """Replace the report's Artinian ideal, keeping the polarized ideal, the
+    classes and the result consistent with it."""
+
+    def mutate(rep):
+        polarized, classes = polarize(ideal_from_obj(art_obj))
+        rep["artinian_ideal"] = art_obj
+        rep["polarized_ideal"] = ideal_to_obj(polarized)
+        rep["classes"] = [[v + 1 for v in cls] for cls in classes]
+        rep["result"] = complex_to_obj(complex_of_ideal(polarized))
+
+    return mutate
+
+
+_NOT_CM_RESULT = {
+    "check": "cm_result",
+    "detail": "result complex is not Cohen-Macaulay over the stated field",
+}
+_POLARIZATION_DIFFERS = {
+    "check": "reproduction",
+    "detail": "re-derivation differs in: artinian_ideal, classes, polarized_ideal, result",
+}
+TWO_EDGES_OBJ = {"vertices": 4, "facets": [[1, 2], [3, 4]]}
+
+
+@pytest.mark.parametrize(
+    "mutate, failures",
+    [
+        pytest.param(
+            # all g squares, but in g + 1 variables: not Artinian, and the
+            # polarization of (x1^2, x2^2, x1*x3, x2*x3) is not CM
+            _with_artinian({"n": 3, "generators": ["x1^2", "x1*x3", "x2^2", "x2*x3"]}),
+            [
+                {"check": "h_vectors", "detail": "h_result does not match the result complex"},
+                {"check": "balanced",
+                 "detail": "coloring must assign a color to every ambient vertex"},
+                _NOT_CM_RESULT,
+                _POLARIZATION_DIFFERS,
+            ],
+            id="n-is-g-plus-one",
+        ),
+        pytest.param(
+            _with_artinian({"n": 2, "generators": ["1"]}),
+            [
+                {"check": "h_vectors", "detail": "the void complex has no f-vector"},
+                {"check": "balanced", "detail": "the void complex cannot be colored"},
+                {"check": "cm_result",
+                 "detail": "the void complex is not a ring-theoretic object here"},
+                _POLARIZATION_DIFFERS,
+            ],
+            id="unit-void-result",
+        ),
+        pytest.param(
+            # g = 0 passes the polarization check on any result equal to the
+            # input, here two disjoint edges, which are not CM
+            lambda rep: rep.update(
+                complex=TWO_EDGES_OBJ, result=TWO_EDGES_OBJ, g=0, h_source=[1, 2, -1],
+                h_result=[1, 2, -1], coloring=[1, 2, 3, 4], classes=[],
+                artinian_ideal={"n": 0, "generators": []},
+                polarized_ideal={"n": 0, "generators": []},
+            ),
+            [
+                {"check": "cm_source",
+                 "detail": "input complex is not Cohen-Macaulay over the stated field"},
+                {"check": "height", "detail": "stated g = 0, Stanley-Reisner height = 2"},
+                {"check": "balanced", "detail": "stated coloring is not proper"},
+                _NOT_CM_RESULT,
+                {"check": "reproduction",
+                 "detail": "link of {} has reduced homology of rank 1 in degree 0 over Q"},
+            ],
+            id="trivial-g-zero",
+        ),
+    ],
+)
+def test_verify_balance_tests_a_result_the_theorem_does_not_cover(
+    run, tmp_path, cm_tests, mutate, failures
+):
+    # only a passing polarization check with g >= 1, the Artinian ideal in
+    # g variables and a nonvoid result settles cm_result; these stated
+    # results all claim cm and still go through the link test
+    _, out, _ = run("balance", data=PATH_OBJ)
+    rep = tampered(out, mutate)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(rep))
+    cm_tests.clear()
+    code, vout, _ = run("verify", str(path))
+    assert code == 1
+    assert parse(vout)["failures"] == failures
+    assert cm_tests[-1] == complex_from_obj(rep["result"])
 
 
 def test_verify_balance_refuses_huge_artinian_exponent(run, tmp_path, monkeypatch):

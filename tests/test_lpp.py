@@ -212,6 +212,33 @@ def test_egh_degree_cap_failure_is_reported():
         egh_for_quadratic(TRIANGLE, max_degree=1)
 
 
+def test_pick_budget_stops_the_walk_at_the_first_degree_past_it():
+    # every pick is a minimal generator, so a budget of as many picks as the
+    # companion has generators never stops the walk, and one below its pick
+    # count stops it in its last degree with picks, before they are emitted
+    rng = random.Random(31)
+    stopped = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        ideal = MonomialIdeal(n, tuple(random_quadratic_exponents(rng, n, 9)))
+        rep = egh_for_quadratic(ideal)
+        assert egh_for_quadratic(ideal, None, len(rep.ideal.generators)) == rep
+        picks = sum(rep.picked_by_degree.values())
+        if not picks:
+            continue
+        assert egh_for_quadratic(ideal, None, picks) == rep
+        d = max(rep.picked_by_degree)
+        with pytest.raises(UnattainableTargetError) as caught:
+            egh_for_quadratic(ideal, None, picks - 1)
+        assert str(caught.value) == (
+            f"the companion has more than {picks - 1} generators: "
+            f"its picks pass that count in degree {d}"
+        )
+        assert caught.value.degree == d
+        stopped += 1
+    assert stopped >= 30
+
+
 def test_egh_on_random_quadratic_ideals():
     rng = random.Random(67)
     for _ in range(80):
