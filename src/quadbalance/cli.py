@@ -110,37 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Refused(Exception):
-    """The one-subcommand parser met help or an error; the full parser answers."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    # Configured like the full parser's subparser, -h/--help included, so it
-    # reads every argument the same way; it only never prints or exits.
-    def print_help(self, file=None):
-        raise _Refused
-
-    def error(self, message):
-        raise _Refused
-
-
-def _parse_command(argv: list) -> argparse.Namespace:
-    """Parses argv, whose first item names a subcommand, with that subcommand's
-    options only; raises _Refused wherever the full parser would print help or
-    an error."""
-    parser = _CommandParser(prog=f"quadbalance {argv[0]}")
-    _add_options(parser, argv[0])
-    return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-
-
-def _parse(argv: list) -> argparse.Namespace:
-    """The full parser's Namespace for argv; help and errors raise its SystemExit."""
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _parse_command(argv)
-        except _Refused:
-            pass
-    return _build_parser().parse_args(argv)
+# parse_args keeps no state between calls (a new Namespace each time, immutable
+# defaults, stateless type closures), so one parser serves every call
+_PARSER = _build_parser()
 
 
 def _read_text(path: str) -> str:
@@ -312,7 +284,7 @@ def _emit(report: dict, args):
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _PARSER.parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

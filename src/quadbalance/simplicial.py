@@ -14,8 +14,12 @@ from functools import cached_property
 from math import comb
 
 from .covers import _minimal_transversals, minimal_primes
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .monomials import MonomialIdeal, _ideal_from_minimal
+
+# the most vertices a facet may have for its complex's faces to be listed: a
+# facet on k vertices alone has 2^k faces, and the listing holds every one
+_FACET_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,15 @@ class SimplicialComplex:
 
     @cached_property
     def _listed(self) -> dict:
-        """Faces by dimension, listed once per instance; no reader changes it."""
+        """Faces by dimension, listed once per instance; no reader changes it.
+        A facet on more than ``_FACET_CAP`` vertices is refused before any
+        listing."""
+        largest = max(map(len, self.facets), default=0)
+        if largest > _FACET_CAP:
+            raise BudgetExceededError(
+                f"a facet on {largest} vertices has 2^{largest} faces; "
+                f"faces are listed only when every facet has at most {_FACET_CAP} vertices"
+            )
         return _faces(_facet_masks(self), (1 << len(self.facets)) - 1)
 
     @cached_property

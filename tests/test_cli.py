@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import io
 import json
@@ -1424,6 +1425,31 @@ def test_oversized_counts_exit_two(run):
         assert "must be an integer in" in err and f"..{MAX_VARIABLES}" in err, err
 
 
+def test_wide_facet_exits_three_before_listing(run):
+    # one edge on v vertices: two facets on v - 1 vertices, each with
+    # 2^(v - 1) faces, which the face listing refuses before it starts
+    wide = {"vertices": 40, "facets": [list(range(2, 41)), [1, *range(3, 41)]]}
+    for data in (
+        {"vertices": 40, "edges": [[1, 2]]},
+        {"vertices": 1000, "edges": [[1, 2]]},
+        wide,
+    ):
+        for command in ("analyze", "balance"):
+            start = time.perf_counter()
+            code, out, err = run(command, data=data)
+            assert time.perf_counter() - start < 1, command
+            assert code == 3 and out == "", (command, err)
+            assert err.startswith("budget exceeded: a facet on ") and "at most 24" in err
+    code, out, _ = run("analyze", data=OCTA_OBJ)
+    forged = {**parse(out), "complex": wide}
+    start = time.perf_counter()
+    code, out, err = run("verify", data=forged)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err == "", err
+    [failure] = parse(out)["failures"]
+    assert failure["check"] == "reproduction" and "a facet on 39 vertices" in failure["detail"]
+
+
 def test_emitted_regseq_reports_verify(run, tmp_path):
     # a seed is either refused up front or yields a report that verifies;
     # both ends of the accepted range yield reports
@@ -1472,11 +1498,6 @@ ACCEPTED_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", ACCEPTED_ARGV, ids=_argv_id)
-def test_command_parser_matches_full_parser(argv):
-    assert cli._parse_command(argv) == cli._build_parser().parse_args(argv)
-
-
 REFUSED_ARGV = [
     [],
     ["-h"],
@@ -1503,16 +1524,36 @@ REFUSED_ARGV = [
 ]
 
 
+def _fresh_parse(argv):
+    """A newly built parser's answer to argv: its Namespace, or the exit
+    code, stdout and stderr of its help or error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return (int(exc.code or 0), out.getvalue(), err.getvalue())
+
+
 @pytest.mark.parametrize("argv", REFUSED_ARGV, ids=_argv_id)
-def test_help_and_errors_come_from_full_parser(argv, capsys):
-    if argv and argv[0] in cli._COMMANDS:
-        with pytest.raises(cli._Refused):
-            cli._parse_command(argv)
-        assert capsys.readouterr() == ("", "")
-    with pytest.raises(SystemExit) as exc:
-        cli._build_parser().parse_args(argv)
-    expected = (int(exc.value.code or 0), *capsys.readouterr())
-    assert (main(argv), *capsys.readouterr()) == expected
+def test_help_and_errors_come_from_full_parser(argv, capsys, monkeypatch):
+    # main keeps one parser for the process: each refused argv, run twice
+    # around main's parses of every accepted argv, answers as a newly built
+    # parser does, and every accepted argv reaches _dispatch as the
+    # Namespace a newly built parser gives it
+    parsed = []
+    dispatch = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(args) or dispatch(args))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    expected = _fresh_parse(argv)
+    assert isinstance(expected, tuple)
+    for _ in range(2):
+        assert (main(argv), *capsys.readouterr()) == expected
+        for accepted in ACCEPTED_ARGV:
+            # x.json does not exist and stdin is empty: a read error, exit 2
+            assert main(accepted) == 2 and capsys.readouterr().out == ""
+            assert parsed.pop() == _fresh_parse(accepted)
+    assert parsed == []
 
 
 def test_console_script_reads_sys_argv(monkeypatch, capsys, tmp_path):
@@ -1521,12 +1562,12 @@ def test_console_script_reads_sys_argv(monkeypatch, capsys, tmp_path):
     argv = ["egh", str(path), "--budget", "12"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    built = []
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or full())
+
+    def rebuild():
+        raise AssertionError("the parser is built once per process")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
     monkeypatch.setattr(sys, "argv", ["quadbalance", *argv])
     assert main() == 0 and capsys.readouterr().out == expected
-    assert built == []  # the one-subcommand parser alone
     monkeypatch.setattr(sys, "argv", ["quadbalance", "egh", "-h"])
     assert main() == 0 and capsys.readouterr().out.startswith("usage: quadbalance egh")
-    assert built == [1]
