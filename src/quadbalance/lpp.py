@@ -22,6 +22,17 @@ divides m.  So the shadow has new[i] = sum(hist[j] for j < i) monomials
 with largest variable x_i, plus hist[i] when x_i is uncapped (i >= g); each
 pick then adds one under its own largest variable.
 
+A degree's picks are consecutive in lex order, so each is the predecessor
+of the one before.  Write a pick as (h, a, b), with a and b the exponents of
+x_{n-1} and x_n.  While x_n is free (g < n), the predecessor lowers the last
+nonzero exponent before x_n by one and puts that unit, with the degree after
+it, into the lex-largest monomial of the variables after it.  When a > 0
+the lowered exponent is a, the only variable after it is x_n, which has no
+cap, and the predecessor is (h, a-1, b+1).  So the picks from (h, a, b) on
+run (h, a-1, b+1), ..., (h, 0, a+b) and are emitted as one run, all under
+x_n except a first one with b = 0; only the step past (h, 0, a+b) lowers an
+exponent in h and needs the general predecessor.
+
 Both Hilbert functions are carried from degree to degree: taking partial
 sums of a coefficient sequence multiplies its series by 1/(1-t), so n
 running sums, each advanced by one addition per degree, turn N into HF(d)
@@ -43,7 +54,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, count
-from operator import add
 
 from .errors import InputError, UnattainableTargetError
 from .hilbert import one_minus_t_power, pole_order, series_numerator
@@ -130,6 +140,14 @@ def _assemble(n: int, squares, picks, linear: int) -> MonomialIdeal:
     return _ideal_from_minimal(n, kept + picks)
 
 
+def _last_variable(exps) -> int:
+    """The largest index of a variable dividing a nonconstant monomial."""
+    last = len(exps) - 1
+    while not exps[last]:
+        last -= 1
+    return last
+
+
 def _hilbert_values(numerator, n: int):
     """HF(0), HF(1), ... of numerator/(1-t)^n, by n running sums: in degree
     d, sums[k] is the coefficient of t^d in numerator/(1-t)^k."""
@@ -166,6 +184,8 @@ def construct_lex_plus_powers(
     slices = _hilbert_values(quotient, n)
     next(slices)
     steps = _LexSteps(n, g)
+    # while x_n is free, one degree's consecutive picks come in runs
+    runs = g < n and n >= 2
     hist = [0] * n
     picks: list = []
     picked_by_degree: dict = {}
@@ -180,7 +200,7 @@ def construct_lex_plus_powers(
             raise UnattainableTargetError(f"the target is negative in degree {d}", degree=d)
         shadow_boundary = steps.successor(boundary) if boundary is not None else None
         below = list(accumulate(hist, initial=0))
-        hist = below[:g] + list(map(add, below[g:], hist[g:]))
+        hist = below[:g] + below[g + 1 :]
         shadow = sum(hist)
         in_slice = next(slices)
         k = in_slice - value - shadow
@@ -205,14 +225,27 @@ def construct_lex_plus_powers(
                 if shadow_boundary is not None
                 else steps.top_monomial(d)
             )
-            for i in range(k):
-                if i:
-                    exps = steps.predecessor(exps)
-                picks.append(exps)
-                last = n - 1
-                while not exps[last]:
-                    last -= 1
-                hist[last] += 1
+            left = k
+            while True:
+                if runs:
+                    # a run (h, a, b), (h, a-1, b+1), ..., (h, 0, a+b): every
+                    # pick but a first with b = 0 has largest variable x_n
+                    head, a, b = exps[:-2], exps[-2], exps[-1]
+                    run = min(left, a + 1)
+                    picks += map(head.__add__, zip(range(a, a - run, -1), range(b, b + run)))
+                    hist[-1] += run
+                    if not b:
+                        hist[-1] -= 1
+                        hist[_last_variable(exps)] += 1
+                    exps = picks[-1]
+                else:
+                    run = 1
+                    picks.append(exps)
+                    hist[_last_variable(exps)] += 1
+                left -= run
+                if not left:
+                    break
+                exps = steps.predecessor(exps)
             boundary = exps
             picked_by_degree[d] = k
             top = d

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, compress, count
-from operator import and_, getitem, or_
+from operator import and_, getitem, itemgetter, or_
 
 from .errors import InputError
 
@@ -64,25 +64,41 @@ def parse_monomial(text: str, n: int) -> tuple:
     raise InputError(f"{problem} at position {pos} in {text!r}")
 
 
+class _Factors(dict):
+    """The factor text of x_j^e with a trailing ``*``, built on first lookup;
+    "" for e = 0."""
+
+    __slots__ = ("j",)
+
+    def __init__(self, j: int):
+        super().__init__({0: ""})
+        self.j = j
+
+    def __missing__(self, e):
+        text = self[e] = f"x{self.j}*" if e == 1 else f"x{self.j}^{e}*"
+        return text
+
+
+_CHOP = itemgetter(slice(None, -1))
+
+
 def _format_all(exponent_tuples) -> list:
     """The text syntax of each exponent tuple: ``x3^2*x5`` (1-based), or ``1``.
 
-    Each distinct (variable, exponent) factor string is built once per call:
-    a long companion repeats few of them.
+    The tuples, all of one length, are written column by column: each column
+    is mapped through its factor table, which builds each distinct factor
+    string once per call (a long companion repeats few of them), and each
+    row is one join of its factors, minus the last ``*``, with no Python
+    step per row or entry.
     """
-    factors: dict = {}
-    strings = []
-    for g in exponent_tuples:
-        parts = []
-        for key in enumerate(g, 1):
-            if key[1]:
-                text = factors.get(key)
-                if text is None:
-                    j, e = key
-                    text = factors[key] = f"x{j}" if e == 1 else f"x{j}^{e}"
-                parts.append(text)
-        strings.append("*".join(parts) or "1")
-    return strings
+    if not exponent_tuples or not exponent_tuples[0]:
+        # tuples of length 0 have no column to write
+        return ["1"] * len(exponent_tuples)
+    columns = enumerate(zip(*exponent_tuples), 1)
+    pieces = [map(_Factors(j).__getitem__, column) for j, column in columns]
+    strings = list(map(_CHOP, map("".join, zip(*pieces))))
+    # only the unit tuple has no factor
+    return [s or "1" for s in strings] if "" in strings else strings
 
 
 def format_monomial(exponents) -> str:

@@ -178,7 +178,10 @@ def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, pd_source, budg
         "series_equal": rep.series_equal,
         "picked_by_degree": {str(d): c for d, c in sorted(rep.picked_by_degree.items())},
         "pd_source": pd_source,
-        "pd_result": _result_pd(rep.ideal, budget),
+        # a minimal generator of degree D polarizes to D variables, so past
+        # the budget in degree the support is too, and _result_pd's zip of
+        # every column is skipped
+        "pd_result": None if rep.top_degree > budget else _result_pd(rep.ideal, budget),
     }
 
 

@@ -1,9 +1,11 @@
 """Independent reference computations the tests compare against.
 
 Nothing in this file imports the package under test, except
-``reduced_homology_ranks``, which reads the package's homology engine, and
+``reduced_homology_ranks``, which reads the package's homology engine,
 ``height``, which reads its minimum cover search (tested on its own against
-``brute_minimal_covers``); expected values are derived here by brute force
+``brute_minimal_covers``), and ``per_pick_walk``, which reads the lex walk's
+steps and running sums (tested through ``lex_walk``); expected values are
+derived here by brute force
 (subset enumeration, sympy linear algebra) and frozen into assertions.
 """
 
@@ -474,6 +476,73 @@ def lex_walk(n, g, numerator, max_degree=None):
         if tuple(int(j == i) for j in range(n)) not in generators:
             generators.add(tuple(2 * (j == i) for j in range(n)))
     return generators, picked_by_degree, top, series_equal
+
+
+def per_pick_walk(n, g, numerator, max_degree=None, max_picks=None):
+    """The package's histogram walk with one predecessor step per pick.
+
+    The lex steps and the running Hilbert sums are the package's; each pick
+    is the lex predecessor of the one before it and is booked under its own
+    largest variable.  Returns (picks in the order emitted, picked_by_degree,
+    top_degree, series_equal), or raises WalkRefused with the package's
+    message and degree.  The squares-only target returns ([], {}, 0, True).
+    """
+    from quadbalance.hilbert import one_minus_t_power
+    from quadbalance.lpp import _hilbert_values, _LexSteps
+
+    target = _hilbert_values(numerator, n)
+    if next(target) != 1:
+        raise WalkRefused("a proper monomial quotient has HF(0) = 1", 0)
+    quotient = tuple(c for a in one_minus_t_power(g) for c in (a, 0))[: 2 * g + 1]
+    if numerator == quotient:
+        return [], {}, 0, True
+    slices = _hilbert_values(quotient, n)
+    next(slices)
+    steps = _LexSteps(n, g)
+    hist = [0] * n
+    picks, picked_by_degree = [], {}
+    boundary, top, d = None, 0, 0
+    while True:
+        d += 1
+        value = next(target)
+        if value < 0:
+            raise WalkRefused(f"the target is negative in degree {d}", d)
+        shadow_boundary = steps.successor(boundary) if boundary is not None else None
+        hist = [sum(hist[:i]) + (hist[i] if i >= g else 0) for i in range(n)]
+        in_slice = next(slices)
+        k = in_slice - value - sum(hist)
+        if k < 0:
+            raise WalkRefused(
+                f"degree {d} offers {in_slice - sum(hist)} monomials but the target wants "
+                f"{value}",
+                d,
+            )
+        if k:
+            if max_degree is not None and d > max_degree:
+                return picks, picked_by_degree, max_degree, False
+            if max_picks is not None and len(picks) + k > max_picks:
+                raise WalkRefused(
+                    f"the companion has more than {max_picks} generators: "
+                    f"its picks pass that count in degree {d}",
+                    d,
+                )
+            exps = (
+                steps.predecessor(shadow_boundary)
+                if shadow_boundary is not None
+                else steps.top_monomial(d)
+            )
+            for i in range(k):
+                if i:
+                    exps = steps.predecessor(exps)
+                picks.append(exps)
+                hist[max(j for j, e in enumerate(exps) if e)] += 1
+            boundary = exps
+            picked_by_degree[d] = k
+            top = d
+        else:
+            boundary = shadow_boundary
+        if d >= max(top + 2 * g + n, len(numerator)) + n:
+            return picks, picked_by_degree, top, True
 
 
 def transversal_ranks(prime, forms, p=None):

@@ -14,8 +14,9 @@ from quadbalance import (
     egh_for_quadratic,
     series_numerator,
 )
+from quadbalance import lpp
 from quadbalance.lpp import missing_square
-from quadbalance.reports import _result_pd
+from quadbalance.reports import _egh_obj, _result_pd
 
 from oracles import (
     WalkRefused,
@@ -23,6 +24,7 @@ from oracles import (
     height,
     in_ideal,
     lex_walk,
+    per_pick_walk,
     quotient_exponents,
     random_exponents,
     random_quadratic_exponents,
@@ -151,6 +153,73 @@ def test_walk_against_slice_listing_oracle():
         seen["built" if result.series_equal else "capped"] += 1
         seen["eclipsed"] += len(generators) < g + sum(result.picked_by_degree.values())
     assert min(seen.values()) >= 20, seen
+
+
+def _runs_seen(n, g, picks, picked_by_degree, seen):
+    """Count the degrees where the walk's runs meet their corner cases:
+    picks that carry past (h, 0, a+b) within the degree, and a first pick
+    with no x_n (b = 0)."""
+    start = 0
+    for k in picked_by_degree.values():
+        degree = picks[start:start + k]
+        start += k
+        if n < 2 or g == n:
+            continue
+        seen["first b = 0"] += degree[0][-1] == 0
+        steps = zip(degree, degree[1:])
+        seen["carry"] += any(q != p[:-2] + (p[-2] - 1, p[-1] + 1) for p, q in steps)
+
+
+def test_runs_against_per_pick_walk(monkeypatch):
+    # every n from 1 to 8 with every g from 0 to n, so g = n (no free
+    # variable, one pick at a time) and g = n - 1 both come up; the picks
+    # are compared in the order the walk emits them
+    emitted = []
+    assemble = lpp._assemble
+
+    def spy(n, squares, picks, linear):
+        emitted[:] = picks
+        return assemble(n, squares, picks, linear)
+
+    monkeypatch.setattr(lpp, "_assemble", spy)
+    rng = random.Random(83)
+    seen = dict.fromkeys(
+        ("built", "capped", "refused", "over picks", "carry", "first b = 0", "g = n", "g = n - 1",
+         "n = 1"),
+        0,
+    )
+    for n in range(1, 9):
+        for g in range(n + 1):
+            for _ in range(8):
+                squares = [tuple(2 * (j == i) for j in range(n)) for i in range(g)]
+                gens = squares + random_exponents(rng, n, 4, 3)
+                numerator = list(series_numerator(MonomialIdeal(n, tuple(gens))))
+                if rng.random() < 0.15:
+                    numerator[rng.randrange(len(numerator))] += rng.choice((-1, 1))
+                numerator = tuple(numerator)
+                max_degree = rng.choice((None, None, None, 2, 4))
+                max_picks = rng.choice((rng.randint(1, 40), 2000))
+                try:
+                    picks, by_degree, top, equal = per_pick_walk(
+                        n, g, numerator, max_degree, max_picks
+                    )
+                except WalkRefused as refusal:
+                    with pytest.raises(UnattainableTargetError) as err:
+                        construct_lex_plus_powers(n, g, numerator, max_degree, max_picks)
+                    assert (str(err.value), err.value.degree) == (str(refusal), refusal.degree)
+                    seen["over picks" if "more than" in str(refusal) else "refused"] += 1
+                    continue
+                emitted.clear()
+                result = construct_lex_plus_powers(n, g, numerator, max_degree, max_picks)
+                got = (emitted, result.picked_by_degree, result.top_degree, result.series_equal)
+                assert got == (picks, by_degree, top, equal), (n, g, numerator)
+                seen["built" if equal else "capped"] += 1
+                if picks:
+                    seen["g = n"] += g == n
+                    seen["g = n - 1"] += g == n - 1
+                    seen["n = 1"] += n == 1
+                _runs_seen(n, g, picks, by_degree, seen)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_construct_monotone_in_degree_cap():
@@ -313,13 +382,20 @@ def hochster_pd_or_none(ideal, field, budget=16):
 
 def test_companion_pd_by_its_generators_against_hochster():
     # the criterion-2 distribution; about a fifth of its companions
-    # polarize past budget 16, where both sides refuse
+    # polarize past budget 16, where both sides refuse.  The report reads
+    # None off the top degree before the generators whenever it passes the
+    # budget, which must agree with the support rule at every budget
     rng = random.Random(2027)
     within = 0
     for _ in range(300):
         n = rng.randint(2, 8)
         gens = random_quadratic_exponents(rng, n, 12, allow_squares=rng.random() < 0.5)
-        companion = egh_for_quadratic(MonomialIdeal(n, tuple(gens))).ideal
+        source = MonomialIdeal(n, tuple(gens))
+        rep = egh_for_quadratic(source)
+        companion = rep.ideal
+        for budget in range(rep.top_degree - 2, rep.top_degree + 3):
+            reported = _egh_obj(source, QQ, rep, [], None, budget)["pd_result"]
+            assert reported == _result_pd(companion, budget), (companion, budget)
         pd = _result_pd(companion, 16)
         assert hochster_pd_or_none(companion, QQ) == pd, companion
         if pd is not None:

@@ -12,6 +12,7 @@ from oracles import (
 
 from quadbalance import InputError, MonomialIdeal, parse_monomial, polarize
 from quadbalance.monomials import (
+    _format_all,
     _ideal_from_minimal,
     _minimalize,
     _quadric_outside,
@@ -53,18 +54,25 @@ def test_parse_errors_carry_position():
 
 def test_format_round_trip():
     # format_monomial and generator_strings share one writer; it must agree
-    # with an independent formatter, and parse_monomial must invert it
+    # with an independent formatter, and parse_monomial must invert it.  The
+    # lists are written column by column; half of them hold the unit,
+    # anywhere in them
+    assert _format_all(()) == []
+    for rows in (1, 3):
+        assert _format_all(((),) * rows) == ["1"] * rows
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(1, 12)
+        rows = rng.randint(1, 120)
         tuples = [
             tuple(
                 rng.choice((10**6, 10**6 + 1, 10**12)) if rng.random() < 0.03 else rng.randint(0, 3)
                 for _ in range(n)
             )
-            for _ in range(rng.randint(1, 30))
+            for _ in range(rows)
         ]
-        tuples.append((0,) * n)
+        if rng.random() < 0.5:
+            tuples.insert(rng.randint(0, len(tuples)), (0,) * n)
         for exps in tuples:
             assert format_monomial(exps) == format_factors(exps)
             assert parse_monomial(format_monomial(exps), n) == exps
