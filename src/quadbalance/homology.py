@@ -72,10 +72,39 @@ some variable of supp b lies in every facet of K^b, a cone.  The facets of
 K^b are the sets {v : g_v < b_v} for the generators g dividing x^b, so
 K^b has the same bitmask form, one bit per such generator, and is ranked
 as the link of its empty face.  K^b has at most |supp b| vertices, and
-when it is the full simplex it is acyclic and skipped, so beta_{i,b} = 0
-for i > |supp b|.  The projective dimension walks b by |supp b|, largest
-first, and stops once |supp b| cannot beat the best degree found; depth is
-then n - pd by Auslander-Buchsbaum.
+when it is the full simplex it is acyclic and skipped, so K^b lies in
+2^C - {C} with C = supp b, and beta_{i,b} = 0 for i > |C|.
+
+The lattice is listed one support size s at a time, largest first: a level
+is the product over the variables that the generators use, n_v of them,
+with exactly n_v - s zero exponents.  The projective dimension walks the
+levels with three rules, for a point b with C = supp b and d generators
+dividing x^b:
+
+- Sphere.  beta_{|C|,b} = dim H~_{|C|-2}(K^b) is the dimension of the top
+  cycle space of K^b, as K^b has no faces one dimension up.  A top cycle
+  of K^b is one of the boundary of the simplex on C, and those are the
+  multiples of the signed sum of all the facets C - v: two facets C - u
+  and C - v are the only ones through the ridge C - u - v, so a cycle's
+  coefficients on them agree up to sign, on every pair.  So over every
+  field beta_{|C|,b} is 1 when every C - v is a face of K^b, and 0
+  otherwise.  C - v is a face when the ``lt`` masks of C - v meet inside
+  the divisors, and prefix and suffix ANDs of the masks test every v at
+  once, with no face listed.  Each C - v needs a divisor g with g_u < b_u
+  for u != v and so g_v = b_v, as C is no face; g names v, so a sphere
+  has d >= |C|.  A level with a sphere sets pd to its size s, and no level
+  below can reach s, so the walk ends there.
+- Skip.  A point that is not a sphere has beta_{i,b} = 0 for i >= |C|, and
+  for i > d: the Taylor resolution on the generators has one free summand
+  per i-subset of them, of degree its lcm, and only subsets of the d
+  divisors have an lcm dividing x^b.  So it is ranked only when
+  t = min(|C| - 1, d) beats pd, from degree min(dim K^b, t - 2) down, and
+  stops at the first nonzero Betti number.
+- Stop.  By the two rules above, a level of size s can raise pd to at most
+  min(s, number of generators), and a level where that cannot beat pd is
+  never listed.
+
+depth is then n - pd by Auslander-Buchsbaum.
 """
 
 from __future__ import annotations
@@ -325,13 +354,25 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
 # Betti numbers of S/I from upper Koszul complexes on the lcm lattice
 
 
-def _lattice_points(ideal: MonomialIdeal, budget: int) -> list:
-    """One entry (lt, divisors) per nonzero element b of the lcm lattice.
+def _levels(ideal: MonomialIdeal, budget: int, low: int = 1):
+    """The nonzero elements b of the lcm lattice with |supp b| >= low, one
+    support size at a time, largest first: (size, points) pairs, each level
+    listed only when it is drawn, and the ideal and the budget checked when
+    the first is.
 
-    ``divisors`` masks the generators dividing x^b (bit i for generator i);
-    ``lt[i]`` masks those with a smaller exponent than b in the i-th
-    variable of supp b.  A face F of K^b is a set of such positions whose
-    ``lt`` masks meet inside ``divisors``.
+    A point is (lt, divisors): ``divisors`` masks the generators dividing
+    x^b (bit i for generator i), and ``lt[i]`` masks those with a smaller
+    exponent than b in the i-th variable of supp b.  A face F of K^b is a
+    set of such positions whose ``lt`` masks meet inside ``divisors``.
+
+    b is the lcm of its divisors iff each b_v is attained by a divisor; a
+    divisor set only shrinks as variables are fixed, so a value no
+    remaining generator attains is pruned at once.  The partial products
+    with z zero exponents over the first k variables extend those with
+    z - 1 zeros by a zero and those with z zeros by a nonzero exponent, so
+    each level builds one column of them, z = n - size over the n variables
+    in use, from the column of the level above, and no partial product is
+    built twice.
     """
     if not ideal.is_proper():
         raise InputError("Betti numbers of the zero module are not defined here")
@@ -354,56 +395,93 @@ def _lattice_points(ideal: MonomialIdeal, budget: int) -> list:
                 at[g[v]] |= 1 << i
             exact.append(at)
             below.append(list(accumulate(at, or_)))
-    # b is the lcm of its divisors iff each b_v is attained by a divisor;
-    # a divisor set only shrinks as variables are fixed, so a value no
-    # remaining generator attains is pruned at once
-    level = [((), (1 << len(exps)) - 1)]
-    for upto, at in zip(below, exact):
-        level = [
-            (b + (t,), mask & upto[t])
-            for b, mask in level
-            for t in range(len(at))
-            if mask & at[t]
-        ]
-    points = []
-    for b, mask in level:
-        if mask and all(mask & at[t] for at, t in zip(exact, b)):
+    n = len(below)
+    last = [[]] * (n + 1)  # the column of the level above, none at the top
+    for size in range(n, low - 1, -1):
+        # column[k]: (b, divisors so far) over the first k variables, with
+        # n - size zero exponents among them; last[k] has one fewer
+        column = [[((), (1 << len(exps)) - 1)] if size == n else []]
+        for k, (upto, at) in enumerate(zip(below, exact)):
+            column.append(
+                [(b + (0,), mask & upto[0]) for b, mask in last[k] if mask & at[0]]
+                + [
+                    (b + (t,), mask & upto[t])
+                    for b, mask in column[k]
+                    for t in range(1, len(at))
+                    if mask & at[t]
+                ]
+            )
+        last = column
+        points = []
+        for b, mask in column[n]:
             lt = [mask & upto[t - 1] for upto, t in zip(below, b) if t]
-            # a generator below b in every variable of supp b makes K^b the
-            # full simplex, which is acyclic; so K^b has dimension at most
-            # |supp b| - 2 wherever it counts
-            if not reduce(and_, lt, mask):
+            # b_v is attained by a divisor iff not every divisor lies below
+            # it (the pruning keeps a divisor); a generator below b in every
+            # variable of supp b makes K^b the full simplex, which is
+            # acyclic, so K^b has dimension at most |supp b| - 2 wherever it
+            # counts
+            if mask not in lt and not reduce(and_, lt, mask):
                 points.append((lt, mask))
-    return points
+        yield size, points
+
+
+def _is_sphere(lt: list, divisors: int) -> bool:
+    """Whether K^b is the whole boundary of the simplex on C = supp b, for a
+    point of ``_levels``: every C - v a face, by prefix and suffix ANDs of
+    the ``lt`` masks."""
+    if divisors.bit_count() < len(lt):  # each C - v needs its own divisor
+        return False
+    pre = accumulate(lt, and_, initial=divisors)
+    suf = list(accumulate(reversed(lt), and_, initial=-1))
+    # pre[i] & suf[s - 1 - i] is the meet of every lt[j] with j != i
+    return all(map(and_, pre, reversed(suf[:-1])))
 
 
 def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
-    """(beta_0, beta_1, ..., beta_pd) of S/I over the field.
+    """(beta_0, beta_1, ..., beta_pd) of S/I over the field, from every
+    level of ``_levels``.
 
     Refuses ideals whose polarized support exceeds the budget.
     """
     totals = [1] + [0] * ideal.n
-    for lt, divisors in _lattice_points(ideal, budget):
-        link = _Link(_faces(lt, divisors), {})
-        for j in range(-1, len(link.star) - 1):
-            totals[j + 2] += _betti(link, j, field)
+    for _, points in _levels(ideal, budget):
+        for lt, divisors in points:
+            link = _Link(_faces(lt, divisors), {})
+            for j in range(-1, len(link.star) - 1):
+                totals[j + 2] += _betti(link, j, field)
     while not totals[-1]:
         totals.pop()
     return tuple(totals)
 
 
 def depth_and_pd(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
-    """(depth, pd) of S/I over the field; depth = n - pd."""
+    """(depth, pd) of S/I over the field; depth = n - pd.
+
+    pd starts at 1, from the generators, and the levels of ``_levels`` are
+    walked from the top by the sphere, skip and stop rules of the module
+    docstring: a level with a sphere K^b sets pd to its size and ends the
+    walk, any other point is ranked only where min(size - 1, its divisors)
+    beats pd, and no level of a size s with min(s, number of generators)
+    <= pd is listed.
+    """
     if ideal.is_zero():
         return ideal.n, 0
-    points = sorted(_lattice_points(ideal, budget), key=lambda p: -len(p[0]))
+    gens = len(ideal.generators)
     pd = 1
-    for lt, divisors in points:
-        if len(lt) <= pd:
+    # a principal ideal lists no level: min(s, 1) cannot beat pd = 1
+    for size, points in _levels(ideal, budget, low=2 if gens > 1 else ideal.n + 1):
+        if any(_is_sphere(lt, divisors) for lt, divisors in points):
+            pd = size
             break
-        link = _Link(_faces(lt, divisors), {})
-        for j in range(len(link.star) - 2, pd - 2, -1):
-            if _betti(link, j, field):
-                pd = j + 2
-                break
+        for lt, divisors in points:
+            top = min(size - 1, divisors.bit_count())
+            if top <= pd:
+                continue
+            link = _Link(_faces(lt, divisors), {})
+            for j in range(min(len(link.star) - 2, top - 2), pd - 2, -1):
+                if _betti(link, j, field):
+                    pd = j + 2
+                    break
+        if min(size - 1, gens) <= pd:
+            break
     return ideal.n - pd, pd

@@ -92,6 +92,16 @@ class SimplicialComplex:
         )
 
 
+def _from_maximal(n: int, facets) -> SimplicialComplex:
+    """The complex with these facets, already pairwise incomparable and on
+    vertices 0..n-1, without the checks and the pairwise maximality sweep
+    of ``__post_init__``: for facets the package computes itself."""
+    cx = object.__new__(SimplicialComplex)
+    object.__setattr__(cx, "n_vertices", n)
+    object.__setattr__(cx, "facets", frozenset(facets))
+    return cx
+
+
 def _facet_masks(cx: SimplicialComplex) -> list:
     """masks[v]: the facets containing vertex v, bit i for the i-th facet."""
     masks = [0] * cx.n_vertices
@@ -175,7 +185,8 @@ def stanley_reisner(cx: SimplicialComplex) -> MonomialIdeal:
 def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """Inverse correspondence: faces are the squarefree monomials outside I.
 
-    Facets are the complements of the minimal primes.
+    Facets are the complements of the minimal primes, which are pairwise
+    incomparable, and so are their complements.
     """
     if not ideal.is_squarefree():
         raise InputError("the correspondence needs a squarefree ideal")
@@ -185,13 +196,15 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     if ideal.is_zero():
         return SimplicialComplex.full_simplex(n)
     everything = frozenset(range(n))
-    return SimplicialComplex(
-        n, frozenset(everything - p for p in minimal_primes(ideal))
-    )
+    return _from_maximal(n, (everything - p for p in minimal_primes(ideal)))
 
 
 def independence_complex(n: int, edges) -> SimplicialComplex:
-    """Faces are the independent sets of the graph; always a flag complex."""
+    """Faces are the independent sets of the graph; always a flag complex.
+
+    The facets, the maximal independent sets, are the complements of the
+    minimal vertex covers, the minimal transversals of the edges.
+    """
     clean = []
     for e in edges:
         e = tuple(e)
@@ -204,9 +217,7 @@ def independence_complex(n: int, edges) -> SimplicialComplex:
     if not clean:
         return SimplicialComplex.full_simplex(n)
     everything = frozenset(range(n))
-    return SimplicialComplex(
-        n, frozenset(everything - c for c in _minimal_transversals(clean))
-    )
+    return _from_maximal(n, (everything - c for c in _minimal_transversals(clean)))
 
 
 def check_balanced(cx: SimplicialComplex, coloring):

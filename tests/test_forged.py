@@ -1,11 +1,14 @@
 """Forged reports: every hostile value at every slot of a genuine report.
 
 Each genuine report (one per kind) has every value under a key, and the
-first entry of every list, replaced in turn by each value in ``HOSTILE``;
-each list there is also truncated by one and given its first entry twice.
+first entry of every list, replaced in turn by each value in ``HOSTILE``
+and by the vertex id one past each complex's vertex count in it; each list
+there is also truncated by one and given its first entry twice.
 ``verify`` must exit 0 only when the forged report is byte for byte the
-genuine one, and otherwise exit 1 (a failed check) or 2 (a malformed
-report), never with an uncaught exception.
+genuine one, or the genuine report of its own source (``n`` = 1000 in
+place of 3 leaves an ``egh`` or ``regseq`` report of the triangle as the
+command writes it for 1000 variables), and otherwise exit 1 (a failed
+check) or 2 (a malformed report), never with an uncaught exception.
 """
 
 import contextlib
@@ -27,10 +30,14 @@ def _nested(depth: int):
     return value
 
 
+# 1000 is the largest n a report may state
 HOSTILE = (
-    None, True, False, 0, -1, 10**6, 10**12, 2**64, "", "x1^1000000",
+    None, True, False, 0, -1, 1000, 10**6, 10**12, 2**64, "", "x1^1000000",
     [], [[]], {}, 1.5, [1001], _nested(50),
 )
+
+# the key under which each kind of report restates its source
+SOURCE_KEY = {"analyze": "complex", "regseq": "ideal", "egh": "ideal", "balance": "complex"}
 
 SOURCES = {
     # two disjoint edges: not Cohen-Macaulay, so the report holds a witness
@@ -67,11 +74,12 @@ def _slots(value, path=()):
 
 
 def _forgeries(report: dict):
-    """(path, value) pairs: each hostile value at each slot, and each
-    nonempty list at a slot truncated by one and with its first entry
-    repeated."""
+    """(path, value) pairs: each hostile value, and each vertex id one past
+    a complex's vertex count, at each slot, and each nonempty list at a
+    slot truncated by one and with its first entry repeated."""
+    past = sorted({held + 1 for path, held in _slots(report) if path[-1] == "vertices"})
     for path, held in _slots(report):
-        for value in HOSTILE:
+        for value in (*HOSTILE, *past):
             yield path, value
         if isinstance(held, list) and held:
             yield path, held[:-1]
@@ -102,7 +110,11 @@ def test_forged_reports_exit_one_or_two(kind):
         except Exception as exc:  # noqa: BLE001  reported with its slot
             pytest.fail(f"{path} = {value!r}: uncaught {type(exc).__name__}: {exc}")
         if code == 0:
-            assert canonical_json(forged) == canonical_json(genuine), (path, value)
+            if canonical_json(forged) != canonical_json(genuine):
+                # accepted only as the genuine report of the source it states
+                redo, text, _ = _call([*argv, "-"], json.dumps(forged[SOURCE_KEY[kind]]))
+                assert redo == 0, (path, value)
+                assert canonical_json(json.loads(text)) == canonical_json(forged), (path, value)
         elif code == 1:
             assert json.loads(out)["ok"] is False and err == "", (path, value)
         else:
@@ -112,3 +124,23 @@ def test_forged_reports_exit_one_or_two(kind):
     # both refusals occur, and most forgeries are refused
     assert codes.count(1) >= 10 and codes.count(2) >= 10
     assert codes.count(0) * 10 < len(codes)
+
+
+def test_pd_source_off_by_one_fails_reproduction():
+    # a depth-0 source, whose pd = n = 6 the level walk reads off a sphere
+    # on its top level
+    source = {"n": 6, "generators": [
+        "x3*x4", "x4^2", "x1*x5", "x3^2", "x5^2", "x2*x6",
+        "x1*x4", "x1*x2", "x3*x6", "x1^2", "x2*x5",
+    ]}
+    code, genuine_text, err = _call(["egh", "-"], json.dumps(source))
+    assert code == 0, err
+    genuine = json.loads(genuine_text)
+    assert genuine["pd_source"] == 6 and _call(["verify", "-"], genuine_text)[0] == 0
+    for pd in (5, 7):
+        code, out, err = _call(["verify", "-"], json.dumps({**genuine, "pd_source": pd}))
+        assert code == 1 and err == "", (pd, code, err)
+        verdict = json.loads(out)
+        assert verdict["failures"] == [
+            {"check": "reproduction", "detail": "re-derivation differs in: pd_source"}
+        ], pd

@@ -33,6 +33,7 @@ from oracles import (
     oracle_boundary_ranks,
     oracle_reduced_betti,
     random_facets,
+    random_quadratic_exponents,
     reduced_homology_ranks,
 )
 
@@ -622,3 +623,129 @@ def test_criterion_7_companion():
     assert depth_and_pd(companion) == (0, 6)
     with pytest.raises(BudgetExceededError):
         depth_and_pd(companion, budget=14)
+
+
+# two sources of the pd_companions bench catalogue, whose companions
+# polarize to support 12: pd = n = 6 (depth 0), and pd = n - 1 = 5
+DEPTH_0_SOURCE = MonomialIdeal(6, (
+    (0, 0, 1, 1, 0, 0), (0, 0, 0, 2, 0, 0), (1, 0, 0, 0, 1, 0), (0, 0, 2, 0, 0, 0),
+    (0, 0, 0, 0, 2, 0), (0, 1, 0, 0, 0, 1), (1, 0, 0, 1, 0, 0), (1, 1, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 1), (2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0),
+))
+PD_5_SOURCE = MonomialIdeal(6, (
+    (1, 0, 0, 1, 0, 0), (1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 1),
+    (0, 0, 1, 1, 0, 0), (0, 1, 1, 0, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1),
+    (0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 1, 0), (0, 1, 0, 1, 0, 0), (1, 0, 1, 0, 0, 0),
+))
+
+
+# pd = 4 = n - 1, but every C - v with v != x1 is a face of K^b at the top
+# level: under each of its five rotations, a sphere test that skips any one
+# position reads a sphere there, and pd = 5
+NEAR_SPHERE = (
+    (1, 1, 0, 0, 0), (0, 1, 0, 1, 0), (0, 1, 0, 0, 1),
+    (0, 0, 2, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 2),
+)
+
+# pd = 4 from a sphere two levels below the top, after the level above it
+# left pd at 3: a walk that stops once pd reaches a level's size - 1 misses it
+LATE_SPHERE = MonomialIdeal(6, (
+    (2, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1),
+    (0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0),
+))
+
+
+def criterion_2_sources(rng, count):
+    """Quadratic sources of the acceptance criterion-2 shape: n 5..8, squares
+    allowed, polarized support at most 12."""
+    sources = []
+    while len(sources) < count:
+        n = rng.randint(5, 8)
+        gens = random_quadratic_exponents(rng, n, 12, allow_squares=rng.random() < 0.7)
+        if sum(max(column) for column in zip(*gens)) <= 12:
+            sources.append(MonomialIdeal(n, tuple(gens)))
+    return sources
+
+
+def test_pd_by_levels_against_hochster_oracle(monkeypatch):
+    # every rule of the level walk reaches an answer here: a top-level
+    # sphere (pd = n), a sphere below the top level, a point that is not a
+    # sphere, and RP^2's 2-torsion, which only GF(2) sees
+    ended_on = []
+    is_sphere = homology._is_sphere
+
+    def spying(lt, divisors):
+        found = is_sphere(lt, divisors)
+        if found:
+            ended_on.append(len(lt))
+        return found
+
+    monkeypatch.setattr(homology, "_is_sphere", spying)
+    rp2 = stanley_reisner(SimplicialComplex.from_faces(6, RP2_FACETS))
+    rotations = [MonomialIdeal(5, tuple(g[r:] + g[:r] for g in NEAR_SPHERE)) for r in range(5)]
+    sources = [DEPTH_0_SOURCE, PD_5_SOURCE, LATE_SPHERE, rp2, *rotations]
+    sources += criterion_2_sources(random.Random(59), 45)
+    seen = Counter()
+    for ideal in sources:
+        used = sum(1 for column in zip(*ideal.generators) if any(column))
+        for field, p in ((QQ, None), (GF(2), 2)):
+            ended_on.clear()
+            want = hochster_betti(ideal.n, list(ideal.generators), p)
+            depth, pd = depth_and_pd(ideal, field)
+            assert (depth, pd) == (ideal.n - len(want) + 1, len(want) - 1), (ideal, field.name)
+            assert len(ended_on) <= 1
+            if pd == ideal.n:
+                seen["pd = n"] += 1
+            if ended_on and ended_on[0] < used:
+                seen["sphere below the top level"] += 1
+            if not ended_on and pd > 1:
+                seen["not a sphere"] += 1
+    assert min(seen.values()) >= 3 and len(seen) == 3, seen
+    assert depth_and_pd(rp2, QQ) == (3, 3) and depth_and_pd(rp2, GF(2)) == (2, 4)
+
+
+def spy_on_the_walk(monkeypatch):
+    """Lists of the complexes K^b listed and of the level sizes drawn."""
+    listed, drawn = [], []
+    faces, levels = homology._faces, homology._levels
+
+    def listing(lt, within):
+        listed.append(lt)
+        return faces(lt, within)
+
+    def drawing(*args, **kwargs):
+        for size, points in levels(*args, **kwargs):
+            drawn.append(size)
+            yield size, points
+
+    monkeypatch.setattr(homology, "_faces", listing)
+    monkeypatch.setattr(homology, "_levels", drawing)
+    return listed, drawn
+
+
+def test_depth_0_source_lists_no_upper_koszul_complex(monkeypatch):
+    # a sphere on the top level decides pd = n with no face listed
+    listed, drawn = spy_on_the_walk(monkeypatch)
+    for field in (QQ, GF(2), GF(3)):
+        assert depth_and_pd(DEPTH_0_SOURCE, field) == (0, 6)
+    assert listed == [] and drawn == [6, 6, 6]
+
+
+def test_pd_n_minus_1_source_lists_no_level_below_it(monkeypatch):
+    listed, drawn = spy_on_the_walk(monkeypatch)
+    for field in (QQ, GF(2)):
+        assert depth_and_pd(PD_5_SOURCE, field) == (1, 5)
+    # the top level's points that are not spheres leave pd = 5, and no
+    # level of size 5 can beat it
+    assert drawn == [6, 6] and listed
+    # pd is at most the number of generators (Taylor): two generators on
+    # seven variables list their top level only, and a principal ideal lists
+    # no level; a budget refusal comes first
+    drawn.clear()
+    assert depth_and_pd(MonomialIdeal.from_strings(7, ["x1*x2*x3*x4", "x4*x5*x6*x7"])) == (5, 2)
+    assert drawn == [7]
+    drawn.clear()
+    assert depth_and_pd(MonomialIdeal.from_strings(3, ["x1*x2^3*x3"])) == (2, 1)
+    assert drawn == []
+    with pytest.raises(BudgetExceededError):
+        depth_and_pd(MonomialIdeal.from_strings(1, ["x1^20"]))

@@ -184,6 +184,34 @@ def test_independence_complexes():
         independence_complex(3, [(0, 0)])
 
 
+def test_computed_facets_skip_the_sweep_and_match_the_filtering_constructor(monkeypatch):
+    # independence_complex and complex_of_ideal know their facets to be
+    # maximal and in range, so they build the complex without the checks
+    # and the pairwise sweep; the filtering constructor, which facet lists
+    # from users still go through, must keep every facet they give
+    rng = random.Random(37)
+    built = []
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        edges = [pair for pair in combinations(range(n), 2) if rng.random() < density]
+        drawn = {tuple(int(rng.random() < 0.4) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+        gens = tuple(g for g in drawn if any(g))
+        with monkeypatch.context() as patched:
+            patched.setattr(SimplicialComplex, "__post_init__", None)
+            if edges:
+                built.append(independence_complex(n, edges))
+            if gens:
+                built.append(complex_of_ideal(MonomialIdeal(n, gens)))
+    assert len(built) > 200
+    for cx in built:
+        again = SimplicialComplex(cx.n_vertices, cx.facets)
+        assert again == cx and hash(again) == hash(cx)
+        assert f_vector(again) == f_vector(cx)
+        assert minimal_non_faces(again) == minimal_non_faces(cx)
+    assert SimplicialComplex(3, [{0}, {0, 1}, {2}]).facets == {frozenset({0, 1}), frozenset({2})}
+
+
 def test_independence_complex_of_a_large_star():
     star = independence_complex(1201, [(0, leaf) for leaf in range(1, 1201)])
     assert star.facets == {frozenset({0}), frozenset(range(1, 1201))}
