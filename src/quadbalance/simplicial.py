@@ -10,8 +10,9 @@ size-1 minimal non-face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import and_
 
 from .covers import _minimal_transversals, minimal_primes
 from .errors import BudgetExceededError, InputError
@@ -31,13 +32,12 @@ class SimplicialComplex:
         n = self.n_vertices
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        raw = [frozenset(f) for f in self.facets]
+        raw = set(map(frozenset, self.facets))
         for f in raw:
             for v in f:
                 if not 0 <= v < n:
                     raise InputError(f"vertex {v} out of range 0..{n - 1}")
-        maximal = frozenset(f for f in raw if not any(f < g for g in raw))
-        object.__setattr__(self, "facets", maximal)
+        object.__setattr__(self, "facets", _maximal(raw))
 
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
@@ -94,12 +94,36 @@ class SimplicialComplex:
 
 def _from_maximal(n: int, facets) -> SimplicialComplex:
     """The complex with these facets, already pairwise incomparable and on
-    vertices 0..n-1, without the checks and the pairwise maximality sweep
-    of ``__post_init__``: for facets the package computes itself."""
+    vertices 0..n-1, without the checks and the maximality pass of
+    ``__post_init__``: for facets the package computes itself."""
     cx = object.__new__(SimplicialComplex)
     object.__setattr__(cx, "n_vertices", n)
     object.__setattr__(cx, "facets", frozenset(facets))
     return cx
+
+
+def _maximal(sets: set) -> frozenset:
+    """The inclusion-maximal sets among distinct sets.
+
+    Sorted by size, largest first, a set can lie only in sets before it, so
+    it is maximal exactly when the masks of the sets through each of its
+    vertices (bit i for the i-th set) meet nowhere below its own position.
+    Distinct sets of one size never contain one another, so a list of one
+    size is maximal as it stands.
+    """
+    if len(set(map(len, sets))) <= 1:
+        return frozenset(sets)
+    order = sorted(sets, key=len, reverse=True)
+    through: dict = {}
+    for i, f in enumerate(order):
+        bit = 1 << i
+        for v in f:
+            through[v] = through.get(v, 0) | bit
+    return frozenset(
+        f
+        for i, f in enumerate(order)
+        if not reduce(and_, map(through.__getitem__, f), (1 << i) - 1)
+    )
 
 
 def _facet_masks(cx: SimplicialComplex) -> list:

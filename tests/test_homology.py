@@ -23,7 +23,7 @@ from quadbalance import (
     stanley_reisner,
 )
 from quadbalance import homology, simplicial
-from quadbalance.homology import total_betti_numbers
+from quadbalance.homology import CMCertificate, total_betti_numbers
 
 from oracles import (
     brute_cohen_macaulay,
@@ -237,8 +237,8 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
     ranked.clear()
     assert homology._betti(homology._Link(octahedron()._listed, {}), 2, GF(2)) == 1
     assert [(name, d) for name, d, _, _ in ranked] == [("GF(2)", 2)]
-    # the CM test lists the complex once and ranks its links on their
-    # stars, listing the boundary of each face at most once mod 2
+    # the CM test's link walk lists the complex once and ranks its links
+    # on their stars, listing the boundary of each face at most once mod 2
     boundaries = Counter()
 
     def facets_of(face, size):
@@ -250,12 +250,12 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
     for cx in (octahedron(), rp2, cone(rp2), cross_polytope(5), cycle_complex(6)):
         listed.clear()
         boundaries.clear()
-        is_cohen_macaulay(cx, GF(2))
+        homology._link_walk(cx, GF(2))
         f = f_vector(cx)
         assert boundaries and all(boundaries[d] <= f[d + 1] for d in boundaries)
         assert len(listed) == 1
         # a second call on the same instance, or any other reader, lists nothing
-        is_cohen_macaulay(cx, QQ)
+        homology._link_walk(cx, QQ)
         cx.faces()
         h_vector(cx)
         assert len(listed) == 1
@@ -284,6 +284,126 @@ def test_cohen_macaulay_depends_on_field():
 
 def cone(cx):
     return SimplicialComplex(cx.n_vertices + 1, frozenset(f | {cx.n_vertices} for f in cx.facets))
+
+
+def facet_masks(cx):
+    return frozenset(sum(1 << v for v in f) for f in cx.facets)
+
+
+def spy_on_the_link_walk(monkeypatch):
+    """The fields that ``homology._link_walk`` is called with, in order."""
+    walked, walk = [], homology._link_walk
+
+    def spy(cx, field):
+        walked.append(field)
+        return walk(cx, field)
+
+    monkeypatch.setattr(homology, "_link_walk", spy)
+    return walked
+
+
+def test_decomposition_certificate_equals_the_link_walk(monkeypatch):
+    # a complex that the greedy vertex decomposition certifies gets the
+    # walk's own passing certificate, every face counted; any other goes
+    # to the walk, whose certificate, witness included, comes back as is
+    walk = homology._link_walk
+    walked = spy_on_the_link_walk(monkeypatch)
+    rng = random.Random(71)
+    shortcut = fallback = failed = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+        m = min(n, 8)
+        for cx in (
+            independence_complex(n, edges),
+            SimplicialComplex.from_faces(m, random_facets(rng, m, 7)),
+        ):
+            for field in (QQ, GF(2), GF(3)):
+                walked.clear()
+                cert = is_cohen_macaulay(cx, field)
+                assert cert == walk(cx, field), (cx.facets, field.name)
+                if walked:
+                    fallback += 1
+                    failed += not cert.is_cm
+                else:
+                    shortcut += 1
+                    assert cert.is_cm and cert.faces_checked == sum(f_vector(cx))
+    # 783 certified, 417 walked, 411 of them failing
+    assert shortcut >= 600 and fallback >= 300 and failed >= 300 and fallback - failed >= 3
+
+
+def test_rp2_is_not_vertex_decomposable(monkeypatch):
+    # RP^2's deletion of any vertex is a Moebius strip, which is not CM, so
+    # the greedy decomposition fails and the walk decides: CM over Q and
+    # GF(3), and over GF(2) the failing witness of its 2-torsion
+    rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
+    assert homology._Decomposition(10**6)(facet_masks(rp2)) is False
+    walked = spy_on_the_link_walk(monkeypatch)
+    for field in (QQ, GF(3)):
+        walked.clear()
+        assert is_cohen_macaulay(rp2, field) == CMCertificate(True, field.name, 32)
+        assert walked == [field]
+    walked.clear()
+    assert is_cohen_macaulay(rp2, GF(2)) == CMCertificate(False, "GF(2)", 1, ((), 1, 1))
+    assert walked == [GF(2)]
+
+
+def test_long_deletion_runs_stop_at_the_ridge_allowance(monkeypatch):
+    # a path on m vertices decomposes by peeling one edge at a time, and
+    # each node counts the ridges of every edge left: about m^2 ridges for
+    # its 2m - 1 faces, so past the allowance the link walk decides
+    m = 300
+    path = SimplicialComplex.from_faces(m, [{i, i + 1} for i in range(m - 1)])
+    faces = sum(f_vector(path))
+    assert homology._Decomposition(m * m)(facet_masks(path)) is True
+    decomposes = homology._Decomposition(homology._RIDGES_PER_FACE * faces)
+    assert decomposes(facet_masks(path)) is None and decomposes.left < 0
+    walked = spy_on_the_link_walk(monkeypatch)
+    assert is_cohen_macaulay(path) == CMCertificate(True, "Q", faces)
+    assert walked == [QQ]
+    # the suspension of the path on apexes 0 and 1 sheds 0 first, and its
+    # link, the path, runs out: the top node's answer is unknown, not False
+    suspension = facet_masks(path)
+    suspension = frozenset(f << 2 | apex for f in suspension for apex in (1, 2))
+    assert homology._Decomposition(2 * m * m)(suspension) is True
+    assert homology._Decomposition(6 * m)(suspension) is None
+
+
+class CountingMemo(dict):
+    """A memo that counts the nodes looked up in it, one per node visited;
+    with ``remember`` off it keeps nothing, so every node is expanded."""
+
+    def __init__(self, remember=True):
+        super().__init__()
+        self.remember, self.visits = remember, 0
+
+    def get(self, key, default=None):
+        self.visits += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        if self.remember:
+            super().__setitem__(key, value)
+
+
+def test_matchings_decompose_within_2f_minus_1_nodes(monkeypatch):
+    # the independence complex of the k-edge perfect matching is the
+    # k-cross-polytope, with F = 2^k facets; lk v and the deletion of v (a
+    # cone with v's partner as apex) are both the (k-1)-cross-polytope, so
+    # without the memo the decomposition visits exactly 2F - 1 nodes, the
+    # bound, and with it 2k + 1
+    for k in (12, 13):
+        masks = facet_masks(cross_polytope(k))
+        assert len(masks) == 2**k
+        for memo, visits in ((CountingMemo(), 2 * k + 1), (CountingMemo(False), 2**(k + 1) - 1)):
+            decomposes = homology._Decomposition(10**9)
+            decomposes.memo = memo
+            assert decomposes(masks) is True and memo.visits == visits
+    # and is_cohen_macaulay certifies it with no walk
+    walked = spy_on_the_link_walk(monkeypatch)
+    assert is_cohen_macaulay(cross_polytope(8), GF(3)) == CMCertificate(True, "GF(3)", 3**8)
+    assert walked == []
 
 
 def test_passing_certificate_counts_every_face():
@@ -435,7 +555,8 @@ def test_cross_polytope_links_reach_homology_once(monkeypatch):
     # the k-pair cross-polytope has 3^k faces, and the link of a face is
     # the cross-polytope on the pairs it misses: 2^k distinct links; over
     # its cone, a face without the apex has a cone for its link, and the
-    # faces with the apex have the same 2^k links as before
+    # faces with the apex have the same 2^k links as before.  Both are
+    # vertex decomposable, so the link walk is called directly
     listed, ranked = [], []
     original, link = simplicial._faces, homology._Link
 
@@ -454,7 +575,7 @@ def test_cross_polytope_links_reach_homology_once(monkeypatch):
     for cx, faces in ((cross, 3**k), (cone(cross), 2 * 3**k)):
         listed.clear()
         ranked.clear()
-        cert = is_cohen_macaulay(cx)
+        cert = homology._link_walk(cx, QQ)
         assert cert.is_cm and cert.faces_checked == faces
         # the complex's own faces are listed once, and no link is listed
         assert len(listed) == 1 and 0 < len(ranked) <= 2**k
@@ -468,7 +589,9 @@ def test_cross_polytope_pushes_only_rows_that_can_be_independent(monkeypatch):
     # homology, and cleared rows are never pushed, so each ranked link has
     # exactly one row that reduces to zero: the 42 links with s >= 3 in a
     # degree of 2 or more, the 15 circles (s = 2) in degree 1.  Degree 0 is
-    # never eliminated, so every ranked link ranks its degree 1 once.
+    # never eliminated, so every ranked link ranks its degree 1 once.  The
+    # link walk is called directly: the cross-polytope is vertex
+    # decomposable, so ``is_cohen_macaulay`` ranks nothing
     ranked = []
     xor_rank = homology.xor_rank
 
@@ -480,7 +603,7 @@ def test_cross_polytope_pushes_only_rows_that_can_be_independent(monkeypatch):
     monkeypatch.setattr(homology, "xor_rank", counting)
     monkeypatch.setattr(homology, "rank_of_rows", None)  # no exact redo
     k = 6
-    cert = is_cohen_macaulay(cross_polytope(k))
+    cert = homology._link_walk(cross_polytope(k), QQ)
     assert cert.is_cm and cert.faces_checked == 3**k
     # the complex itself is the link of the empty face, s = k
     links = sum(comb(k, s) for s in range(2, k + 1))

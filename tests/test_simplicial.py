@@ -187,7 +187,7 @@ def test_independence_complexes():
 def test_computed_facets_skip_the_sweep_and_match_the_filtering_constructor(monkeypatch):
     # independence_complex and complex_of_ideal know their facets to be
     # maximal and in range, so they build the complex without the checks
-    # and the pairwise sweep; the filtering constructor, which facet lists
+    # and the maximality pass; the filtering constructor, which facet lists
     # from users still go through, must keep every facet they give
     rng = random.Random(37)
     built = []
@@ -210,6 +210,40 @@ def test_computed_facets_skip_the_sweep_and_match_the_filtering_constructor(monk
         assert f_vector(again) == f_vector(cx)
         assert minimal_non_faces(again) == minimal_non_faces(cx)
     assert SimplicialComplex(3, [{0}, {0, 1}, {2}]).facets == {frozenset({0, 1}), frozenset({2})}
+
+
+def test_maximal_facets_against_the_pairwise_sweep():
+    # the size-sorted pass over bitmasks keeps exactly the facets that no
+    # other facet strictly contains, on lists with repeated facets, the
+    # empty facet and nested chains
+    cases = [
+        [],
+        [set()],
+        [set(), set()],
+        [set(), {0}],
+        [{0}, {0}, {0, 1}],
+        [{0, 1}, {1, 2}, {0, 2}],
+        [set(), {2}, {1, 2}, {0, 1, 2}, {3}],
+    ]
+    rng = random.Random(43)
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        facets = [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(1, 10))]
+        chain = rng.sample(range(n), rng.randint(1, n))
+        facets += [set(chain[:i]) for i in range(len(chain) + 1) if rng.random() < 0.6]
+        facets += rng.sample(facets, rng.randint(0, len(facets)))
+        rng.shuffle(facets)
+        cases.append(facets)
+    seen = {"repeat": 0, "empty dropped": 0, "empty kept": 0, "nested": 0}
+    for facets in cases:
+        raw = [frozenset(f) for f in facets]
+        expected = frozenset(f for f in raw if not any(f < g for g in raw))
+        assert SimplicialComplex(9, facets).facets == expected, facets
+        seen["repeat"] += len(set(raw)) < len(raw)
+        if frozenset() in raw:
+            seen["empty kept" if frozenset() in expected else "empty dropped"] += 1
+        seen["nested"] += sum(any(f < g for g in raw) for f in raw) >= 3
+    assert min(seen.values()) >= 2, seen
 
 
 def test_independence_complex_of_a_large_star():
