@@ -3,23 +3,9 @@
 One engine serves all three.  A complex is given by facet bitmasks: a set
 F of positions is a face when ``within``, the facets in play, meets the
 mask of every member of F.  The face walk ``simplicial._faces`` lists the
-faces once, and every homology computed here is that of the link of a face
-F inside them: the complex itself is the link of the empty face.
-
-The faces of lk F are the sets G with G u F a face and G n F empty, so the
-e-faces of lk F are the (e + |F|)-faces H of the complex that contain F,
-its star.  Each dimension of the complex is numbered once; the faces of
-dimension d through a vertex v are one bitmask, and the star of F in
-dimension d is the AND of these masks over v in F.  The boundary of lk F
-is the boundary of the complex restricted to the rows and the columns
-that contain F, up to signs: for H = G u F, a face H - s with s in F does
-not contain F, and H - s with s in G is (G - s) u F.  The entry of s in
-the boundary of H is (-1)^#{t in H : t < s}, the link's entry of s in
-the boundary of G times tau(s) = (-1)^#{f in F : f < s}.  With
-sigma(G) = product of tau(s) over s in G, tau(s) = sigma(G) sigma(G - s),
-so the restricted matrix is the link's boundary matrix scaled on both
-sides by the diagonal +-1 matrix sigma.  Ranks, and so Betti numbers,
-agree over every field; over GF(2) the two matrices are equal.
+faces once, and every complex ranked here is given by its own listing:
+the link lk F of a face F, the complex itself when F is empty, and each
+upper Koszul complex K^b of an ideal.
 
 The CM test first tries a pure vertex decomposition (Provan and Billera,
 Math. Oper. Res. 5, 1980).  A vertex v of a pure complex D is shedding
@@ -59,11 +45,14 @@ of the faces that the test lists anyway.  A False, or the cap, proves
 nothing, and the link walk below decides; a True is stated with the
 count of every face, as a passing walk states it.
 
-A link is ranked, never listed.  The walk skips a
-link with a vertex in all of its facets, a cone and acyclic over every
-field, and any link whose facet set (vertex masks of the facets containing
-F, F's bits cleared) passed once.  Skipped links are exactly ones that
-pass, so the face count and the first failing witness do not move.
+The link walk lists lk F on its own vertices, those of the facets through
+F outside F, from their facet masks inside the facets through F; so every
+table a link is ranked on is as large as the link, not as the complex.
+The walk skips a link with a vertex in all of its facets, a cone and
+acyclic over every field, and any link whose facet set (vertex masks of
+the facets containing F, F's bits cleared) passed once.  Skipped links are
+exactly ones that pass, so the face count and the first failing witness do
+not move.
 
 Mod 2 a boundary row is an int, bit i for the i-th face one dimension
 down, and elimination is XOR keyed by the top bit (``linalg.xor_rank``).
@@ -79,8 +68,9 @@ when betti_2(k) = 0
 
 and rank_2 d_k <= rank_Q d_k; when betti_2(k-1) = 0 the same chain runs
 through f_{k-1} and d_{k-1}.  Only a map with nonzero mod-2 Betti numbers
-on both sides, as RP^2's d_2 from its 2-torsion, is redone exactly on the
-restricted signed rows.  An odd p ranks the same signed rows with
+on both sides, as RP^2's d_2 from its 2-torsion, is redone exactly on its
+signed rows, where a face's facet without its t-th vertex, counted from 0,
+has sign (-1)^t.  An odd p ranks the same signed rows with
 ``ModularEchelon``.
 
 Mod p, 2 included, the maps are ranked from the top dimension down with
@@ -162,126 +152,86 @@ from .simplicial import SimplicialComplex, _facet_masks, _faces
 _GF2 = GF(2)
 
 
-def _tables(cache: dict, d: int) -> list:
-    """The tables of the listed complex in dimension d, each built on first
-    use by the functions below: [index, through, rows, signed]."""
-    tables = cache.get(d)
-    if tables is None:
-        tables = cache[d] = [None, None, None, None]
-    return tables
-
-
-def _index(faces: dict, cache: dict, d: int) -> dict:
-    """The number of each d-face."""
-    tables = _tables(cache, d)
-    if tables[0] is None:
-        tables[0] = {face: i for i, face in enumerate(faces[d])}
-    return tables[0]
-
-
-def _through(faces: dict, cache: dict, d: int) -> dict:
-    """Each vertex's mask of the d-faces containing it."""
-    tables = _tables(cache, d)
-    if tables[1] is None:
-        through: dict = {}
-        for i, face in enumerate(faces[d]):
-            bit = 1 << i
-            for v in face:
-                through[v] = through.get(v, 0) | bit
-        tables[1] = through
-    return tables[1]
-
-
-def _rows(faces: dict, cache: dict, d: int) -> list:
-    """The boundary of each d-face as bits over the (d-1)-faces."""
-    tables = _tables(cache, d)
-    if tables[2] is None:
-        # combinations(face, d) lists the facets of a face
-        at = _index(faces, cache, d - 1).__getitem__
-        tables[2] = [sum(map((1).__lshift__, map(at, combinations(face, d)))) for face in faces[d]]
-    return tables[2]
-
-
-def _signed(link, e: int, kept) -> list:
-    """The signed boundary rows of the link's e-faces numbered in ``kept``:
-    the complex's rows {index: +-1}, cut down to the columns in the star."""
-    d = e + len(link.face)
-    tables = _tables(link.cache, d)
-    if tables[3] is None:
-        # the t-th facet listed drops vertex d - t of the face, with sign
-        # (-1)^(d - t)
-        at = _index(link.faces, link.cache, d - 1)
-        tables[3] = [
-            {at[facet]: -1 if (d - t) % 2 else 1 for t, facet in enumerate(combinations(face, d))}
-            for face in link.faces[d]
-        ]
-    rows = tables[3]
-    if not link.face:  # every column is in the star of the empty face
-        return [rows[i] for i in kept]
-    cols = link.star[e]
-    return [{c: x for c, x in rows[i].items() if cols >> c & 1} for i in kept]
-
-
 class _Link:
-    """lk F inside a listed complex, the complex itself when F is empty.
+    """A complex given by its faces by dimension, the empty face included:
+    lk F in the link walk, the complex itself when F is empty, or K^b.
 
-    ``star[e + 1]`` masks the (|F| + e)-faces that contain F, which are the
-    e-faces of lk F, for e from -1 to the dimension of lk F; ``cache`` holds
-    the listed complex's tables.  ``mod`` maps p to the state of
+    ``index`` maps a dimension to the number of each face, built on first
+    use by ``_index``; boundary rows are built only for the faces a rank
+    pushes, each degree's once per field.  ``mod`` maps p to the state of
     ``_mod_ranks`` over GF(p), and ``exact`` a degree to its rank over Q.
     """
 
-    __slots__ = ("faces", "cache", "face", "star", "mod", "exact")
+    __slots__ = ("faces", "index", "mod", "exact")
 
-    def __init__(self, faces: dict, cache: dict, face: tuple = ()):
-        self.faces, self.cache, self.face = faces, cache, face
+    def __init__(self, faces: dict):
+        self.faces = faces
+        self.index: dict = {}
         self.mod: dict = {}
         self.exact: dict = {}
-        # F itself, the one (-1)-face of lk F
-        self.star = [1 << _index(faces, cache, len(face) - 1)[face] if face else 1]
-        for d in range(len(face), max(faces) + 1):
-            mask = (1 << len(faces[d])) - 1
-            if face:
-                through = _through(faces, cache, d)
-                mask = reduce(and_, (through.get(v, 0) for v in face), mask)
-                if not mask:
-                    break
-            self.star.append(mask)
+
+
+def _index(link: _Link, d: int) -> dict:
+    """The number of each d-face."""
+    if d not in link.index:
+        link.index[d] = {face: i for i, face in enumerate(link.faces[d])}
+    return link.index[d]
+
+
+def _rows(link: _Link, d: int, kept) -> list:
+    """The boundary of each d-face numbered in ``kept`` as bits over the
+    (d-1)-faces."""
+    # combinations(face, d) lists the facets of a face
+    at = _index(link, d - 1).__getitem__
+    faces = link.faces[d]
+    return [sum(map((1).__lshift__, map(at, combinations(faces[i], d)))) for i in kept]
+
+
+def _signed(link: _Link, d: int, kept) -> list:
+    """The boundary of each d-face numbered in ``kept`` as signed rows
+    {index: +-1}."""
+    # the t-th facet listed drops vertex d - t of the face, with sign
+    # (-1)^(d - t)
+    at = _index(link, d - 1)
+    faces = link.faces[d]
+    return [
+        {at[facet]: -1 if (d - t) % 2 else 1 for t, facet in enumerate(combinations(faces[i], d))}
+        for i in kept
+    ]
 
 
 def _betti(link: _Link, j: int, field) -> int:
     """Reduced Betti number in degree j of the link over the field, probed
     mod 2 first over Q."""
-    star = link.star
-    if not 0 <= j + 1 < len(star):
+    faces = link.faces
+    if not 0 <= j + 1 < len(faces):
         return 0
     betti = _mod_betti(link, _GF2 if field == QQ else field, j)
     if betti and field == QQ:
-        betti = star[j + 1].bit_count() - _rank(link, QQ, j) - _rank(link, QQ, j + 1)
+        betti = len(faces[j]) - _rank(link, QQ, j) - _rank(link, QQ, j + 1)
     return betti
 
 
 def _mod_betti(link: _Link, field, j: int) -> int:
-    """Reduced Betti number over GF(p) in degree j, for 0 <= j + 1 < len(star)."""
+    """Reduced Betti number over GF(p) in degree j, for 0 <= j + 1 < len(link.faces)."""
     ranks = _mod_ranks(link, field, j)
-    return link.star[j + 1].bit_count() - ranks[j + 1] - ranks[j + 2]
+    return len(link.faces[j]) - ranks[j + 1] - ranks[j + 2]
 
 
 def _rank(link: _Link, field, e: int) -> int:
-    """Rank of the boundary map of lk F from its e-faces to its (e-1)-faces.
+    """Rank of the boundary map of the link from its e-faces to its
+    (e-1)-faces.
 
     Over GF(p) it is read from ``_mod_ranks``, and so is degree 0 or 1
     over Q, and any map over Q closed by a mod-2 Betti number of 0 on
-    either side; the rest over Q are ranked on all of their signed rows,
-    restricted to the star of F.
+    either side; the rest over Q are ranked on all of their signed rows.
     """
-    star = link.star
-    if not 0 <= e < len(star) - 1:
+    if not 0 <= e < len(link.faces) - 1:
         return 0
     if field != QQ or e < 2 or not (_mod_betti(link, _GF2, e) and _mod_betti(link, _GF2, e - 1)):
         return _mod_ranks(link, _GF2 if field == QQ else field, e)[e + 1]
     if e not in link.exact:
-        link.exact[e] = rank_of_rows(_signed(link, e, _bits(star[e + 1])), QQ)
+        link.exact[e] = rank_of_rows(_signed(link, e, range(len(link.faces[e]))), QQ)
     return link.exact[e]
 
 
@@ -290,29 +240,27 @@ def _mod_ranks(link: _Link, field, e: int) -> list:
     the map from the k-faces, for k from -1 up to one above the link's
     dimension, correct for every k >= e.
 
-    The maps are ranked from the top dimension down, as far as asked, on
-    the complex's own rows restricted to the star, each with the rows at
-    the pivots of the map above cleared: mod 2 as bits, otherwise on
-    signed rows, except degree 1, which is ranked mod 2 over every field,
-    and degree 0, which has rank 1 on a nonempty vertex set.  The state
-    kept in ``link.mod`` is [ranks by degree + 1, the lowest degree ranked,
-    the pivots of its map as a mask].
+    The maps are ranked from the top dimension down, as far as asked, each
+    with the rows at the pivots of the map above cleared: mod 2 as bits,
+    otherwise on signed rows, except degree 1, which is ranked mod 2 over
+    every field, and degree 0, which has rank 1 on a nonempty vertex set.
+    The state kept in ``link.mod`` is [ranks by degree + 1, the lowest
+    degree ranked, the pivots of its map as a mask].
     """
-    star = link.star
+    faces = link.faces
     state = link.mod.get(field.p)
     if state is None:
-        ranks = [0] * (len(star) + 1)
-        ranks[1] = int(len(star) > 1)
-        state = link.mod[field.p] = [ranks, len(star) - 1, 0]
+        ranks = [0] * (len(faces) + 1)
+        ranks[1] = int(len(faces) > 1)
+        state = link.mod[field.p] = [ranks, len(faces) - 1, 0]
     ranks, low, cleared = state
     while low > max(e, 1):
         low -= 1
-        kept = _bits(star[low + 1] & ~cleared)
+        kept = _bits(((1 << len(faces[low])) - 1) & ~cleared)
         # degree 0 is not eliminated, so degree 1 clears nothing
         pivots = set() if low > 1 else None
         if field.p == 2 or low < 2:
-            rows, cols = _rows(link.faces, link.cache, low + len(link.face)), star[low]
-            ranks[low + 1] = xor_rank([rows[i] & cols for i in kept], pivots)
+            ranks[low + 1] = xor_rank(_rows(link, low, kept), pivots)
         else:
             ranks[low + 1] = rank_of_rows(_signed(link, low, kept), field, pivots)
         cleared = sum(map((1).__lshift__, pivots or ()))
@@ -428,15 +376,16 @@ def _link_walk(cx: SimplicialComplex, field) -> CMCertificate:
     """Exhaustive link test on a nonvoid complex.  Faces are visited by
     size, then lexicographically; returns the first failing witness.
 
-    The complex's one face listing is read, and each link is ranked
-    inside the complex's boundary maps, on its star.  Only links that can
-    fail reach homology.  The link of F is a cone, and acyclic over every field, when
-    a vertex outside F lies in every facet containing F.  Any other link is
-    keyed by its facets, as vertex masks with F's vertices cleared, and a
-    key whose homology passed once is not ranked again; the vertex set
-    alone would not do, since two links on the same vertices can differ.
-    Both shortcuts pass only links that pass, so ``faces_checked`` still
-    counts every face and the first witness stays.
+    The complex's one face listing is ranked as the link of the empty face,
+    and each other link is listed on its own vertices and ranked on its
+    own tables.  Only links that can fail reach homology.  The link of F is
+    a cone, and acyclic over every field, when a vertex outside F lies in
+    every facet containing F.  Any other link is keyed by its facets, as
+    vertex masks with F's vertices cleared, and a key whose homology passed
+    once is not ranked again; the vertex set alone would not do, since two
+    links on the same vertices can differ.  Both shortcuts pass only links
+    that pass, so ``faces_checked`` still counts every face and the first
+    witness stays.
     """
     masks = _facet_masks(cx)
     every = (1 << len(cx.facets)) - 1
@@ -446,7 +395,6 @@ def _link_walk(cx: SimplicialComplex, field) -> CMCertificate:
     checked = 0
     listed = cx._listed
     top = max(listed)
-    cache: dict = {}
     # a face of dimension top - 1 or more has a link of dimension at most
     # 0, with no degree below its own to test; these faces come last
     for d in range(-1, top - 1):
@@ -461,9 +409,13 @@ def _link_walk(cx: SimplicialComplex, field) -> CMCertificate:
             key = frozenset(map(inside.__xor__, facets))
             if key in passed:
                 continue
-            link = _Link(listed, cache, face)
-            # lk F has dimension len(link.star) - 2
-            for j in range(len(link.star) - 2):
+            if face:  # on the vertices of the facets through F, outside F
+                outside = _bits(reduce(or_, facets) ^ inside)
+                link = _Link(_faces([masks[v] for v in outside], within))
+            else:
+                link = _Link(listed)
+            # lk F has dimension len(link.faces) - 2
+            for j in range(len(link.faces) - 2):
                 betti = _betti(link, j, field)
                 if betti:
                     return CMCertificate(False, field.name, checked, (face, j, betti))
@@ -568,8 +520,8 @@ def total_betti_numbers(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tup
     totals = [1] + [0] * ideal.n
     for _, points in _levels(ideal, budget):
         for lt, divisors in points:
-            link = _Link(_faces(lt, divisors), {})
-            for j in range(-1, len(link.star) - 1):
+            link = _Link(_faces(lt, divisors))
+            for j in range(-1, len(link.faces) - 1):
                 totals[j + 2] += _betti(link, j, field)
     while not totals[-1]:
         totals.pop()
@@ -599,8 +551,8 @@ def depth_and_pd(ideal: MonomialIdeal, field=QQ, budget: int = 16) -> tuple:
             top = min(size - 1, divisors.bit_count())
             if top <= pd:
                 continue
-            link = _Link(_faces(lt, divisors), {})
-            for j in range(min(len(link.star) - 2, top - 2), pd - 2, -1):
+            link = _Link(_faces(lt, divisors))
+            for j in range(min(len(link.faces) - 2, top - 2), pd - 2, -1):
                 if _betti(link, j, field):
                     pd = j + 2
                     break

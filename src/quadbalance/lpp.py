@@ -179,8 +179,6 @@ def construct_lex_plus_powers(
     squares = [(0,) * i + (2,) + (0,) * (n - i - 1) for i in range(g)]
     # (1-t^2)^g, the numerator of the squares alone
     quotient = tuple(c for a in one_minus_t_power(g) for c in (a, 0))[: 2 * g + 1]
-    if numerator == quotient:
-        return LppResult(MonomialIdeal(n, tuple(squares)), g, {}, True, 0)
     slices = _hilbert_values(quotient, n)
     next(slices)
     steps = _LexSteps(n, g)

@@ -238,8 +238,6 @@ def independence_complex(n: int, edges) -> SimplicialComplex:
             if not 0 <= v < n:
                 raise InputError(f"vertex {v} out of range 0..{n - 1}")
         clean.append(frozenset(e))
-    if not clean:
-        return SimplicialComplex.full_simplex(n)
     everything = frozenset(range(n))
     return _from_maximal(n, (everything - c for c in _minimal_transversals(clean)))
 

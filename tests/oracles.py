@@ -350,15 +350,15 @@ def reduced_homology_ranks(cx, field=None):
     package field, the rationals when None; () for the complex {∅}.
 
     Unlike the rest of this file, this reads the package's own homology
-    engine: the complex's one face listing ``cx._listed``, the link
-    ``homology._Link`` of the empty face, built on fresh tables, and its
-    Betti numbers ``homology._betti``.  A test that compares it with
+    engine: the complex's one face listing ``cx._listed``, ranked as
+    ``homology._Link``, the link of the empty face, on fresh tables, and
+    its Betti numbers ``homology._betti``.  A test that compares it with
     ``oracle_reduced_betti`` still tests the package.
     """
     from quadbalance import homology
 
     field = homology.QQ if field is None else field
-    link = homology._Link(cx._listed, {})
+    link = homology._Link(cx._listed)
     return tuple(homology._betti(link, j, field) for j in range(cx.dim + 1))
 
 

@@ -26,6 +26,8 @@ from quadbalance import homology, simplicial
 from quadbalance.homology import CMCertificate, total_betti_numbers
 
 from oracles import (
+    _by_dim,
+    all_faces,
     brute_cohen_macaulay,
     height,
     hochster_betti,
@@ -123,7 +125,7 @@ def test_homology_against_oracle():
         for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3), (GF(32003), 32003)):
             want = oracle_boundary_ranks(facets, p)
             for order in (dims, reversed(dims)):
-                link = homology._Link(faces, {})
+                link = homology._Link(faces)
                 got = {d: homology._rank(link, field, d) for d in order}
                 assert got == {d: want.get(d, 0) for d in dims}, (facets, field.name)
             betti = oracle_reduced_betti(facets, p, integer_rank)
@@ -137,8 +139,8 @@ def test_homology_against_oracle():
 def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
     # the faces are listed once per complex instance, and every later
     # reader of that instance lists nothing; each table of a dimension
-    # (face index, faces through each vertex, mod-2 and signed rows) is
-    # built once.  Per field path (the probe mod 2, then Q only where the
+    # (face index, mod-2 and signed rows) is built once, the rows only for
+    # the faces that are pushed.  Per field path (the probe mod 2, then Q only where the
     # probe is nonzero) each degree is ranked at most once.  Mod p a
     # degree's rows skip the faces at the pivots of the map above, so their
     # count is f_d - rank_p d_{d+1}; degree 1 is ranked mod 2 for every
@@ -150,23 +152,20 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
         listed.append(within)
         return faces(lt, within)
 
-    def building(name, position):
-        # records a table of a dimension when it is about to be built
+    def building(name):
+        # records a table of a dimension when it is about to be built: the
+        # face index on first use, the rows on every call
         build = getattr(homology, name)
 
-        def wrapped(*args):
-            if name == "_signed":  # (link, e, kept)
-                cache, d = args[0].cache, args[1] + len(args[0].face)
-            else:  # (faces, cache, d)
-                cache, d = args[1:]
-            if d not in cache or cache[d][position] is None:
+        def wrapped(link, d, *kept):
+            if kept or d not in link.index:
                 built.append((name, d))
-            return build(*args)
+            return build(link, d, *kept)
 
         monkeypatch.setattr(homology, name, wrapped)
 
     def degree(row):
-        # a restricted row of degree d has d + 1 entries
+        # a boundary row of degree d has d + 1 entries
         return (row.bit_count() if isinstance(row, int) else len(row)) - 1
 
     def counting_xor(rows, pivots=None):
@@ -180,8 +179,8 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
         return rank
 
     monkeypatch.setattr(simplicial, "_faces", listing)
-    for position, name in enumerate(("_index", "_through", "_rows", "_signed")):
-        building(name, position)
+    for name in ("_index", "_rows", "_signed"):
+        building(name)
     monkeypatch.setattr(homology, "xor_rank", counting_xor)
     monkeypatch.setattr(homology, "rank_of_rows", counting_rank)
     rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
@@ -235,24 +234,33 @@ def test_boundary_rows_built_once_and_never_cleared(monkeypatch):
     # maps are ranked from the top down only as far as a degree asks, so
     # projective dimension's top-down walk can stop after the top map
     ranked.clear()
-    assert homology._betti(homology._Link(octahedron()._listed, {}), 2, GF(2)) == 1
+    assert homology._betti(homology._Link(octahedron()._listed), 2, GF(2)) == 1
     assert [(name, d) for name, d, _, _ in ranked] == [("GF(2)", 2)]
-    # the CM test's link walk lists the complex once and ranks its links
-    # on their stars, listing the boundary of each face at most once mod 2
-    boundaries = Counter()
+    # the CM test's link walk lists the complex once and ranks each link
+    # on its own listing, listing the boundary of each face of a ranked
+    # link at most once mod 2
+    boundaries, links = Counter(), []
+    link = homology._Link
 
     def facets_of(face, size):
         boundaries[size] += 1
         return combinations(face, size)
 
+    def linking(faces):
+        links.append(link(faces))
+        return links[-1]
+
     monkeypatch.setattr(homology, "combinations", facets_of)
+    monkeypatch.setattr(homology, "_Link", linking)
     rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
     for cx in (octahedron(), rp2, cone(rp2), cross_polytope(5), cycle_complex(6)):
         listed.clear()
         boundaries.clear()
+        links.clear()
         homology._link_walk(cx, GF(2))
-        f = f_vector(cx)
-        assert boundaries and all(boundaries[d] <= f[d + 1] for d in boundaries)
+        assert boundaries and all(
+            boundaries[d] <= sum(len(lk.faces.get(d, ())) for lk in links) for d in boundaries
+        )
         assert len(listed) == 1
         # a second call on the same instance, or any other reader, lists nothing
         homology._link_walk(cx, QQ)
@@ -284,6 +292,14 @@ def test_cohen_macaulay_depends_on_field():
 
 def cone(cx):
     return SimplicialComplex(cx.n_vertices + 1, frozenset(f | {cx.n_vertices} for f in cx.facets))
+
+
+def join(a, b):
+    shift = a.n_vertices
+    return SimplicialComplex(
+        shift + b.n_vertices,
+        frozenset(f | {v + shift for v in g} for f in a.facets for g in b.facets),
+    )
 
 
 def facet_masks(cx):
@@ -480,11 +496,11 @@ def test_cohen_macaulay_against_link_oracle():
 
 
 def test_cohen_macaulay_on_stars_against_link_oracle():
-    # every link is ranked inside the complex's own boundary rows, probed
-    # mod 2 over Q; the certificate, faces_checked and first witness
-    # included, against Reisner's criterion with each link rebuilt from
-    # the facets, on complexes with 2-torsion, cones, spheres, unused
-    # vertices and facets of mixed sizes
+    # every link is ranked on its own listing, probed mod 2 over Q; the
+    # certificate, faces_checked and first witness included, against
+    # Reisner's criterion with each link rebuilt from the facets, on
+    # complexes with 2-torsion, cones, spheres, unused vertices and facets
+    # of mixed sizes
     rng = random.Random(67)
     rp2 = SimplicialComplex.from_faces(6, RP2_FACETS)
     cases = [
@@ -519,11 +535,14 @@ def test_cohen_macaulay_on_stars_against_link_oracle():
     assert {v for (cx, name), v in verdicts.items() if name == "Q"} == {True, False}
 
 
-def test_star_ranks_against_listed_link_oracle():
-    # the rank of each boundary map of lk F, restricted from the complex's
-    # own rows to the star of F, against the link listed from its facets
-    # with every row kept; degrees asked in ascending and in descending
-    # order, since mod p the maps are ranked top down with clearing
+def test_listed_link_ranks_against_link_oracle():
+    # lk F listed as the link walk lists it, on its own vertices (those of
+    # the facets through F, outside F) by their facet masks inside the
+    # facets through F, against the link listed from its facets; the empty
+    # face's link is the complex's own listing.  Then the rank of each
+    # boundary map and each Betti number, degrees asked in ascending and in
+    # descending order, since mod p the maps are ranked top down with
+    # clearing, against every row kept
     rng = random.Random(71)
     complexes = [SimplicialComplex.from_faces(6, RP2_FACETS), cross_polytope(3)]
     for _ in range(40):
@@ -532,21 +551,31 @@ def test_star_ranks_against_listed_link_oracle():
     ranked = 0
     for cx in complexes:
         listed = cx._listed
+        masks = simplicial._facet_masks(cx)
         every = [face for d in sorted(listed) for face in listed[d]]
         for face in [()] + rng.sample(every, min(6, len(every))):
+            through = [i for i, f in enumerate(cx.facets) if set(face) <= f]
+            within = sum(1 << i for i in through)
             link = [tuple(sorted(set(f) - set(face))) for f in cx.facets if set(face) <= f]
+            outside = sorted(set().union(*link))
+            faces = homology._faces([masks[v] for v in outside], within)
+            want = _by_dim(all_faces(link))
+            relabelled = {d: [tuple(outside[i] for i in f) for f in fs] for d, fs in faces.items()}
+            assert relabelled == want, (cx.facets, face)
+            if not face:
+                assert listed == want
             top = max(map(len, link)) - 1
             dims = range(-1, top + 3)
             for field, p in ((QQ, None), (GF(2), 2), (GF(3), 3)):
                 want = oracle_boundary_ranks(link, p)
                 betti = oracle_reduced_betti(link, p, integer_rank)
                 for order in (dims, reversed(dims)):
-                    lk = homology._Link(listed, {}, face)
+                    lk = homology._Link(faces)
                     got = {e: homology._rank(lk, field, e) for e in order}
                     assert got == {e: want.get(e, 0) for e in dims}, (cx.facets, face, field.name)
                     ranked += any(got.values())
-                inside = homology._Link(listed, {}, face)
-                got = {j: homology._betti(inside, j, field) for j in range(-1, top + 1)}
+                lk = homology._Link(faces)
+                got = {j: homology._betti(lk, j, field) for j in range(-1, top + 1)}
                 assert got == betti, (cx.facets, face, field.name)
     assert ranked >= 300
 
@@ -557,34 +586,85 @@ def test_cross_polytope_links_reach_homology_once(monkeypatch):
     # its cone, a face without the apex has a cone for its link, and the
     # faces with the apex have the same 2^k links as before.  Both are
     # vertex decomposable, so the link walk is called directly
-    listed, ranked = [], []
+    listed, links, ranked = [], [], []
     original, link = simplicial._faces, homology._Link
 
-    def counting(lt, within):
-        listed.append(within)
-        return original(lt, within)
+    def counting(into):
+        def wrapped(lt, within):
+            into.append(within)
+            return original(lt, within)
 
-    def linking(*args):
-        ranked.append(args)
-        return link(*args)
+        return wrapped
 
-    monkeypatch.setattr(simplicial, "_faces", counting)
+    def linking(faces):
+        ranked.append(faces)
+        return link(faces)
+
+    monkeypatch.setattr(simplicial, "_faces", counting(listed))
+    monkeypatch.setattr(homology, "_faces", counting(links))
     monkeypatch.setattr(homology, "_Link", linking)
     k = 6
     cross = cross_polytope(k)
     for cx, faces in ((cross, 3**k), (cone(cross), 2 * 3**k)):
         listed.clear()
+        links.clear()
         ranked.clear()
         cert = homology._link_walk(cx, QQ)
         assert cert.is_cm and cert.faces_checked == faces
-        # the complex's own faces are listed once, and no link is listed
+        # the complex's own faces are listed once, and ranked as they are
+        # for the empty face unless the complex is a cone; every other link
+        # ranked is listed once, on its own vertices
         assert len(listed) == 1 and 0 < len(ranked) <= 2**k
+        assert (cx._listed in ranked) == (cx is cross)
+        assert len(links) == sum(faces is not cx._listed for faces in ranked)
+
+
+def test_links_are_ranked_on_their_own_faces(monkeypatch):
+    # every row pushed while a link is ranked indexes that link's own faces
+    # one dimension down, so no table is as wide as the complex's.  RP^2
+    # joined with the 3-cross-polytope is CM over GF(3) and Q but not over
+    # GF(2), so not vertex decomposable, and the link walk decides it; over
+    # Q the links with RP^2's 2-torsion are redone exactly
+    links, pushed = [], Counter()
+    link, xor_rank, rank_of_rows = homology._Link, homology.xor_rank, homology.rank_of_rows
+
+    def linking(*args):
+        links.append(link(*args))
+        return links[-1]
+
+    def own(rows, name):
+        faces = links[-1].faces
+        for row in rows:
+            if isinstance(row, int):
+                d, top = row.bit_count() - 1, row.bit_length() - 1
+            else:
+                d, top = len(row) - 1, max(row)
+            assert top < len(faces[d - 1]), (name, d, top)
+        pushed[name] += len(rows)
+
+    def counting_xor(rows, pivots=None):
+        own(rows, "GF(2)")
+        return xor_rank(rows, pivots)
+
+    def counting_rank(rows, field=QQ, pivots=None):
+        own(rows, field.name)
+        return rank_of_rows(rows, field, pivots)
+
+    monkeypatch.setattr(homology, "_Link", linking)
+    monkeypatch.setattr(homology, "xor_rank", counting_xor)
+    monkeypatch.setattr(homology, "rank_of_rows", counting_rank)
+    cx = join(SimplicialComplex.from_faces(6, RP2_FACETS), cross_polytope(3))
+    for field in (GF(3), QQ):
+        links.clear()
+        pushed.clear()
+        assert is_cohen_macaulay(cx, field) == CMCertificate(True, field.name, sum(f_vector(cx)))
+        assert len(links) > 1 and pushed["GF(2)"] and pushed[field.name]
 
 
 def test_cross_polytope_pushes_only_rows_that_can_be_independent(monkeypatch):
     # the link of a face missing s of the k pairs is the cross-polytope on
-    # those s pairs, an (s-1)-sphere, and it is ranked mod 2 inside the
-    # complex's boundary rows.  A link of dimension 0 (s = 1) tests no
+    # those s pairs, an (s-1)-sphere, and it is ranked mod 2 on its own
+    # boundary rows.  A link of dimension 0 (s = 1) tests no
     # degree and is not ranked.  A sphere has one top cycle and no other
     # homology, and cleared rows are never pushed, so each ranked link has
     # exactly one row that reduces to zero: the 42 links with s >= 3 in a

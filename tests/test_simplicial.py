@@ -180,6 +180,9 @@ def test_independence_complexes():
         if edges:
             everything = frozenset(range(n))
             assert cx.facets == {everything - c for c in brute_minimal_covers(edges)}
+    # an edgeless graph's one minimal cover is the empty set
+    for n in range(8):
+        assert independence_complex(n, []) == SimplicialComplex.full_simplex(n)
     with pytest.raises(InputError):
         independence_complex(3, [(0, 0)])
 
