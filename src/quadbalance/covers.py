@@ -10,8 +10,10 @@ minimum transversal, without listing the others; ``is_minimal_prime``
 checks a given set in one pass over the generators.  The full listing,
 ``minimal_primes``, is kept for the callers whose output it is.  It runs on
 ``_minimal_transversals``, the one enumerator of minimal transversals in
-the package, which also lists independence complexes (through the edges of
-a graph) and minimal non-faces (through the facet complements).
+the package, which also lists the minimal non-faces of a complex given by
+its facets (through the facet complements).  An independence complex
+needs none: its facets are cliques of the complement graph, and its
+minimal non-faces are the graph's edges.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ most F leaves and one attempt visits at most 2F - 1 complexes for F
 facets.  Nothing is listed, but a node counts the ridges of its facets,
 so a long run of deletions that each peel a few facets (a path's edges,
 one at a time) costs about F^2; the count is capped at a fixed multiple
-of the faces that the test lists anyway.  A False, or the cap, proves
+of the faces, which the test counts anyway.  A False, or the cap, proves
 nothing, and the link walk below decides; a True is stated with the
 count of every face, as a passing walk states it.
 
@@ -285,7 +285,7 @@ class CMCertificate:
         return self.is_cm
 
 
-# ridges the decomposition may count per face of the listing before it
+# ridges the decomposition may count per face of the complex before it
 # leaves the complex to the link walk: a decomposition of a random complex
 # on up to 10 vertices counted at most 5 (4000 drawn), of a cross-polytope
 # at most 1.3, and of a path on m vertices, whose deletions peel one edge
@@ -356,16 +356,16 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     reduced homology below its own dimension.
 
     A complex that ``_Decomposition`` certifies is shellable, so CM over
-    every field, and its certificate counts every face of the listing; any
-    other is decided by ``_link_walk``, which states the first failing
+    every field, and its certificate counts every face, with none listed;
+    any other is decided by ``_link_walk``, which states the first failing
     witness.  The decomposition counts at most ``_RIDGES_PER_FACE`` ridges
-    per face listed, so it never costs more than a constant times the
-    listing that both read.
+    per face, so it never costs more than a constant times the face count
+    that both read.
     """
     if cx.is_void():
         raise InputError("the void complex is not a ring-theoretic object here")
-    # listed first, so a facet over the cap is refused before anything runs
-    faces = sum(map(len, cx._listed.values()))
+    # counted first, so a facet over the cap is refused before anything runs
+    faces = sum(cx._counted)
     decomposes = _Decomposition(_RIDGES_PER_FACE * faces)
     if decomposes(frozenset(sum(1 << v for v in facet) for facet in cx.facets)):
         return CMCertificate(True, field.name, faces)

@@ -5,6 +5,28 @@ A complex is stored by its facets (inclusion-maximal faces) over vertices
 distinct: the former has no facets, the latter has the single facet ∅.
 Ambient vertices may be absent from every face; such a vertex shows up as a
 size-1 minimal non-face.
+
+An independence complex Ind(G) is built from its graph G, with no
+transversal enumerated.  Its faces are the independent sets of G, which
+are the cliques of the complement graph, so its facets are the maximal
+cliques of the complement, listed by Bron-Kerbosch with Tomita's pivot.
+Its minimal non-faces are the distinct edges of G.  A set is a non-face
+exactly when it contains an edge.  So an edge is a non-face, and each of
+its proper subsets, a vertex or the empty set, is a face, as no edge is a
+loop: every edge is a minimal non-face.  A minimal non-face S contains an
+edge e, a non-face itself, so S = e by minimality.  The complex carries
+them from the start, in the (size, lex) order of ``minimal_non_faces``.
+
+Faces are listed by ``_faces`` only where they are ranked: the link walk
+of ``homology`` and the tests.  The f-vector, and through it the h-vector
+and the face total of a Cohen-Macaulay certificate, come from
+``_count_faces``, the same walk with each face replaced by its size.  The
+children of a node, and so its whole subtree, depend only on the node's
+facet mask and next position, never on the face, and each node is pushed
+once, by its parent, whatever order the children are pushed in.  So both
+walks visit the same nodes, a node of size k being a face on k vertices
+in ``_faces``: the count is exactly the listing's length in every
+dimension.
 """
 
 from __future__ import annotations
@@ -18,8 +40,9 @@ from .covers import _minimal_transversals, minimal_primes
 from .errors import BudgetExceededError, InputError
 from .monomials import MonomialIdeal, _ideal_from_minimal
 
-# the most vertices a facet may have for its complex's faces to be listed: a
-# facet on k vertices alone has 2^k faces, and the listing holds every one
+# the most vertices a facet may have for its complex's faces to be listed or
+# counted: a facet on k vertices alone has 2^k faces, and both walks visit
+# every one
 _FACET_CAP = 24
 
 
@@ -56,18 +79,27 @@ class SimplicialComplex:
             raise InputError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    @cached_property
-    def _listed(self) -> dict:
-        """Faces by dimension, listed once per instance; no reader changes it.
-        A facet on more than ``_FACET_CAP`` vertices is refused before any
-        listing."""
+    def _walked(self, walk):
+        """``walk`` run on the facet masks, every facet in play; a facet on
+        more than ``_FACET_CAP`` vertices is refused before any walk."""
         largest = max(map(len, self.facets), default=0)
         if largest > _FACET_CAP:
             raise BudgetExceededError(
                 f"a facet on {largest} vertices has 2^{largest} faces; "
                 f"faces are listed only when every facet has at most {_FACET_CAP} vertices"
             )
-        return _faces(_facet_masks(self), (1 << len(self.facets)) - 1)
+        return walk(_facet_masks(self), (1 << len(self.facets)) - 1)
+
+    @cached_property
+    def _listed(self) -> dict:
+        """Faces by dimension, listed once per instance; no reader changes it."""
+        return self._walked(_faces)
+
+    @cached_property
+    def _counted(self) -> tuple:
+        """The face count of each size, from 0 to the largest, counted once
+        per instance without listing a face."""
+        return self._walked(_count_faces)
 
     @cached_property
     def _minimal_non_faces(self) -> tuple:
@@ -157,11 +189,29 @@ def _faces(lt: list, within: int) -> dict:
     return faces
 
 
+def _count_faces(lt: list, within: int) -> tuple:
+    """The faces ``_faces(lt, within)`` lists, counted by size (entry k for
+    the faces on k vertices, up to the largest) with no face built."""
+    counts = []
+    stack = [(0, within, 0)] if within else []
+    while stack:
+        size, mask, start = stack.pop()
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += 1
+        size += 1
+        for v in range(start, len(lt)):
+            meet = mask & lt[v]
+            if meet:
+                stack.append((size, meet, v + 1))
+    return tuple(counts)
+
+
 def f_vector(cx: SimplicialComplex) -> tuple:
     """(f_-1, f_0, ..., f_dim); f_-1 = 1 counts the empty face."""
     if cx.is_void():
         raise InputError("the void complex has no f-vector")
-    return tuple(len(cx._listed[d]) for d in range(-1, cx.dim + 1))
+    return cx._counted
 
 
 def h_vector(cx: SimplicialComplex) -> tuple:
@@ -180,7 +230,8 @@ def minimal_non_faces(cx: SimplicialComplex) -> tuple:
     By Alexander duality a set is a non-face exactly when it meets the
     complement of every facet, so the minimal non-faces are the minimal
     transversals of the facet complements; the void complex gets (∅,).
-    Each complex lists them once, for ``is_flag`` and ``balance`` alike.
+    Each complex lists them once, for ``is_flag`` and ``balance`` alike,
+    and an independence complex holds them from the start: its edges.
     """
     return cx._minimal_non_faces
 
@@ -226,10 +277,10 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
 def independence_complex(n: int, edges) -> SimplicialComplex:
     """Faces are the independent sets of the graph; always a flag complex.
 
-    The facets, the maximal independent sets, are the complements of the
-    minimal vertex covers, the minimal transversals of the edges.
+    The facets, the maximal independent sets, are the maximal cliques of
+    the complement graph, and the minimal non-faces are the distinct edges.
     """
-    clean = []
+    clean = set()
     for e in edges:
         e = tuple(e)
         if len(e) != 2 or e[0] == e[1]:
@@ -237,9 +288,64 @@ def independence_complex(n: int, edges) -> SimplicialComplex:
         for v in e:
             if not 0 <= v < n:
                 raise InputError(f"vertex {v} out of range 0..{n - 1}")
-        clean.append(frozenset(e))
-    everything = frozenset(range(n))
-    return _from_maximal(n, (everything - c for c in _minimal_transversals(clean)))
+        clean.add(e if e[0] < e[1] else e[::-1])
+    # others[v]: the neighbours of v in the complement graph; each distinct
+    # edge clears its own bit at both ends
+    others = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    for u, v in clean:
+        others[u] ^= 1 << v
+        others[v] ^= 1 << u
+    cx = _from_maximal(n, map(frozenset, _maximal_cliques(others)))
+    object.__setattr__(cx, "_minimal_non_faces", tuple(map(frozenset, sorted(clean))))
+    return cx
+
+
+def _maximal_cliques(adjacent: list) -> list:
+    """The maximal cliques, as vertex tuples, of the graph on positions
+    0..len(adjacent)-1 in which ``adjacent[v]`` masks the neighbours of v.
+
+    Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka and Takahashi, Theor.
+    Comput. Sci. 363, 2006) on int bitsets, with an explicit stack.  A node
+    holds a clique R, the candidates P (adjacent to all of R, not yet
+    tried) and the excluded X (adjacent to all of R, tried by an earlier
+    sibling).  A maximal clique K below the node lies in R u P, and for any
+    u in P u X it holds u or a vertex of P outside the neighbours of u, or
+    else u would extend it.  So only those candidates are branched on, each
+    moved to X for its later siblings, and each maximal clique is reached
+    once, at a node with P and X both empty; such a child is settled where
+    it is made, so every node on the stack has candidates.  The pivot u has
+    the most neighbours in P, and its scan stops at |P| - 1, the most a
+    vertex of P can have.
+    """
+    if not adjacent:
+        return [()]  # on no vertices the one maximal clique is empty
+    found = []
+    stack = [((), (1 << len(adjacent)) - 1, 0)]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        most, best = candidates.bit_count() - 1, -1
+        rest = candidates | excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            here = (candidates & adjacent[u]).bit_count()
+            if here > best:
+                best, pivot = here, u
+                if here >= most:
+                    break
+        branch = candidates & ~adjacent[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            if candidates & adjacent[v]:
+                stack.append((clique + (v,), candidates & adjacent[v], excluded & adjacent[v]))
+            elif not excluded & adjacent[v]:
+                found.append(clique + (v,))
+            candidates ^= low
+            excluded |= low
+    return found
 
 
 def check_balanced(cx: SimplicialComplex, coloring):
@@ -253,7 +359,8 @@ def check_balanced(cx: SimplicialComplex, coloring):
     colors = tuple(coloring)
     if len(colors) != cx.n_vertices:
         raise InputError("coloring must assign a color to every ambient vertex")
-    if any(not 1 <= c <= max(cx.dim + 1, 1) for c in colors):
+    top = max(cx.dim + 1, 1)
+    if any(not 1 <= c <= top for c in colors):
         return None
     for fac in cx.facets:
         if len({colors[v] for v in fac}) < len(fac):

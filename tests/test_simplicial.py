@@ -1,9 +1,11 @@
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from quadbalance import (
+    BudgetExceededError,
     InputError,
     MonomialIdeal,
     SimplicialComplex,
@@ -16,6 +18,8 @@ from quadbalance import (
     minimal_non_faces,
     stanley_reisner,
 )
+from quadbalance import homology, simplicial
+from quadbalance.covers import _minimal_transversals
 
 from oracles import (
     all_faces,
@@ -299,3 +303,94 @@ def test_void_and_empty():
     )
     assert not is_flag(empty)
 
+
+
+def random_graphs(rng, count):
+    """Graphs on up to 10 vertices, as (n, edge list), with the corner cases
+    first: no vertices, no edges, complete graphs, isolated vertices, and
+    edges given twice or in both orders."""
+    graphs = [(0, []), (1, []), (5, []), (4, list(combinations(range(4), 2)))]
+    graphs += [(7, list(combinations(range(7), 2))), (6, [(0, 1), (1, 0), (0, 1), (2, 3)])]
+    graphs.append((9, [(0, 4), (4, 0), (4, 8)]))  # 1, 2, 3, 5, 6, 7 isolated
+    for _ in range(count):
+        n = rng.randint(0, 10)
+        density = rng.random()
+        edges = [pair for pair in combinations(range(n), 2) if rng.random() < density]
+        edges += [pair[::-1] for pair in edges if rng.random() < 0.2]  # repeated, reversed
+        edges = [pair[::-1] if rng.random() < 0.5 else pair for pair in edges]
+        rng.shuffle(edges)
+        graphs.append((n, edges))
+    return graphs
+
+
+def test_clique_facets_equal_the_transversal_facets():
+    # the maximal independent sets, read as the maximal cliques of the
+    # complement graph, against the complements of the minimal vertex covers
+    for n, edges in random_graphs(random.Random(53), 1500):
+        everything = frozenset(range(n))
+        covers = _minimal_transversals(frozenset(e) for e in edges)
+        assert independence_complex(n, edges).facets == {everything - c for c in covers}, (n, edges)
+
+
+def test_carried_non_faces_equal_the_transversals_of_the_facet_complements():
+    # the edges an independence complex carries as its minimal non-faces are
+    # the ones the facet complements give, in the same (size, lex) order
+    for n, edges in random_graphs(random.Random(59), 1500):
+        cx = independence_complex(n, edges)
+        everything = frozenset(range(n))
+        expected = tuple(_minimal_transversals(everything - f for f in cx.facets))
+        assert minimal_non_faces(cx) == expected, (n, edges)
+        assert minimal_non_faces(SimplicialComplex(n, cx.facets)) == expected
+        assert is_flag(cx)
+
+
+def test_counted_f_vector_equals_the_listing():
+    rng = random.Random(61)
+    cases = [
+        SimplicialComplex(0, frozenset([frozenset()])),
+        SimplicialComplex(4, frozenset([frozenset()])),
+        SimplicialComplex.full_simplex(1),
+        SimplicialComplex.full_simplex(7),
+        octahedron(),
+    ]
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        cases.append(SimplicialComplex.from_faces(n, random_facets(rng, rng.randint(1, n), 7)))
+    for cx in cases:
+        listed = cx._listed
+        assert f_vector(cx) == tuple(len(listed[d]) for d in range(-1, cx.dim + 1))
+        # and on part of the facets, as a link's walk runs
+        masks = simplicial._facet_masks(cx)
+        within = rng.getrandbits(len(cx.facets))
+        listed = simplicial._faces(masks, within)
+        sizes = tuple(len(listed[d]) for d in range(-1, max(listed, default=-2) + 1))
+        assert simplicial._count_faces(masks, within) == sizes
+
+
+def test_a_facet_over_the_cap_is_refused_before_any_walk(monkeypatch):
+    walked = []
+
+    def recording(walk):
+        def wrapped(lt, within):
+            walked.append(walk.__name__)
+            return walk(lt, within)
+
+        return wrapped
+
+    for name in ("_faces", "_count_faces"):
+        monkeypatch.setattr(simplicial, name, recording(getattr(simplicial, name)))
+    message = (
+        "a facet on 25 vertices has 2^25 faces; "
+        "faces are listed only when every facet has at most 24 vertices"
+    )
+    wide = SimplicialComplex(26, frozenset([frozenset(range(25)), frozenset({24, 25})]))
+    one_edge = independence_complex(26, [(0, 1)])
+    for cx in (wide, one_edge):
+        for reader in (f_vector, h_vector, homology.is_cohen_macaulay, lambda cx: cx._listed):
+            with pytest.raises(BudgetExceededError) as refused:
+                reader(cx)
+            assert str(refused.value) == message
+    assert walked == []
+    # a facet within the cap is walked, by the count alone for the f-vector
+    assert f_vector(SimplicialComplex.full_simplex(12))[6] == comb(12, 6)
+    assert walked == ["_count_faces"]
