@@ -66,15 +66,8 @@ def _same_h(a, b) -> bool:
     return poly_trim(a) == poly_trim(b)
 
 
-def balance(
-    cx: SimplicialComplex, field=QQ, max_degree: int | None = None, *, cm=None
-) -> BalanceReport:
-    """Balanced Cohen-Macaulay companion of a Cohen-Macaulay flag complex.
-
-    ``cm(complex, field)`` certifies the source, ``is_cohen_macaulay``
-    unless given; ``verify`` passes one that shares its certificates.
-    """
-    cm = cm or is_cohen_macaulay
+def balance(cx: SimplicialComplex, field=QQ, max_degree: int | None = None) -> BalanceReport:
+    """Balanced Cohen-Macaulay companion of a Cohen-Macaulay flag complex."""
     if cx.is_void():
         raise InputError("the void complex has no h-vector")
     bad = next((m for m in minimal_non_faces(cx) if len(m) != 2), None)
@@ -83,7 +76,7 @@ def balance(
             "not a flag complex: minimal non-face "
             f"{{{', '.join(str(v + 1) for v in sorted(bad))}}} has size {len(bad)}"
         )
-    cm_source = cm(cx, field)
+    cm_source = is_cohen_macaulay(cx, field)
     if not cm_source:
         face, degree, betti = cm_source.witness
         raise NotCohenMacaulayError(

@@ -2,10 +2,11 @@
 
 One engine serves all three.  A complex is given by facet bitmasks: a set
 F of positions is a face when ``within``, the facets in play, meets the
-mask of every member of F.  The face walk ``simplicial._faces`` lists the
-faces once, and every complex ranked here is given by its own listing:
-the link lk F of a face F, the complex itself when F is empty, and each
-upper Koszul complex K^b of an ideal.
+mask of every member of F; a simplicial complex keeps its masks, and its
+certificate per field.  The face walk ``simplicial._faces``, capped on
+facet size, lists the faces once, and every complex ranked here is given
+by its own listing: the link lk F of a face F, the complex itself when F
+is empty, and each upper Koszul complex K^b of an ideal.
 
 The CM test first tries a pure vertex decomposition (Provan and Billera,
 Math. Oper. Res. 5, 1980).  A vertex v of a pure complex D is shedding
@@ -147,7 +148,7 @@ from .errors import BudgetExceededError, InputError
 from .fields import GF, QQ
 from .linalg import rank_of_rows, xor_rank
 from .monomials import MonomialIdeal
-from .simplicial import SimplicialComplex, _facet_masks, _faces
+from .simplicial import SimplicialComplex, _faces
 
 _GF2 = GF(2)
 
@@ -158,16 +159,18 @@ class _Link:
 
     ``index`` maps a dimension to the number of each face, built on first
     use by ``_index``; boundary rows are built only for the faces a rank
-    pushes, each degree's once per field.  ``mod`` maps p to the state of
-    ``_mod_ranks`` over GF(p), and ``exact`` a degree to its rank over Q.
+    pushes.  A link is ranked over one field, and ``_mod_ranks`` keeps its
+    ranks by degree + 1, the lowest degree ranked and the pivots of that
+    map as a mask; ``exact`` maps a degree to its rank over Q.
     """
 
-    __slots__ = ("faces", "index", "mod", "exact")
+    __slots__ = ("faces", "index", "ranks", "low", "cleared", "exact")
 
     def __init__(self, faces: dict):
         self.faces = faces
         self.index: dict = {}
-        self.mod: dict = {}
+        self.ranks = [0, int(len(faces) > 1)] + [0] * (len(faces) - 1)
+        self.low, self.cleared = len(faces) - 1, 0
         self.exact: dict = {}
 
 
@@ -206,14 +209,15 @@ def _betti(link: _Link, j: int, field) -> int:
     faces = link.faces
     if not 0 <= j + 1 < len(faces):
         return 0
-    betti = _mod_betti(link, _GF2 if field == QQ else field, j)
+    betti = _mod_betti(link, field, j)
     if betti and field == QQ:
         betti = len(faces[j]) - _rank(link, QQ, j) - _rank(link, QQ, j + 1)
     return betti
 
 
 def _mod_betti(link: _Link, field, j: int) -> int:
-    """Reduced Betti number over GF(p) in degree j, for 0 <= j + 1 < len(link.faces)."""
+    """Reduced Betti number over GF(p) in degree j, mod 2 over Q, for
+    0 <= j + 1 < len(link.faces)."""
     ranks = _mod_ranks(link, field, j)
     return len(link.faces[j]) - ranks[j + 1] - ranks[j + 2]
 
@@ -229,42 +233,34 @@ def _rank(link: _Link, field, e: int) -> int:
     if not 0 <= e < len(link.faces) - 1:
         return 0
     if field != QQ or e < 2 or not (_mod_betti(link, _GF2, e) and _mod_betti(link, _GF2, e - 1)):
-        return _mod_ranks(link, _GF2 if field == QQ else field, e)[e + 1]
+        return _mod_ranks(link, field, e)[e + 1]
     if e not in link.exact:
         link.exact[e] = rank_of_rows(_signed(link, e, range(len(link.faces[e]))), QQ)
     return link.exact[e]
 
 
 def _mod_ranks(link: _Link, field, e: int) -> list:
-    """Ranks over GF(p) of the link's boundary maps, ``ranks[k + 1]`` for
-    the map from the k-faces, for k from -1 up to one above the link's
-    dimension, correct for every k >= e.
+    """Ranks over GF(p) of the link's boundary maps, GF(2) standing in for
+    Q, ``ranks[k + 1]`` for the map from the k-faces, for k from -1 up to
+    one above the link's dimension, correct for every k >= e.
 
     The maps are ranked from the top dimension down, as far as asked, each
     with the rows at the pivots of the map above cleared: mod 2 as bits,
     otherwise on signed rows, except degree 1, which is ranked mod 2 over
     every field, and degree 0, which has rank 1 on a nonempty vertex set.
-    The state kept in ``link.mod`` is [ranks by degree + 1, the lowest
-    degree ranked, the pivots of its map as a mask].
     """
-    faces = link.faces
-    state = link.mod.get(field.p)
-    if state is None:
-        ranks = [0] * (len(faces) + 1)
-        ranks[1] = int(len(faces) > 1)
-        state = link.mod[field.p] = [ranks, len(faces) - 1, 0]
-    ranks, low, cleared = state
-    while low > max(e, 1):
-        low -= 1
-        kept = _bits(((1 << len(faces[low])) - 1) & ~cleared)
+    field = _GF2 if field == QQ else field
+    faces, ranks = link.faces, link.ranks
+    while link.low > max(e, 1):
+        low = link.low = link.low - 1
+        kept = _bits(((1 << len(faces[low])) - 1) & ~link.cleared)
         # degree 0 is not eliminated, so degree 1 clears nothing
         pivots = set() if low > 1 else None
         if field.p == 2 or low < 2:
             ranks[low + 1] = xor_rank(_rows(link, low, kept), pivots)
         else:
             ranks[low + 1] = rank_of_rows(_signed(link, low, kept), field, pivots)
-        cleared = sum(map((1).__lshift__, pivots or ()))
-        state[1:] = low, cleared
+        link.cleared = sum(map((1).__lshift__, pivots or ()))
     return ranks
 
 
@@ -353,21 +349,26 @@ class _Decomposition:
 
 def is_cohen_macaulay(cx: SimplicialComplex, field=QQ) -> CMCertificate:
     """Reisner's criterion over the field: every face's link has vanishing
-    reduced homology below its own dimension.
+    reduced homology below its own dimension; certified by ``_certify``
+    once per complex and field."""
+    if cx.is_void():
+        raise InputError("the void complex is not a ring-theoretic object here")
+    if field not in cx._certificates:
+        cx._certificates[field] = _certify(cx, field)
+    return cx._certificates[field]
 
-    A complex that ``_Decomposition`` certifies is shellable, so CM over
+
+def _certify(cx: SimplicialComplex, field) -> CMCertificate:
+    """A complex that ``_Decomposition`` certifies is shellable, so CM over
     every field, and its certificate counts every face, with none listed;
     any other is decided by ``_link_walk``, which states the first failing
     witness.  The decomposition counts at most ``_RIDGES_PER_FACE`` ridges
     per face, so it never costs more than a constant times the face count
     that both read.
     """
-    if cx.is_void():
-        raise InputError("the void complex is not a ring-theoretic object here")
     # counted first, so a facet over the cap is refused before anything runs
     faces = sum(cx._counted)
-    decomposes = _Decomposition(_RIDGES_PER_FACE * faces)
-    if decomposes(frozenset(sum(1 << v for v in facet) for facet in cx.facets)):
+    if _Decomposition(_RIDGES_PER_FACE * faces)(frozenset(cx._masks[0])):
         return CMCertificate(True, field.name, faces)
     return _link_walk(cx, field)
 
@@ -387,13 +388,9 @@ def _link_walk(cx: SimplicialComplex, field) -> CMCertificate:
     that pass, so ``faces_checked`` still counts every face and the first
     witness stays.
     """
-    masks = _facet_masks(cx)
-    every = (1 << len(cx.facets)) - 1
-    # vertex mask of each facet, in the bit order of ``masks``
-    members = [sum(1 << v for v in facet) for facet in cx.facets]
-    passed = set()
-    checked = 0
-    listed = cx._listed
+    members, masks = cx._masks
+    every = (1 << len(members)) - 1
+    passed, checked, listed = set(), 0, cx._listed
     top = max(listed)
     # a face of dimension top - 1 or more has a link of dimension at most
     # 0, with no degree below its own to test; these faces come last

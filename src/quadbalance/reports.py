@@ -25,8 +25,6 @@ stated flag.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .balance import balance
 from .covers import is_minimal_prime, smallest_minimal_prime
 from .errors import (
@@ -185,8 +183,8 @@ def _egh_obj(ideal: MonomialIdeal, field, rep, generators: list, pd_source, budg
     }
 
 
-def balance_report(cx: SimplicialComplex, field, max_degree=None, *, cm=None) -> dict:
-    rep = balance(cx, field, max_degree, cm=cm)
+def balance_report(cx: SimplicialComplex, field, max_degree=None) -> dict:
+    rep = balance(cx, field, max_degree)
     return {
         "kind": "balance",
         "field": field_spec_name(field),
@@ -416,22 +414,19 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
     hs, hr = (tuple(_typed(obj, key, list, "a list")) for key in ("h_source", "h_result"))
     cm_source, cm_result = (_get(_get(obj, key), "cm") for key in ("cm_source", "cm_result"))
 
-    # one CM test per complex (equal n_vertices and facets) in this call:
-    # the cm_source check and the reproduction's balance share the source's
-    # certificate; the cm_result check tests the stated result only where
-    # the polarization check has not settled it
-    certify = cache(is_cohen_macaulay)
-    # set by a passing polarization check when the result is the complex of
-    # the polarization of a proper ideal of K[x1..xg] holding all g squares:
-    # that ideal is Artinian, so the result is Cohen-Macaulay over every
-    # field, as in balance.py's module docstring
+    # the cm_source check and the reproduction share the certificate that
+    # the source keeps.  by_theorem is set by a passing polarization check
+    # when the result is the complex of the polarization of a proper ideal
+    # of K[x1..xg] holding all g squares: that ideal is Artinian, so the
+    # result is Cohen-Macaulay over every field, as in balance.py's module
+    # docstring, and the cm_result check tests it only otherwise
     by_theorem = False
 
     checker.run("flag", lambda: (is_flag(cx), "input complex is not flag"))
     checker.run(
         "cm_source",
         lambda: (
-            bool(certify(cx, field)) and cm_source is True,
+            bool(is_cohen_macaulay(cx, field)) and cm_source is True,
             "input complex is not Cohen-Macaulay over the stated field",
         ),
     )
@@ -498,13 +493,13 @@ def _verify_balance(obj: dict, checker: _Checker, budget, max_degree):
     checker.run(
         "cm_result",
         lambda: (
-            (by_theorem or bool(certify(result, field))) and cm_result is True,
+            (by_theorem or bool(is_cohen_macaulay(result, field))) and cm_result is True,
             "result complex is not Cohen-Macaulay over the stated field",
         ),
     )
     checker.run(
         "reproduction",
-        lambda: _same_report(obj, balance_report(cx, field, max_degree, cm=certify)),
+        lambda: _same_report(obj, balance_report(cx, field, max_degree)),
     )
 
 

@@ -17,10 +17,13 @@ loop: every edge is a minimal non-face.  A minimal non-face S contains an
 edge e, a non-face itself, so S = e by minimality.  The complex carries
 them from the start, in the (size, lex) order of ``minimal_non_faces``.
 
-Faces are listed by ``_faces`` only where they are ranked: the link walk
-of ``homology`` and the tests.  The f-vector, and through it the h-vector
-and the face total of a Cohen-Macaulay certificate, come from
-``_count_faces``, the same walk with each face replaced by its size.  The
+A complex keeps one mask view of its facets, ``_masks``, and walks its
+faces on it: listed by ``_faces`` only where they are ranked (the link
+walk of ``homology`` and the tests), and counted by ``_count_faces``, the
+same walk with each face replaced by its size, for the f-vector, the
+h-vector and a Cohen-Macaulay certificate's face total.  Both walks refuse
+a facet over ``_FACET_CAP`` vertices before visiting a face, for a
+complex, a link and an upper Koszul complex alike.  The
 children of a node, and so its whole subtree, depend only on the node's
 facet mask and next position, never on the face, and each node is pushed
 once, by its parent, whatever order the children are pushed in.  So both
@@ -36,11 +39,11 @@ from functools import cached_property, reduce
 from math import comb
 from operator import and_
 
-from .covers import _minimal_transversals, minimal_primes
+from .covers import _bits, _minimal_transversals, minimal_primes
 from .errors import BudgetExceededError, InputError
 from .monomials import MonomialIdeal, _ideal_from_minimal
 
-# the most vertices a facet may have for its complex's faces to be listed or
+# the most vertices a facet may have for its walk's faces to be listed or
 # counted: a facet on k vertices alone has 2^k faces, and both walks visit
 # every one
 _FACET_CAP = 24
@@ -79,27 +82,32 @@ class SimplicialComplex:
             raise InputError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    def _walked(self, walk):
-        """``walk`` run on the facet masks, every facet in play; a facet on
-        more than ``_FACET_CAP`` vertices is refused before any walk."""
-        largest = max(map(len, self.facets), default=0)
-        if largest > _FACET_CAP:
-            raise BudgetExceededError(
-                f"a facet on {largest} vertices has 2^{largest} faces; "
-                f"faces are listed only when every facet has at most {_FACET_CAP} vertices"
-            )
-        return walk(_facet_masks(self), (1 << len(self.facets)) - 1)
+    @cached_property
+    def _masks(self) -> tuple:
+        """(members, through), built once, in one pass: the vertex mask of
+        each facet, and for each vertex the facets through it, bit i for facet i."""
+        members, through = [], [0] * self.n_vertices
+        for i, facet in enumerate(self.facets):
+            members.append(sum(1 << v for v in facet))
+            for v in facet:
+                through[v] |= 1 << i
+        return tuple(members), tuple(through)
 
     @cached_property
     def _listed(self) -> dict:
         """Faces by dimension, listed once per instance; no reader changes it."""
-        return self._walked(_faces)
+        return _faces(self._masks[1], (1 << len(self.facets)) - 1)
 
     @cached_property
     def _counted(self) -> tuple:
         """The face count of each size, from 0 to the largest, counted once
         per instance without listing a face."""
-        return self._walked(_count_faces)
+        return _count_faces(self._masks[1], (1 << len(self.facets)) - 1)
+
+    @cached_property
+    def _certificates(self) -> dict:
+        """Cohen-Macaulay certificates by field, kept by ``is_cohen_macaulay``."""
+        return {}
 
     @cached_property
     def _minimal_non_faces(self) -> tuple:
@@ -158,13 +166,16 @@ def _maximal(sets: set) -> frozenset:
     )
 
 
-def _facet_masks(cx: SimplicialComplex) -> list:
-    """masks[v]: the facets containing vertex v, bit i for the i-th facet."""
-    masks = [0] * cx.n_vertices
-    for i, facet in enumerate(cx.facets):
-        for v in facet:
-            masks[v] |= 1 << i
-    return masks
+def _refuse_wide(lt: list, within: int):
+    """Refuse a walk with a facet on more than ``_FACET_CAP`` positions:
+    facet i, for a bit i of ``within``, is the positions whose masks hold it."""
+    if len(lt) > _FACET_CAP:
+        largest = max((sum(m >> i & 1 for m in lt) for i in _bits(within)), default=0)
+        if largest > _FACET_CAP:
+            raise BudgetExceededError(
+                f"a facet on {largest} vertices has 2^{largest} faces; "
+                f"faces are listed only when every facet has at most {_FACET_CAP} vertices"
+            )
 
 
 def _faces(lt: list, within: int) -> dict:
@@ -177,6 +188,7 @@ def _faces(lt: list, within: int) -> dict:
     walk is a preorder that grows a face by increasing positions, and the
     row order of a boundary matrix sets its elimination fill-in.
     """
+    _refuse_wide(lt, within)
     faces: dict = {}
     stack = [((), within, 0)] if within else []
     while stack:
@@ -192,6 +204,7 @@ def _faces(lt: list, within: int) -> dict:
 def _count_faces(lt: list, within: int) -> tuple:
     """The faces ``_faces(lt, within)`` lists, counted by size (entry k for
     the faces on k vertices, up to the largest) with no face built."""
+    _refuse_wide(lt, within)
     counts = []
     stack = [(0, within, 0)] if within else []
     while stack:

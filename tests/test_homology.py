@@ -23,6 +23,7 @@ from quadbalance import (
     stanley_reisner,
 )
 from quadbalance import homology, simplicial
+from quadbalance.covers import _bits
 from quadbalance.homology import CMCertificate, total_betti_numbers
 
 from oracles import (
@@ -551,12 +552,13 @@ def test_listed_link_ranks_against_link_oracle():
     ranked = 0
     for cx in complexes:
         listed = cx._listed
-        masks = simplicial._facet_masks(cx)
+        members, masks = cx._masks
         every = [face for d in sorted(listed) for face in listed[d]]
         for face in [()] + rng.sample(every, min(6, len(every))):
-            through = [i for i, f in enumerate(cx.facets) if set(face) <= f]
+            # the facets through F, bit i for the i-th facet of the view
+            through = [i for i, m in enumerate(members) if set(face) <= set(_bits(m))]
             within = sum(1 << i for i in through)
-            link = [tuple(sorted(set(f) - set(face))) for f in cx.facets if set(face) <= f]
+            link = [tuple(sorted(set(_bits(members[i])) - set(face))) for i in through]
             outside = sorted(set().union(*link))
             faces = homology._faces([masks[v] for v in outside], within)
             want = _by_dim(all_faces(link))
@@ -693,6 +695,38 @@ def test_cross_polytope_pushes_only_rows_that_can_be_independent(monkeypatch):
     assert sum(zero for d, zero in ranked if d >= 2) == spheres == 42
     assert sum(zero == 1 for d, zero in ranked if d >= 2) == 42
     assert sum(zero for d, zero in ranked if d == 1) == comb(k, 2) == 15
+
+
+def test_certificate_is_computed_once_per_complex_and_field(monkeypatch):
+    # the octahedron is vertex decomposable, two disjoint edges are not CM,
+    # so the link walk decides them; each complex keeps its certificates
+    decomposition, link_walk = homology._Decomposition, homology._link_walk
+    computed = Counter()
+
+    def decomposing(ridges):
+        computed["_Decomposition"] += 1
+        return decomposition(ridges)
+
+    def walking(cx, field):
+        computed["_link_walk"] += 1
+        return link_walk(cx, field)
+
+    monkeypatch.setattr(homology, "_Decomposition", decomposing)
+    monkeypatch.setattr(homology, "_link_walk", walking)
+    two_edges = SimplicialComplex.from_faces(4, [[0, 1], [2, 3]])
+    for cx, walks in ((octahedron(), 0), (two_edges, 1)):
+        computed.clear()
+        first = is_cohen_macaulay(cx, QQ)
+        assert is_cohen_macaulay(cx, QQ) is first
+        assert (computed["_Decomposition"], computed["_link_walk"]) == (1, walks)
+        # over GF(3) as well: two certificates computed in all
+        third = is_cohen_macaulay(cx, GF(3))
+        assert is_cohen_macaulay(cx, GF(3)) is third and third.field_name == "GF(3)"
+        assert is_cohen_macaulay(cx, QQ) is first
+        assert (computed["_Decomposition"], computed["_link_walk"]) == (2, 2 * walks)
+        # an equal complex built anew keeps its own certificates
+        assert is_cohen_macaulay(SimplicialComplex(cx.n_vertices, cx.facets), QQ) == first
+        assert computed["_Decomposition"] == 3
 
 
 def test_cone_preserves_cohen_macaulayness():

@@ -1,4 +1,8 @@
+import contextlib
+import inspect
 import random
+import sys
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -19,7 +23,7 @@ from quadbalance import (
     stanley_reisner,
 )
 from quadbalance import homology, simplicial
-from quadbalance.covers import _minimal_transversals
+from quadbalance.covers import _bits, _minimal_transversals
 
 from oracles import (
     all_faces,
@@ -359,38 +363,77 @@ def test_counted_f_vector_equals_the_listing():
     for cx in cases:
         listed = cx._listed
         assert f_vector(cx) == tuple(len(listed[d]) for d in range(-1, cx.dim + 1))
+        # the mask view: each facet's vertex mask, and its transpose
+        members, masks = cx._masks
+        assert len(members) == len(cx.facets)
+        assert {frozenset(_bits(m)) for m in members} == cx.facets
+        transpose = [
+            sum(1 << i for i, m in enumerate(members) if m >> v & 1)
+            for v in range(cx.n_vertices)
+        ]
+        assert list(masks) == transpose
         # and on part of the facets, as a link's walk runs
-        masks = simplicial._facet_masks(cx)
         within = rng.getrandbits(len(cx.facets))
         listed = simplicial._faces(masks, within)
         sizes = tuple(len(listed[d]) for d in range(-1, max(listed, default=-2) + 1))
         assert simplicial._count_faces(masks, within) == sizes
 
 
-def test_a_facet_over_the_cap_is_refused_before_any_walk(monkeypatch):
-    walked = []
+@contextlib.contextmanager
+def faces_visited():
+    """Count, by walk, the faces that ``simplicial._faces`` and
+    ``simplicial._count_faces`` visit inside the block: each visit pops one
+    node off the walk's stack, one run of that line."""
+    visits, pops = Counter(), {}
+    for walk in (simplicial._faces, simplicial._count_faces):
+        source, first = inspect.getsourcelines(walk)
+        (offset,) = [i for i, line in enumerate(source) if "stack.pop()" in line]
+        pops[walk.__code__] = (walk.__name__, first + offset)
 
-    def recording(walk):
-        def wrapped(lt, within):
-            walked.append(walk.__name__)
-            return walk(lt, within)
+    def in_walk(frame, event, arg):
+        name, line = pops[frame.f_code]
+        if event == "line" and frame.f_lineno == line:
+            visits[name] += 1
+        return in_walk
 
-        return wrapped
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_walk if frame.f_code in pops else None)
+    try:
+        yield visits
+    finally:
+        sys.settrace(previous)
 
-    for name in ("_faces", "_count_faces"):
-        monkeypatch.setattr(simplicial, name, recording(getattr(simplicial, name)))
-    message = (
-        "a facet on 25 vertices has 2^25 faces; "
-        "faces are listed only when every facet has at most 24 vertices"
-    )
+
+def test_a_facet_over_the_cap_is_refused_before_any_walk():
+    def message(size):
+        return (
+            f"a facet on {size} vertices has 2^{size} faces; "
+            "faces are listed only when every facet has at most 24 vertices"
+        )
+
     wide = SimplicialComplex(26, frozenset([frozenset(range(25)), frozenset({24, 25})]))
     one_edge = independence_complex(26, [(0, 1)])
-    for cx in (wide, one_edge):
-        for reader in (f_vector, h_vector, homology.is_cohen_macaulay, lambda cx: cx._listed):
-            with pytest.raises(BudgetExceededError) as refused:
-                reader(cx)
-            assert str(refused.value) == message
-    assert walked == []
+    # upper Koszul complexes: the perfect matching of 14 edges, and 20
+    # disjoint edges beside K40, each have one point at the top of the lcm
+    # lattice within the budget, where every facet of K^b misses one edge
+    matching = [f"x{2 * i + 1}*x{2 * i + 2}" for i in range(14)]
+    edges = [f"x{2 * i + 1}*x{2 * i + 2}" for i in range(20)]
+    clique = [f"x{i}*x{j}" for i in range(41, 81) for j in range(i + 1, 81)]
+    ideals = [(28, matching, 28, 26), (80, edges + clique, 100, 78)]
+    with faces_visited() as visits:
+        for cx in (wide, one_edge):
+            for reader in (f_vector, h_vector, homology.is_cohen_macaulay, lambda cx: cx._listed):
+                with pytest.raises(BudgetExceededError) as refused:
+                    reader(cx)
+                assert str(refused.value) == message(25)
+        for n, generators, budget, size in ideals:
+            ideal = MonomialIdeal.from_strings(n, generators)
+            for reader in (homology.depth_and_pd, homology.total_betti_numbers):
+                with pytest.raises(BudgetExceededError) as refused:
+                    reader(ideal, budget=budget)
+                assert str(refused.value) == message(size)
+    assert visits == {}
     # a facet within the cap is walked, by the count alone for the f-vector
-    assert f_vector(SimplicialComplex.full_simplex(12))[6] == comb(12, 6)
-    assert walked == ["_count_faces"]
+    with faces_visited() as visits:
+        assert f_vector(SimplicialComplex.full_simplex(12))[6] == comb(12, 6)
+    assert visits == {"_count_faces": 2**12}
